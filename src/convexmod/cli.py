@@ -32,6 +32,7 @@ import sys
 
 from .convex import ConvexSet, cs_equal, cs_from_json, cs_to_csv, member
 from .distlaw import (
+    SYMBOL_POOL,
     Relation,
     check_naturality,
     check_pentagon_law,
@@ -41,14 +42,13 @@ from .distlaw import (
     set_weighting,
     trivialE_extend,
     trivial_lifting_fixed_points,
+    weightings_over,
 )
 from .errors import ConvexmodError, ParseError
-from .freemod import finsupp
 from .report import MODE_EXHAUSTIVE, FAIL, PASS, LawReport
-from .semiring import get_semiring
+from .semiring import HULL_EXACT_LP, get_semiring
 from .terms import (
     eval_term,
-    format_term,
     parse,
     render_interval,
     render_polygon,
@@ -84,7 +84,8 @@ def _describe_set(A: ConvexSet, variables: list[str]) -> dict:
     the canonical set always included."""
     sr = A.semiring
     d: dict = {"semiring": sr.id, "variables": list(variables)}
-    if len(variables) == 1 and sr.id == "qplus":
+    plotted = sr.hull_membership == HULL_EXACT_LP
+    if len(variables) == 1 and plotted:
         d["kind"] = "interval"
         iv = render_interval(A, variables)
         if iv is None:
@@ -93,7 +94,7 @@ def _describe_set(A: ConvexSet, variables: list[str]) -> dict:
         else:
             d["min"] = sr.format_scalar(iv[0])
             d["max"] = sr.format_scalar(iv[1])
-    elif len(variables) == 2 and sr.id == "qplus":
+    elif len(variables) == 2 and plotted:
         d["kind"] = "polygon"
         vs = render_polygon(A, variables)
         d["vertices"] = None if vs is None else [
@@ -143,12 +144,7 @@ def _cmd_eval(args, out) -> int:
     elif args.format == "csv":
         out.write(_plot_csv(d, A, variables))
     else:
-        if A.is_empty():
-            print("generators: none (empty set)", file=out)
-        else:
-            print("generators: "
-                  + " ".join(_fmt_gen(g, sr) for g in A.generators),
-                  file=out)
+        print(_plot_text(dict(d, kind="generators"), A), file=out)
         if d["kind"] != "generators":
             print(_plot_text(d, A), file=out)
     return EXIT_OK
@@ -270,7 +266,7 @@ def _load_phi(path: str, sr):
     else:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    weights = data.get("weights")
+    weights = data.get("weights") if isinstance(data, dict) else None
     if not isinstance(weights, list):
         raise ConvexmodError("weighting JSON needs a 'weights' array")
     items = []
@@ -278,6 +274,8 @@ def _load_phi(path: str, sr):
         if not isinstance(w, dict) or "set" not in w or "value" not in w:
             raise ConvexmodError(
                 "each weight needs 'set' and 'value' fields")
+        if not isinstance(w["set"], list):
+            raise ConvexmodError("each weight's 'set' must be an array")
         items.append((tuple(str(s) for s in w["set"]),
                       sr.scalar_from_json(w["value"])))
     return set_weighting(sr, items)
@@ -286,7 +284,7 @@ def _load_phi(path: str, sr):
 def _cmd_delta(args, out) -> int:
     sr = get_semiring(args.semiring)
     Phi = _load_phi(args.phi, sr)
-    if sr.id == "nat":
+    if not sr.is_semifield:
         gens = delta_bruteforce(Phi)
         hull = None
     else:
@@ -295,19 +293,15 @@ def _cmd_delta(args, out) -> int:
     status = EXIT_OK
     compare = None
     if args.compare_bruteforce:
-        if sr.id != "bool":
+        if hull is None or sr.enumeration is None:
             raise ConvexmodError(
                 "--compare-bruteforce needs the bool semiring, where both "
                 "routes are enumerable")
         brute = delta_bruteforce(Phi)
         symbols = sorted({x for A in Phi.support() for x in A})
-        closure = []
-        import itertools as _it
-        for r in range(0, len(symbols) + 1):
-            for sub in _it.combinations(symbols, r):
-                psi = finsupp(sr, [(s, 1) for s in sub])
-                if member(hull, psi):
-                    closure.append(psi)
+        closure = [psi for psi in weightings_over(sr, symbols, len(symbols),
+                                                  None)
+                   if member(hull, psi)]
         same = ({p._skey for p in closure} == {p._skey for p in brute})
         compare = {"bruteforce_count": len(brute),
                    "closure_count": len(closure),
@@ -438,6 +432,10 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     if getattr(args, "trials", 1) < 1:
         _diagnose(args, "trials must be at least 1")
+        return EXIT_USAGE
+    xsize = getattr(args, "xsize", None)
+    if xsize is not None and not 1 <= xsize <= len(SYMBOL_POOL):
+        _diagnose(args, f"xsize must be between 1 and {len(SYMBOL_POOL)}")
         return EXIT_USAGE
     try:
         return args.func(args, sys.stdout)

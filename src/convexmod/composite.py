@@ -74,7 +74,7 @@ def alpha(Phi: ConvexFamilyWeighting) -> ConvexSet:
     Minkowski sum of the scaled keys.  Not available over nat, whose
     hulls cannot absorb the missing choices."""
     sr = Phi.semiring
-    if sr.id == "nat":
+    if not sr.is_semifield:
         raise NotSemifieldError(
             "not a semifield; the resolved set is not convex over nat")
     acc = cs_zero(sr)

@@ -7,14 +7,14 @@ list denotes the empty set, which is convex and is NOT the same value
 as {epsilon}, the singleton of the zero function: the former is the
 join-semilattice bottom, the latter the semimodule zero.
 
-Membership dispatches on the semiring:
+Membership runs the algorithm named by the semiring's ``hull_membership``:
 
-* qplus - exact linear feasibility (one column per generator plus a
-  homogenizing row of ones forcing the weights to sum to 1),
-* bool  - hulls are exactly the sets closed under binary joins, so phi
-  is a member iff the generators below it join back to phi,
-* nat   - every subset is already convex (adding two weights that sum
-  to 1 forces one of them to be 0), so membership is literal lookup.
+* exact LP (qplus) - linear feasibility (one column per generator plus
+  a homogenizing row of ones forcing the weights to sum to 1),
+* join cover (bool) - hulls are the sets closed under binary joins, so
+  phi is a member iff the generators below it join back to phi,
+* lookup (nat) - every subset is already convex (two weights summing
+  to 1 force one of them to be 0), so membership is literal lookup.
 
 Canonicalization deletes every generator that lies in the hull of the
 others, iterating in sorted order to a fixpoint.  Over qplus and bool
@@ -30,8 +30,14 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ConvexmodError, SemiringMismatchError
 from .exactlp import feasible, make_system
-from .freemod import FinSupp, finsupp, fs_add, fs_from_json, fs_scale, fs_zero, sort_key
-from .semiring import Scalar, Semiring, get_semiring
+from .freemod import FinSupp, fs_add, fs_from_json, fs_scale, fs_zero, sort_key
+from .semiring import (
+    HULL_EXACT_LP,
+    HULL_JOIN_COVER,
+    Scalar,
+    Semiring,
+    get_semiring,
+)
 
 
 class ConvexSet:
@@ -106,6 +112,8 @@ def convex_set(sr: Semiring, generators: Iterable[FinSupp],
 
 
 def cs_from_json(data: Mapping[str, Any]) -> ConvexSet:
+    if not isinstance(data, Mapping):
+        raise ConvexmodError("ConvexSet JSON must be an object")
     sr = get_semiring(str(data.get("semiring")))
     gens = data.get("generators")
     if not isinstance(gens, list):
@@ -125,15 +133,15 @@ def member(A: ConvexSet, phi: FinSupp) -> bool:
             f"membership of a {phi.semiring.id} value in a {sr.id} set")
     if not A.generators:
         return False
-    if sr.id == "qplus":
-        return _member_qplus(A, phi)
-    if sr.id == "bool":
-        return _member_bool(A, phi)
-    # nat: all sets are convex, the hull adds nothing.
+    if sr.hull_membership == HULL_EXACT_LP:
+        return _member_exact_lp(A, phi)
+    if sr.hull_membership == HULL_JOIN_COVER:
+        return _member_join_cover(A, phi)
+    # HULL_LOOKUP: every subset is convex, the hull adds nothing.
     return phi in A.generators
 
 
-def _member_qplus(A: ConvexSet, phi: FinSupp) -> bool:
+def _member_exact_lp(A: ConvexSet, phi: FinSupp) -> bool:
     support = {sort_key(k): k for g in A.generators for k in g.support()}
     support.update({sort_key(k): k for k in phi.support()})
     keys = [support[sk] for sk in sorted(support)]
@@ -145,7 +153,7 @@ def _member_qplus(A: ConvexSet, phi: FinSupp) -> bool:
     return feasible(make_system(columns, target)) is not None
 
 
-def _member_bool(A: ConvexSet, phi: FinSupp) -> bool:
+def _member_join_cover(A: ConvexSet, phi: FinSupp) -> bool:
     # Convex closure over bool is closure under binary joins, so phi is
     # in the hull iff the generators dominated by phi cover it exactly.
     phi_supp = set(phi.support())
@@ -180,8 +188,8 @@ def hull_canonicalize(generators: Iterable[FinSupp],
     if sr is None:
         sr = gens[0].semiring
     base = convex_set(sr, gens)
-    if sr.id == "nat":
-        # Every subset is convex; canonical form is the sorted dedup.
+    if sr.every_subset_convex:
+        # The canonical form is the sorted dedup.
         return ConvexSet(sr, base.generators, True, _trusted=True)
 
     current = list(base.generators)

@@ -156,7 +156,7 @@ def delta_hull(Phi: SetWeighting) -> ConvexSet:
     set.  nat is rejected because the closed form is provably wrong
     there (its hulls are identity, yet the law is strictly larger)."""
     sr = Phi.semiring
-    if sr.id == "nat":
+    if not sr.is_semifield:
         raise NotSemifieldError("not a semifield; use brute force")
     return hull_canonicalize(choice_set(Phi), sr)
 
@@ -189,7 +189,7 @@ def delta_bruteforce(Phi: SetWeighting) -> list[FinSupp]:
     choice of slices.  That keeps the walk polynomial in the output.
     """
     sr = Phi.semiring
-    if sr.id == "qplus":
+    if sr.enumeration is None:
         raise ConvexmodError("use delta_hull + delta_witness_check")
     keys = list(Phi.support())
     if any(len(A) == 0 for A in keys):
@@ -197,7 +197,8 @@ def delta_bruteforce(Phi: SetWeighting) -> list[FinSupp]:
     if not keys:
         return [fs_zero(sr)]
     seen: dict[tuple, FinSupp] = {}
-    if sr.id == "bool":
+    if sr.enumeration == MODE_EXHAUSTIVE:
+        # The only nonzero scalar is one, so weightings are subsets.
         union = set_key(x for A in keys for x in A)
         key_sets = [frozenset(A) for A in keys]
         for r in range(1, len(union) + 1):
@@ -272,22 +273,14 @@ def _finsupp_set(items: Iterable[FinSupp]) -> list[FinSupp]:
     return [seen[k] for k in sorted(seen)]
 
 
-def _bool_weightings_over(sr: Semiring, pool: Sequence, max_support: int
-                          ) -> list[FinSupp]:
+def weightings_over(sr: Semiring, pool: Sequence, max_support: int,
+                    bound: int | None) -> list[FinSupp]:
     """All weightings with support drawn from the pool, support size
-    bounded; scalar values enumerate the full carrier minus zero (bool:
-    just 1)."""
+    bounded, values ranging over the nonzero scalars of
+    ``sr.carrier(bound)``: the zero weighting first, then by support
+    size, support subsets and value tuples in enumeration order."""
+    values = [v for v in sr.carrier(bound) if not sr.is_zero(v)]
     out = [fs_zero(sr)]
-    for r in range(1, max_support + 1):
-        for subset in itertools.combinations(pool, r):
-            out.append(finsupp(sr, [(k, 1) for k in subset]))
-    return out
-
-
-def _nat_weightings_over(sr: Semiring, pool: Sequence, max_support: int,
-                         value_bound: int) -> list[FinSupp]:
-    out = [fs_zero(sr)]
-    values = range(1, value_bound + 1)
     for r in range(1, max_support + 1):
         for subset in itertools.combinations(pool, r):
             for vals in itertools.product(values, repeat=r):
@@ -320,11 +313,6 @@ def _sets_universe(universe: Sequence[str]) -> list[tuple]:
     return sorted(out, key=lambda t: (len(t), t))
 
 
-def _delta_as_list(Phi: SetWeighting) -> list[FinSupp]:
-    """Extensional value of the law for bool/nat via the brute force."""
-    return delta_bruteforce(Phi)
-
-
 def _check_eta_P_triangle(sr: Semiring, universe, phis,
                           mode: str) -> LawReport:
     """Unit triangle that weak laws keep: wrapping every element of a
@@ -332,8 +320,8 @@ def _check_eta_P_triangle(sr: Semiring, universe, phis,
     singleton of the original weighting."""
     for phi in phis:
         Phi = set_weighting(sr, [((x,), phi.value(x)) for x in phi.support()])
-        if sr.id in ("bool", "nat"):
-            got = _delta_as_list(Phi)
+        if sr.enumeration is not None:
+            got = delta_bruteforce(Phi)
             ok = got == [phi]
         else:
             got = delta_hull(Phi)
@@ -348,15 +336,16 @@ def _check_eta_P_triangle(sr: Semiring, universe, phis,
 
 def _check_mu_S_rectangle_extensional(sr: Semiring, xis, mode) -> LawReport:
     """Multiplication rectangle on the weighting side, evaluated
-    extensionally (bool/nat): collapsing a two-level weighting first
-    and applying the law equals applying the law levelwise, then the
-    law again on the level-two weighting, then collapsing each result."""
+    extensionally (enumerable carriers): collapsing a two-level
+    weighting first and applying the law equals applying the law
+    levelwise, then the law again on the level-two weighting, then
+    collapsing each result."""
     for xi in xis:
-        left = _delta_as_list(fs_mult(xi))
+        left = delta_bruteforce(fs_mult(xi))
         mapped = finsupp(
-            sr, [(tuple(_delta_as_list(K)), w) for K, w in xi.items()])
+            sr, [(tuple(delta_bruteforce(K)), w) for K, w in xi.items()])
         right = _finsupp_set(
-            fs_mult(e) for e in _delta_as_list(mapped))
+            fs_mult(e) for e in delta_bruteforce(mapped))
         if left != right:
             return LawReport(
                 name="mu_S_rectangle", semiring=sr.id, status=FAIL, mode=mode,
@@ -366,9 +355,10 @@ def _check_mu_S_rectangle_extensional(sr: Semiring, xis, mode) -> LawReport:
 
 
 def _check_mu_S_rectangle_hull(sr: Semiring, xis, mode) -> LawReport:
-    """Same rectangle over qplus.  The right leg is the law applied
-    levelwise (giving convex sets), then the weighted-generator hull,
-    which is the generator-level reduction of law-then-collapse."""
+    """Same rectangle without a finite carrier (qplus).  The right leg
+    is the law applied levelwise (giving convex sets), then the
+    weighted-generator hull, which is the generator-level reduction of
+    law-then-collapse."""
     for xi in xis:
         left = delta_hull(fs_mult(xi))
         weighted = []
@@ -394,16 +384,16 @@ def _union_key(A_of_sets: tuple) -> tuple:
 
 
 def _check_mu_P_rectangle_extensional(sr: Semiring, thetas, mode) -> LawReport:
-    """Multiplication rectangle on the set side (bool/nat): uniting
-    each family of sets first and applying the law equals applying the
-    law to the family weighting, then the law to each resulting set
-    weighting, then uniting the outputs."""
+    """Multiplication rectangle on the set side (enumerable carriers):
+    uniting each family of sets first and applying the law equals
+    applying the law to the family weighting, then the law to each
+    resulting set weighting, then uniting the outputs."""
     for theta in thetas:
         merged = finsupp(sr, [(_union_key(K), w) for K, w in theta.items()])
-        left = _delta_as_list(merged)
+        left = delta_bruteforce(merged)
         right_items: list[FinSupp] = []
-        for chi in _delta_as_list(theta):
-            right_items.extend(_delta_as_list(chi))
+        for chi in delta_bruteforce(theta):
+            right_items.extend(delta_bruteforce(chi))
         right = _finsupp_set(right_items)
         if left != right:
             return LawReport(
@@ -438,8 +428,8 @@ def _check_eta_S_triangle(sr: Semiring, sets_pool, mode) -> LawReport:
     for A in sets_pool:
         Phi = set_weighting(sr, [(A, sr.one)])
         diracs = _finsupp_set(fs_unit(sr, x) for x in A)
-        if sr.id in ("bool", "nat"):
-            got = _delta_as_list(Phi)
+        if sr.enumeration is not None:
+            got = delta_bruteforce(Phi)
             if got != diracs:
                 extra = next(p for p in got if p not in diracs)
                 return LawReport(
@@ -488,23 +478,19 @@ def check_weak_law(sr: Semiring, xsize: int = 2, trials: int = 50,
     sets_pool = _sets_universe(universe)
     reports: list[LawReport] = []
 
-    if sr.id in ("bool", "nat"):
-        mode = MODE_BOUNDED if sr.id == "nat" else MODE_EXHAUSTIVE
-        if sr.id == "bool":
-            phis = _bool_weightings_over(sr, universe, len(universe))
-            level1 = _bool_weightings_over(sr, sets_pool, 2)
-            xis = _bool_weightings_over(sr, level1, 2)
-            families = [set_key(f) for r in range(0, 3)
-                        for f in itertools.combinations(sets_pool, r)]
-            thetas = _bool_weightings_over(sr, families, 2)
-        else:
-            phis = _nat_weightings_over(sr, universe, len(universe),
-                                        value_bound)
-            level1 = _nat_weightings_over(sr, sets_pool, 2, value_bound)
-            xis = _nat_weightings_over(sr, level1[:40], 2, value_bound)
-            families = [set_key(f) for r in range(0, 3)
-                        for f in itertools.combinations(sets_pool, r)]
-            thetas = _nat_weightings_over(sr, families[:15], 2, value_bound)
+    if sr.enumeration is not None:
+        mode = sr.enumeration
+        # A bounded enumeration also caps the second-level pools; an
+        # exhaustive one keeps them whole.
+        bounded = mode == MODE_BOUNDED
+        phis = weightings_over(sr, universe, len(universe), value_bound)
+        level1 = weightings_over(sr, sets_pool, 2, value_bound)
+        xis = weightings_over(sr, level1[:40] if bounded else level1, 2,
+                              value_bound)
+        families = [set_key(f) for r in range(0, 3)
+                    for f in itertools.combinations(sets_pool, r)]
+        thetas = weightings_over(sr, families[:15] if bounded else families,
+                                 2, value_bound)
         reports.append(_check_eta_P_triangle(sr, universe, phis, mode))
         reports.append(_check_mu_S_rectangle_extensional(sr, xis, mode))
         reports.append(_check_mu_P_rectangle_extensional(sr, thetas, mode))
@@ -560,7 +546,7 @@ def check_naturality(sr: Semiring, xsize: int = 3, trials: int = 50,
     reports = []
     universe = list(SYMBOL_POOL[:xsize])
 
-    if sr.id == "qplus":
+    if sr.enumeration is None:
         rng = random.Random(seed)
         sets_pool = [s for s in _sets_universe(universe) if s]
         ok = True
@@ -763,12 +749,12 @@ def pentagon_check(algebra: str, Phi: SetWeighting) -> LawReport:
                      counterexample={"Phi": Phi, "left": left, "right": right})
 
 
-def _bool_carrier_sets(sr: Semiring, universe: Sequence[str]
-                       ) -> list[ConvexSet]:
+def _carrier_sets(sr: Semiring, universe: Sequence[str]
+                  ) -> list[ConvexSet]:
     """Every convex set over the universe, as hulls of all subsets of
-    the full weighting pool; complete as long as that stays small,
-    otherwise generator lists are capped at two."""
-    phis = _bool_weightings_over(sr, universe, len(universe))
+    the full weighting pool of an exhaustive carrier; complete as long
+    as that stays small, otherwise generator lists are capped at two."""
+    phis = weightings_over(sr, universe, len(universe), None)
     top = len(phis) if 2 ** len(phis) <= 512 else 2
     seen = {}
     for r in range(0, top + 1):
@@ -788,16 +774,19 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
     the interval algebra, plus the frozen two-singleton interval
     instance whose answer is the endpoint sum [6, 8].
     """
+    if not sr.is_semifield:
+        raise ConvexmodError(
+            "pentagon suite needs a positive semifield (bool or qplus)")
     universe = list(SYMBOL_POOL[:xsize])
     reports = []
-    if sr.id == "bool":
-        carrier = _bool_carrier_sets(sr, universe)
+    if sr.enumeration is not None:
+        carrier = _carrier_sets(sr, universe)
         families = [()]
         for r in (1, 2):
             families.extend(itertools.combinations(carrier, r))
         checked = 0
-        for Phi in _bool_weightings_over(sr, [set_key(F) for F in families],
-                                         2):
+        for Phi in weightings_over(sr, [set_key(F) for F in families], 2,
+                                   None):
             report = pentagon_check("free", Phi)
             checked += 1
             if not report.passed:
@@ -811,9 +800,6 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
             detail=f"{checked} families over {len(carrier)} carrier sets",
             meta={"expected": PASS, "instances": checked}))
         return reports
-    if sr.id != "qplus":
-        raise ConvexmodError(
-            "pentagon suite needs a positive semifield (bool or qplus)")
 
     rng = random.Random(seed)
     point_pool = list(universe)
@@ -887,13 +873,10 @@ def barr_extend(R: Relation, sr: Semiring, value_bound: int = 2):
     """Extension of a relation to weightings: phi relates to xi iff
     some weighting of the relation's pairs has phi and xi as its two
     marginals.  Enumerable over bool and value-bounded nat."""
-    if sr.id == "bool":
-        values: Sequence = (0, 1)
-    elif sr.id == "nat":
-        values = range(0, value_bound + 1)
-    else:
+    if sr.enumeration is None:
         raise ConvexmodError(
             "barr extension is enumerable only over bool or bounded nat")
+    values = sr.carrier(value_bound)
     pairs = list(R.pairs)
     out: dict[tuple, tuple[FinSupp, FinSupp]] = {}
     for w in itertools.product(values, repeat=len(pairs)):
@@ -901,16 +884,11 @@ def barr_extend(R: Relation, sr: Semiring, value_bound: int = 2):
         xi = finsupp(sr, [(y, wi) for (_x, y), wi in zip(pairs, w)])
         out[(phi._skey, xi._skey)] = (phi, xi)
     rel_pairs = [out[k] for k in sorted(out)]
-    if sr.id == "bool":
-        domain = _bool_weightings_over(sr, list(R.domain), len(R.domain))
-        codomain = _bool_weightings_over(
-            sr, list(R.codomain), len(R.codomain))
-    else:
-        domain = _nat_weightings_over(
-            sr, list(R.domain), len(R.domain), value_bound)
-        codomain = [xi for _phi, xi in rel_pairs]
-        codomain = _finsupp_set(codomain + _nat_weightings_over(
-            sr, list(R.codomain), len(R.codomain), value_bound))
+    domain = weightings_over(sr, list(R.domain), len(R.domain), value_bound)
+    # Fibres that merge can push an image past the bound, so the
+    # codomain also takes every image the pairs reach.
+    codomain = _finsupp_set([xi for _phi, xi in rel_pairs] + weightings_over(
+        sr, list(R.codomain), len(R.codomain), value_bound))
     return Relation(tuple(domain), tuple(codomain), tuple(rel_pairs))
 
 

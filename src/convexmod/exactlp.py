@@ -17,7 +17,6 @@ handed back.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -54,8 +53,7 @@ def make_system(columns: Sequence[Sequence[Fraction | int]],
     return FeasibilitySystem(columns=cols, target=tgt)
 
 
-def feasible(sys_: FeasibilitySystem,
-             verbose: bool = False) -> list[Fraction] | None:
+def feasible(sys_: FeasibilitySystem) -> list[Fraction] | None:
     """Solve the system; a witness list (one weight per column) or None.
 
     The witness satisfies the equations exactly and is non-negative;
@@ -82,15 +80,6 @@ def feasible(sys_: FeasibilitySystem,
         rows[i].extend(Fraction(1) if k == i else Fraction(0)
                        for k in range(m))
     basis = list(range(n, n + m))
-
-    def dump(note: str) -> None:
-        print(f"[exactlp] {note}", file=sys.stderr)
-        for i in range(m):
-            cells = " ".join(str(v) for v in rows[i])
-            print(f"[exactlp]   {cells} | {b[i]}", file=sys.stderr)
-
-    if verbose:
-        dump("initial tableau")
 
     while True:
         # Reduced cost of column j for the phase-1 objective
@@ -139,8 +128,6 @@ def feasible(sys_: FeasibilitySystem,
                        for k in range(total)]
             b[i] -= factor * b[leaving]
         basis[leaving] = entering
-        if verbose:
-            dump(f"pivot: column {entering} enters, row {leaving} leaves")
 
     residual = sum((b[i] for i in range(m) if basis[i] >= n), Fraction(0))
     if residual != 0:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import ConvexmodError, SemiringMismatchError, UnmappedSymbolError
-from .semiring import Scalar, Semiring, get_semiring
+from .semiring import Scalar, Semiring
 
 Key = Any
 
@@ -135,12 +135,6 @@ class FinSupp:
         return out
 
 
-# FinSupp2 in the data model: a weighting over inner FinSupp values,
-# i.e. an element of S(S X).  Structurally it is just a FinSupp whose
-# keys are FinSupp instances.
-FinSupp2 = FinSupp
-
-
 def finsupp(sr: Semiring,
             items: Mapping[Key, Scalar] | Iterable[tuple[Key, Scalar]],
             ) -> FinSupp:
@@ -243,12 +237,3 @@ def fs_from_json(sr: Semiring, data: Mapping[str, Any]) -> FinSupp:
         raise ConvexmodError(f"FinSupp JSON must be an object, got {data!r}")
     return finsupp(sr, ((str(k), sr.scalar_from_json(v))
                         for k, v in data.items()))
-
-
-def fs_equal_extensional(a: FinSupp, b: FinSupp) -> bool:
-    """Equality by evaluation everywhere (canonical forms make this the
-    same as ==; kept as an independent oracle for tests)."""
-    _check_same_semiring(a, b)
-    keys = {sort_key(k): k for k, _ in a.entries}
-    keys.update({sort_key(k): k for k, _ in b.entries})
-    return all(a.value(k) == b.value(k) for k in keys.values())

@@ -15,6 +15,12 @@ semifield and is kept around because its addition makes every subset of
 a free semimodule convex, the regime in which the distributive law is
 strong rather than weak.
 
+Every decision elsewhere in the package that depends on the semiring
+reads one of four facts from the handle instead of its id:
+``is_semifield``, ``enumeration`` (how ``carrier`` lists the scalars),
+``hull_membership`` (which algorithm decides hull membership) and
+``every_subset_convex``.
+
 Scalars are plain Python values: ints 0/1 for bool, ``fractions.Fraction``
 for qplus, ints for nat.  All arithmetic is exact; nothing in this
 package ever compares against a tolerance.
@@ -44,6 +50,11 @@ from .report import (
 
 Scalar = Any  # int for bool/nat, Fraction for qplus
 
+# Hull-membership algorithms, named by ``Semiring.hull_membership``.
+HULL_EXACT_LP = "exact_lp"      # rational convex hull: linear feasibility
+HULL_JOIN_COVER = "join_cover"  # closure under binary joins of supports
+HULL_LOOKUP = "lookup"          # every subset is convex: literal lookup
+
 PROPERTY_TAGS = ("positive", "semifield", "refinable", "A", "B", "C", "D", "E")
 
 
@@ -56,6 +67,17 @@ class Semiring:
     id: str = ""
     declared_properties: frozenset[str] = frozenset()
     is_semifield: bool = False
+    # How ``carrier`` lists the scalars: MODE_EXHAUSTIVE for a finite
+    # carrier whose only nonzero value is one, MODE_BOUNDED for the
+    # values up to a bound, None when there is no finite carrier.
+    enumeration: str | None = None
+    hull_membership: str = ""
+
+    @property
+    def every_subset_convex(self) -> bool:
+        """Property A: sums to one force a zero summand, so a convex
+        combination picks a single generator and hulls add nothing."""
+        return "A" in self.declared_properties
 
     # -- arithmetic -----------------------------------------------------
 
@@ -120,6 +142,8 @@ class Semiring:
 class _BoolSemiring(Semiring):
     id = "bool"
     is_semifield = True
+    enumeration = MODE_EXHAUSTIVE
+    hull_membership = HULL_JOIN_COVER
     # A fails (1+1=1) and C fails (1+1 = 1+0); everything else holds and
     # is confirmed exhaustively by check_property.
     declared_properties = frozenset(
@@ -178,6 +202,7 @@ class _BoolSemiring(Semiring):
 class _QplusSemiring(Semiring):
     id = "qplus"
     is_semifield = True
+    hull_membership = HULL_EXACT_LP
     declared_properties = frozenset(
         {"positive", "semifield", "refinable", "B", "E"})
 
@@ -244,6 +269,8 @@ class _QplusSemiring(Semiring):
 class _NatSemiring(Semiring):
     id = "nat"
     is_semifield = False
+    enumeration = MODE_BOUNDED
+    hull_membership = HULL_LOOKUP
     declared_properties = frozenset(
         {"positive", "refinable", "A", "B", "C", "D", "E"})
 
@@ -538,8 +565,8 @@ def check_property(sr: Semiring, prop: str,
 
     values = sr.carrier(bound)
     witness = _PROPERTY_CHECKS[prop](sr, values)
-    mode = MODE_EXHAUSTIVE if sr.id == "bool" else MODE_BOUNDED
-    meta = {} if sr.id == "bool" else {"bound": bound}
+    mode = sr.enumeration
+    meta = {"bound": bound} if mode == MODE_BOUNDED else {}
     if witness is None:
         return LawReport(name=f"property:{prop}", semiring=sr.id,
                          status=PASS, mode=mode, meta=meta)

@@ -52,7 +52,7 @@ from .errors import (
     UnmappedSymbolError,
 )
 from .freemod import fs_unit
-from .semiring import Scalar, Semiring
+from .semiring import HULL_EXACT_LP, Scalar, Semiring
 
 
 class Term:
@@ -129,15 +129,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def _parse_scalar(sr: Semiring, text: str, at: int) -> Scalar:
-    value = Fraction(*(int(p) for p in text.split("/")))
-    if sr.id == "qplus":
-        return value
-    if value.denominator != 1:
-        raise ParseError(f"bad scalar for {sr.id}: {text}", at)
-    n = int(value)
-    if sr.id == "bool" and n not in (0, 1):
-        raise ParseError(f"bad scalar for bool: {text}", at)
-    return n
+    """The literal ``p`` or ``p/q`` as a scalar of the semiring; whole
+    values reach ``sr.validate`` as ints."""
+    try:
+        value = Fraction(text)
+        return sr.validate(
+            value.numerator if value.denominator == 1 else value)
+    except (ZeroDivisionError, ConvexmodError):
+        raise ParseError(f"bad scalar for {sr.id}: {text}", at) from None
 
 
 class _Parser:
@@ -348,8 +347,9 @@ def render_interval(A: ConvexSet, variables: Sequence[str] | None = None
                     ) -> tuple[Fraction, Fraction] | None:
     """Endpoints of a one-variable set: the min and max coordinate over
     the canonical generators, the zero weighting counting as 0.  The
-    empty set renders as None."""
-    if A.semiring.id != "qplus":
+    empty set renders as None.  Endpoints describe the set only when
+    its hull is the rational convex hull, decided by exact LP."""
+    if A.semiring.hull_membership != HULL_EXACT_LP:
         raise ConvexmodError("interval rendering needs the qplus semiring")
     if A.is_empty():
         return None
@@ -375,7 +375,7 @@ def render_polygon(A: ConvexSet, variables: Sequence[str] | None = None
     coordinate pairs, ordered counterclockwise around their exact
     centroid starting from the lexicographically least vertex; ties on
     equal angles break lexicographically.  None for the empty set."""
-    if A.semiring.id != "qplus":
+    if A.semiring.hull_membership != HULL_EXACT_LP:
         raise ConvexmodError("polygon rendering needs the qplus semiring")
     if A.is_empty():
         return None

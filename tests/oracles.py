@@ -19,6 +19,9 @@ tautology:
   raw definition: one nonempty subset per supported set, product over
   sets, union per product.  The package filters subsets of the union
   instead.
+* ``fs_equal_extensional`` compares two finitely supported functions
+  by evaluating both on the union of their supports.  The package
+  compares canonical entry tuples.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
+
+from convexmod.errors import SemiringMismatchError
 
 
 def bool_law_by_slice_products(key_sets: Sequence[Sequence[str]]
@@ -149,3 +154,13 @@ def interval_hull_1d(points: Sequence[Fraction]):
         return None
     pts = [Fraction(p) for p in points]
     return (min(pts), max(pts))
+
+
+def fs_equal_extensional(a, b) -> bool:
+    """Equality by evaluation everywhere on the union of the supports.
+    Values over different semirings are never equal."""
+    if a.semiring.id != b.semiring.id:
+        raise SemiringMismatchError(
+            f"mixed semirings: {a.semiring.id} vs {b.semiring.id}")
+    keys = list(a.support()) + list(b.support())
+    return all(a.value(k) == b.value(k) for k in keys)

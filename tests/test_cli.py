@@ -116,6 +116,15 @@ class TestEval:
         assert code == 2
         assert "unbound variable" in err
 
+    def test_zero_denominator_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--vars", "x", "1/0.x",
+                             "--format", "json")
+        assert code == 2
+        assert out == ""
+        d = json.loads(err)
+        assert d["kind"] == "parse"
+        assert "bad scalar for qplus: 1/0" in d["error"]
+
 
 class TestLaws:
     def test_weakdist_bool_xsize3_meets_expectations(self, capsys):
@@ -199,6 +208,27 @@ class TestLaws:
         assert code == 2
         assert "trials" in err
 
+    @pytest.mark.parametrize("suite", ["weakdist", "appendixA"])
+    @pytest.mark.parametrize("xsize", ["-1", "0", "7", "40"])
+    def test_xsize_out_of_range_rejected(self, capsys, monkeypatch,
+                                         suite, xsize):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("suite ran on an out-of-range xsize")
+        for name in ("check_weak_law", "trivial_lifting_fixed_points"):
+            monkeypatch.setattr(f"convexmod.cli.{name}", refuse)
+        code, out, err = run(capsys, "laws", "--suite", suite,
+                             "--xsize", xsize)
+        assert code == 2
+        assert out == ""
+        assert err == "error: xsize must be between 1 and 6\n"
+
+    def test_nonpositive_value_bound_rejected_over_nat(self, capsys):
+        code, out, err = run(capsys, "laws", "--suite", "weakdist",
+                             "--semiring", "nat", "--value-bound", "-3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: nat enumeration needs a bound > 0\n"
+
 
 EXAMPLE_PHI = {"weights": [
     {"set": ["x", "y"], "value": "5"},
@@ -265,13 +295,20 @@ class TestDelta:
         assert code == 2
         assert "bad JSON" in err
 
-    def test_wrong_shape(self, capsys, tmp_path):
+    @pytest.mark.parametrize("payload,message", [
+        ({"weights": [{"set": ["x"]}]}, "'set' and 'value'"),
+        ([{"set": ["x"], "value": 1}], "'weights' array"),
+        ({"weights": [{"set": "xy", "value": 1}]}, "'set' must be an array"),
+        ({"weights": [{"set": 5, "value": 1}]}, "'set' must be an array"),
+    ], ids=["missing_value", "top_level_array", "set_is_string",
+            "set_is_number"])
+    def test_wrong_shape(self, capsys, tmp_path, payload, message):
         p = tmp_path / "phi.json"
-        p.write_text(json.dumps({"weights": [{"set": ["x"]}]}),
-                     encoding="utf-8")
+        p.write_text(json.dumps(payload), encoding="utf-8")
         code, _, err = run(capsys, "delta", "--phi", str(p))
         assert code == 2
-        assert "'set' and 'value'" in err
+        assert message in err
+        assert err.count("\n") == 1
 
     def test_csv_output(self, capsys, tmp_path):
         p = tmp_path / "phi.json"
@@ -317,6 +354,14 @@ class TestRender:
         code, _, err = run(capsys, "render", "--vars", "x")
         assert code == 2
         assert "term or --set-json" in err
+
+    def test_set_json_array_is_usage_error(self, capsys, tmp_path):
+        p = tmp_path / "set.json"
+        p.write_text(json.dumps([{"x": "2"}]), encoding="utf-8")
+        code, out, err = run(capsys, "render", "--set-json", str(p))
+        assert code == 2
+        assert out == ""
+        assert err == "error: ConvexSet JSON must be an object\n"
 
 
 class TestUsage:

@@ -10,7 +10,6 @@ from convexmod.freemod import (
     FinSupp,
     finsupp,
     fs_add,
-    fs_equal_extensional,
     fs_from_json,
     fs_map,
     fs_mult,
@@ -19,6 +18,7 @@ from convexmod.freemod import (
     fs_zero,
 )
 from convexmod.semiring import BOOL, NAT, QPLUS
+from oracles import fs_equal_extensional
 
 SYMS = ["u", "v", "w", "x", "y", "z"]
 qscalars = st.fractions(min_value=0, max_value=5, max_denominator=6)

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -194,3 +196,25 @@ class TestScalarIO:
     def test_unknown_semiring_rejected(self):
         with pytest.raises(Exception):
             get_semiring("tropical")
+
+
+class TestHandleFacts:
+    @pytest.mark.parametrize("sr", [BOOL, QPLUS, NAT])
+    def test_every_subset_convex_matches_decided_property_A(self, sr):
+        assert check_property(sr, "A", bound=3).passed == \
+            sr.every_subset_convex
+
+    def test_no_module_branches_on_a_semiring_id(self):
+        """Behaviour that depends on the semiring reads a fact from the
+        handle; only the semiring module itself may test an id."""
+        src = Path(__file__).resolve().parents[1] / "src" / "convexmod"
+        pattern = re.compile(
+            r"""\.id\s*(==|!=|not\s+in|in)\s*["'(]"""
+            r"""|["']\s*(==|!=)\s*[\w.]*\.id\b""")
+        found = [
+            f"{path.name}:{lineno}: {line.strip()}"
+            for path in sorted(src.glob("*.py")) if path.name != "semiring.py"
+            for lineno, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1)
+            if pattern.search(line)]
+        assert found == []

@@ -100,6 +100,7 @@ class TestParseErrors:
         ("x $ y", 2),
         ("3 + x", 0),
         ("", 0),
+        ("1/0.x", 0),
     ])
     def test_position_reported(self, text, pos):
         with pytest.raises(ParseError) as err:

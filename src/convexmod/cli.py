@@ -18,8 +18,9 @@ Subcommands:
 * ``render``  plot data (vertices or endpoints) for a term or a
               ConvexSet JSON file.
 
-Exit codes: 0 success, 1 check failure, 2 usage error.  With
-``--format json`` diagnostics go to stderr as one JSON object.
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 internal
+error (a broken invariant of the package, never the input's fault).
+With ``--format json`` diagnostics go to stderr as one JSON object.
 Identical (argv, CONVEXMOD_SEED) runs produce byte-identical output.
 """
 
@@ -44,7 +45,7 @@ from .distlaw import (
     trivial_lifting_fixed_points,
     weightings_over,
 )
-from .errors import ConvexmodError, ParseError
+from .errors import ConvexmodError, InternalError, ParseError
 from .report import MODE_EXHAUSTIVE, FAIL, PASS, LawReport
 from .semiring import HULL_EXACT_LP, get_semiring
 from .terms import (
@@ -57,6 +58,7 @@ from .terms import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 SUITES = ("weakdist", "pentagon", "naturality", "appendixA")
 
@@ -276,7 +278,10 @@ def _load_phi(path: str, sr):
                 "each weight needs 'set' and 'value' fields")
         if not isinstance(w["set"], list):
             raise ConvexmodError("each weight's 'set' must be an array")
-        items.append((tuple(str(s) for s in w["set"]),
+        if not all(isinstance(s, str) for s in w["set"]):
+            raise ConvexmodError(
+                "each weight's 'set' must hold symbol names (strings)")
+        items.append((tuple(w["set"]),
                       sr.scalar_from_json(w["value"])))
     return set_weighting(sr, items)
 
@@ -451,13 +456,17 @@ def main(argv=None) -> int:
     except ConvexmodError as exc:
         _diagnose(args, str(exc))
         return EXIT_USAGE
+    except InternalError as exc:
+        _diagnose(args, str(exc), kind="internal")
+        return EXIT_INTERNAL
 
 
 def _diagnose(args, message: str, kind: str = "usage"):
     if getattr(args, "format", "text") == "json":
         print(json.dumps({"error": message, "kind": kind}), file=sys.stderr)
     else:
-        print(f"error: {message}", file=sys.stderr)
+        label = "internal error" if kind == "internal" else "error"
+        print(f"{label}: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Every error raised on a violated operation precondition derives from
 ConvexmodError, so callers (and the CLI) can distinguish usage problems
-from genuine check failures.
+from genuine check failures.  InternalError stands apart: it reports a
+broken invariant of the package itself, never bad input.
 """
 
 
@@ -46,3 +47,11 @@ class ParseError(ConvexmodError):
                          else f"{message} (at position {position})")
         self.message = message
         self.position = position
+
+
+class InternalError(Exception):
+    """A broken invariant of the package, not bad input: an exact
+    answer whose evidence failed its own check (a witness that does not
+    re-substitute, an infeasibility certificate that does not separate)
+    or a tableau no valid input can produce.  Deliberately not a
+    ConvexmodError, so handlers of usage errors never swallow it."""

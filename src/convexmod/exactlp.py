@@ -1,27 +1,49 @@
-"""Exact rational linear feasibility by phase-1 simplex.
+"""Exact rational linear feasibility by fraction-free phase-1 simplex.
 
 Decides whether target = sum_j lambda_j * column_j has a solution with
-all lambda_j >= 0, entirely over ``fractions.Fraction``.  Convex-hull
-membership reduces to this with one extra homogenizing row of ones
-(forcing sum lambda = 1); that encoding is the caller's business, this
-module only sees columns and a target of equal dimension.
+all lambda_j >= 0.  Convex-hull membership reduces to this with one
+extra homogenizing row of ones (forcing sum lambda = 1); that encoding
+is the caller's business, this module only sees columns and a target
+of equal dimension.
 
 The algorithm is the textbook phase-1: one artificial variable per row,
 minimize their sum, pivot with Bland's anti-cycling rule (smallest
 eligible entering index; smallest ratio, then smallest basic index, on
-leaving).  Bland's rule guarantees termination, and exact pivoting
-means there is no tolerance anywhere: feasibility verdicts are exact.
-Every returned witness is re-substituted into the system before it is
-handed back.
+leaving).  Bland's rule guarantees termination.
+
+The tableau holds Python ints.  The system is read once: rows whose
+target coordinate is negative are negated so the right-hand side is
+nonnegative, and everything is multiplied by the lcm L of the
+denominators.  The artificial columns stay the unit vectors, so the
+tableau starts as an integer matrix over the basis I and pivots
+fraction-free (Bareiss, Math. Comp. 1968): one positive common
+denominator D, every update divided exactly by the previous pivot.
+Because only the artificial columns are left unscaled, an entry is the
+textbook (``Fraction``) one times D, times L in rows whose basic
+variable is artificial, divided by L in artificial columns.  These
+positive factors cancel in the ratio test (compared by cross
+multiplication) and are common to the rows a reduced cost sums over:
+a column has a negative reduced cost iff that sum exceeds 0 (real) or
+D (artificial).  So every entering and leaving choice, and every
+witness, is the one the textbook tableau gives.
+
+Both answers carry evidence checked before they are returned.  A
+witness ``B_i / D`` is re-substituted exactly into the system as handed
+in.  A "no" comes with the phase-1 dual y (read off the artificial
+columns): a Farkas certificate with y.a_j <= 0 for every column and
+y.b > 0, checked in integers against the scaled system.  A failed check
+is an ``InternalError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
-from .errors import ConvexmodError, DimensionMismatchError
+from .errors import DimensionMismatchError, InternalError
 
 Vector = tuple[Fraction, ...]
 
@@ -56,104 +78,144 @@ def make_system(columns: Sequence[Sequence[Fraction | int]],
 def feasible(sys_: FeasibilitySystem) -> list[Fraction] | None:
     """Solve the system; a witness list (one weight per column) or None.
 
-    The witness satisfies the equations exactly and is non-negative;
-    both facts are asserted by re-substitution before returning.
+    The witness satisfies the equations exactly and is non-negative,
+    both asserted by re-substitution; None is returned only after a
+    Farkas certificate has been checked.
     """
-    m = len(sys_.target)
-    n = len(sys_.columns)
+    if not sys_.target:
+        return [Fraction(0)] * len(sys_.columns)
+    columns, target = _integral(sys_)
+    solution, certificate = _phase1(columns, target)
+    if solution is None:
+        _check_certificate(columns, target, certificate)
+        return None
+    values, denominator = solution
+    witness = [Fraction(v, denominator) for v in values]
+    _assert_witness(sys_, witness)
+    return witness
 
-    if m == 0:
-        return [Fraction(0)] * n
 
-    # Row i of the tableau: the i-th coordinate across columns, with the
-    # sign flipped where the target coordinate is negative so b >= 0.
-    rows: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for i in range(m):
-        sign = -1 if sys_.target[i] < 0 else 1
-        rows.append([sign * sys_.columns[j][i] for j in range(n)])
-        b.append(sign * sys_.target[i])
+def _integral(sys_: FeasibilitySystem
+              ) -> tuple[list[list[int]], list[int]]:
+    """The system times the lcm of its denominators: integer columns
+    and target with the same solutions and the same Farkas
+    certificates."""
+    scale = lcm(*(v.denominator for v in sys_.target),
+                *(v.denominator for col in sys_.columns for v in col))
+    columns = [[v.numerator * (scale // v.denominator) for v in col]
+               for col in sys_.columns]
+    target = [v.numerator * (scale // v.denominator) for v in sys_.target]
+    return columns, target
 
-    # Append the artificial identity block: tableau is m x (n + m).
+
+def _phase1(columns: list[list[int]], target: list[int]):
+    """Phase-1 simplex on an integer system.
+
+    Returns ``((values, D), None)`` with lambda_j = values[j] / D when
+    the system is feasible, or ``(None, y)`` with the integer dual y in
+    the system's own signs when it is not.
+    """
+    m = len(target)
+    n = len(columns)
     total = n + m
-    for i in range(m):
-        rows[i].extend(Fraction(1) if k == i else Fraction(0)
-                       for k in range(m))
-    basis = list(range(n, n + m))
+    signs = [-1 if t < 0 else 1 for t in target]
+    # Row i: the i-th coordinate of every column, the unit artificial
+    # block, the right-hand side; sign-flipped so the right-hand side
+    # is nonnegative.
+    rows = []
+    for i, s in enumerate(signs):
+        row = [s * col[i] for col in columns]
+        row.extend(1 if k == i else 0 for k in range(m))
+        row.append(s * target[i])
+        rows.append(row)
+    basis = list(range(n, total))
+    denom = 1
 
     while True:
-        # Reduced cost of column j for the phase-1 objective
-        # (artificials cost 1, real columns cost 0).
-        in_basis_artificial = [i for i in range(m) if basis[i] >= n]
-
-        def reduced_cost(j: int) -> Fraction:
-            cost = Fraction(1) if j >= n else Fraction(0)
-            return cost - sum((rows[i][j] for i in in_basis_artificial),
-                              Fraction(0))
-
+        artificial_rows = [rows[i] for i in range(m) if basis[i] >= n]
+        if not artificial_rows:
+            break
+        # Reduced costs; see the module docstring for the thresholds.
+        sums = [sum(col) for col in zip(*artificial_rows)]
+        basic = set(basis)
         entering = -1
         for j in range(total):
-            if j in basis:
-                continue
-            if reduced_cost(j) < 0:
+            if j not in basic and sums[j] > (denom if j >= n else 0):
                 entering = j
                 break
         if entering < 0:
             break
 
-        # Bland leaving rule: minimal ratio, ties by smallest basic index.
         leaving = -1
-        best: tuple[Fraction, int] | None = None
         for i in range(m):
-            if rows[i][entering] > 0:
-                ratio = b[i] / rows[i][entering]
-                cand = (ratio, basis[i])
-                if best is None or cand < best:
-                    best = cand
-                    leaving = i
+            a = rows[i][entering]
+            if a <= 0:
+                continue
+            if leaving < 0:
+                leaving = i
+                continue
+            # rhs_i / a < rhs_l / a_l, both denominators positive.
+            lhs = rows[i][-1] * rows[leaving][entering]
+            rhs = rows[leaving][-1] * a
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                leaving = i
         if leaving < 0:
-            raise ConvexmodError(
+            raise InternalError(
                 "phase-1 objective unbounded; inconsistent tableau")
 
-        piv = rows[leaving][entering]
-        rows[leaving] = [v / piv for v in rows[leaving]]
-        b[leaving] /= piv
+        # The division by the previous pivot is exact (Bareiss): every
+        # entry stays a minor of the starting integer matrix.
+        prow = rows[leaving]
+        piv = prow[entering]
         for i in range(m):
             if i == leaving:
                 continue
-            factor = rows[i][entering]
-            if factor == 0:
-                continue
-            rows[i] = [rows[i][k] - factor * rows[leaving][k]
-                       for k in range(total)]
-            b[i] -= factor * b[leaving]
+            row = rows[i]
+            factor = row[entering]
+            if factor:
+                rows[i] = [(v * piv - factor * p) // denom
+                           for v, p in zip(row, prow)]
+            elif piv != denom:
+                rows[i] = [v * piv // denom for v in row]
+        denom = piv
         basis[leaving] = entering
 
-    residual = sum((b[i] for i in range(m) if basis[i] >= n), Fraction(0))
-    if residual != 0:
-        return None
-
-    witness = [Fraction(0)] * n
+    if artificial_rows and sums[-1]:
+        # The phase-1 dual: the artificial columns summed over the rows
+        # of basic artificials, scaled by D > 0, signs restored.
+        return None, [s * sums[n + k] for k, s in enumerate(signs)]
+    values = [0] * n
     for i in range(m):
         if basis[i] < n:
-            witness[basis[i]] = b[i]
+            values[basis[i]] = rows[i][-1]
+    return (values, denom), None
 
-    _assert_witness(sys_, witness)
-    return witness
+
+def _check_certificate(columns: Sequence[Sequence[int]],
+                       target: Sequence[int], y: Sequence[int]) -> None:
+    """Farkas check: y.a_j <= 0 for every column and y.b > 0, so no
+    nonnegative combination of the columns meets the target."""
+    for j, col in enumerate(columns):
+        if sum(map(mul, y, col)) > 0:
+            raise InternalError(
+                f"infeasibility certificate fails on column {j}")
+    if sum(map(mul, y, target)) <= 0:
+        raise InternalError(
+            "infeasibility certificate does not separate the target")
 
 
 def _assert_witness(sys_: FeasibilitySystem,
                     witness: Sequence[Fraction]) -> None:
     """Exact re-substitution check; raises on any discrepancy."""
     if len(witness) != len(sys_.columns):
-        raise ConvexmodError("witness length mismatch")
+        raise InternalError("witness length mismatch")
     if any(w < 0 for w in witness):
-        raise ConvexmodError(f"negative weight in witness: {witness}")
+        raise InternalError(f"negative weight in witness: {witness}")
     dim = len(sys_.target)
     for i in range(dim):
         acc = sum((witness[j] * sys_.columns[j][i]
                    for j in range(len(witness))), Fraction(0))
         if acc != sys_.target[i]:
-            raise ConvexmodError(
+            raise InternalError(
                 f"witness re-substitution failed at coordinate {i}: "
                 f"{acc} != {sys_.target[i]}")

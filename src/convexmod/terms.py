@@ -10,6 +10,8 @@ Grammar, with ``|`` loosest, ``+`` in the middle, ``.`` tightest:
 Identifiers match [a-zA-Z][a-zA-Z0-9_]* and must not be the keyword
 ``bot``.  Scalars are nonnegative rationals written ``p`` or ``p/q``;
 over nat they must reduce to whole numbers, over bool to 0 or 1.
+Parentheses nest at most ``MAX_NESTING`` deep; sums, joins and scalar
+prefixes may be arbitrarily long, and evaluation uses no recursion.
 
 A term denotes a convex set of weightings over its declared variables:
 a variable denotes the point set of its own unit weighting, ``0`` the
@@ -102,6 +104,9 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"bot"}
 
+# The parser recurses once per parenthesis level (four frames each).
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -144,6 +149,7 @@ class _Parser:
         self.sr = sr
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -182,12 +188,18 @@ class _Parser:
         return t
 
     def scaled(self) -> Term:
-        kind, text, at = self.peek()
-        if kind == "number" and self.tokens[self.i + 1][0] == ".":
+        scalars = []
+        while True:
+            kind, text, at = self.peek()
+            if kind != "number" or self.tokens[self.i + 1][0] != ".":
+                break
             self.advance()
             self.advance()
-            return Scale(_parse_scalar(self.sr, text, at), self.scaled())
-        return self.atom()
+            scalars.append(_parse_scalar(self.sr, text, at))
+        t = self.atom()
+        for scalar in reversed(scalars):
+            t = Scale(scalar, t)
+        return t
 
     def atom(self) -> Term:
         kind, text, at = self.advance()
@@ -201,8 +213,13 @@ class _Parser:
         if kind == "ident":
             return Var(text)
         if kind == "(":
+            if self.nesting == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.nesting += 1
             t = self.term()
             self.expect(")")
+            self.nesting -= 1
             return t
         raise ParseError(f"expected a term, found {text or 'end of input'!r}",
                          at)
@@ -270,28 +287,42 @@ def free_variables(t: Term) -> tuple[str, ...]:
 def eval_term(t: Term, sr: Semiring,
               variables: Iterable[str]) -> ConvexSet:
     """Denotation over the declared variables: each variable stands for
-    the point set of its own unit weighting."""
-    declared = set(variables)
+    the point set of its own unit weighting.
 
-    def rec(node: Term) -> ConvexSet:
+    Post-order over an explicit stack, operands left to right, so term
+    depth is bounded by memory, not by the interpreter's call stack."""
+    declared = set(variables)
+    values: list[ConvexSet] = []
+    # (node, True) once its operands are on ``values``.
+    todo: list[tuple[Term, bool]] = [(t, False)]
+    while todo:
+        node, ready = todo.pop()
         if isinstance(node, Bot):
-            return cs_empty(sr)
-        if isinstance(node, Zero):
-            return cs_zero(sr)
-        if isinstance(node, Var):
+            values.append(cs_empty(sr))
+        elif isinstance(node, Zero):
+            values.append(cs_zero(sr))
+        elif isinstance(node, Var):
             if node.name not in declared:
                 raise UnmappedSymbolError(
                     f"unbound variable {node.name!r}")
-            return hull_canonicalize([fs_unit(sr, node.name)], sr)
-        if isinstance(node, Scale):
-            return cs_scale(node.scalar, rec(node.body))
-        if isinstance(node, Add):
-            return cs_add(rec(node.left), rec(node.right))
-        if isinstance(node, Join):
-            return cs_join(rec(node.left), rec(node.right))
-        raise ConvexmodError(f"not a term: {node!r}")
-
-    return rec(t)
+            values.append(hull_canonicalize([fs_unit(sr, node.name)], sr))
+        elif isinstance(node, Scale):
+            if ready:
+                values.append(cs_scale(node.scalar, values.pop()))
+            else:
+                todo += [(node, True), (node.body, False)]
+        elif isinstance(node, (Add, Join)):
+            if ready:
+                right = values.pop()
+                left = values.pop()
+                op = cs_add if isinstance(node, Add) else cs_join
+                values.append(op(left, right))
+            else:
+                todo += [(node, True), (node.right, False),
+                         (node.left, False)]
+        else:
+            raise ConvexmodError(f"not a term: {node!r}")
+    return values.pop()
 
 
 def term_equal(t1: Term, t2: Term, sr: Semiring,

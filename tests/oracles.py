@@ -9,6 +9,11 @@ tautology:
   square-ish system by Gaussian elimination over exact Fractions (a
   basic feasible solution uses at most rank-many columns, so subset
   enumeration is complete).  The package uses a simplex phase instead.
+* ``feasible_by_fraction_simplex`` is the package's former kernel: the
+  same phase-1 simplex with Bland's rule, pivoting over ``Fraction``
+  instead of fraction-free integers.  Both take the same pivots, so the
+  two must return the identical witness, not just agree on
+  feasibility.
 * ``bool_member_by_subsets`` decides bool-semiring hull membership by
   brute force over all generator subsets.  The package uses the
   closed-form union rule.
@@ -30,7 +35,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from convexmod.errors import SemiringMismatchError
+from convexmod.errors import ConvexmodError, SemiringMismatchError
 
 
 def bool_law_by_slice_products(key_sets: Sequence[Sequence[str]]
@@ -129,6 +134,89 @@ def feasible_by_elimination(
                                for j in range(n)) == b[i]
                 return x
     return None
+
+
+def feasible_by_fraction_simplex(sys_):
+    """Phase-1 simplex over Fractions: a witness list or None."""
+    m = len(sys_.target)
+    n = len(sys_.columns)
+
+    if m == 0:
+        return [Fraction(0)] * n
+
+    # Row i of the tableau: the i-th coordinate across columns, with the
+    # sign flipped where the target coordinate is negative so b >= 0.
+    rows: list[list[Fraction]] = []
+    b: list[Fraction] = []
+    for i in range(m):
+        sign = -1 if sys_.target[i] < 0 else 1
+        rows.append([sign * sys_.columns[j][i] for j in range(n)])
+        b.append(sign * sys_.target[i])
+
+    # Append the artificial identity block: tableau is m x (n + m).
+    total = n + m
+    for i in range(m):
+        rows[i].extend(Fraction(1) if k == i else Fraction(0)
+                       for k in range(m))
+    basis = list(range(n, n + m))
+
+    while True:
+        # Reduced cost of column j for the phase-1 objective
+        # (artificials cost 1, real columns cost 0).
+        in_basis_artificial = [i for i in range(m) if basis[i] >= n]
+
+        def reduced_cost(j: int) -> Fraction:
+            cost = Fraction(1) if j >= n else Fraction(0)
+            return cost - sum((rows[i][j] for i in in_basis_artificial),
+                              Fraction(0))
+
+        entering = -1
+        for j in range(total):
+            if j in basis:
+                continue
+            if reduced_cost(j) < 0:
+                entering = j
+                break
+        if entering < 0:
+            break
+
+        # Bland leaving rule: minimal ratio, ties by smallest basic index.
+        leaving = -1
+        best: tuple[Fraction, int] | None = None
+        for i in range(m):
+            if rows[i][entering] > 0:
+                ratio = b[i] / rows[i][entering]
+                cand = (ratio, basis[i])
+                if best is None or cand < best:
+                    best = cand
+                    leaving = i
+        if leaving < 0:
+            raise ConvexmodError(
+                "phase-1 objective unbounded; inconsistent tableau")
+
+        piv = rows[leaving][entering]
+        rows[leaving] = [v / piv for v in rows[leaving]]
+        b[leaving] /= piv
+        for i in range(m):
+            if i == leaving:
+                continue
+            factor = rows[i][entering]
+            if factor == 0:
+                continue
+            rows[i] = [rows[i][k] - factor * rows[leaving][k]
+                       for k in range(total)]
+            b[i] -= factor * b[leaving]
+        basis[leaving] = entering
+
+    residual = sum((b[i] for i in range(m) if basis[i] >= n), Fraction(0))
+    if residual != 0:
+        return None
+
+    witness = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            witness[basis[i]] = b[i]
+    return witness
 
 
 def bool_member_by_subsets(generator_supports: Sequence[frozenset],

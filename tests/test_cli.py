@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from convexmod.cli import main
+from convexmod.errors import InternalError
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -124,6 +125,34 @@ class TestEval:
         d = json.loads(err)
         assert d["kind"] == "parse"
         assert "bad scalar for qplus: 1/0" in d["error"]
+
+
+    @pytest.mark.parametrize("term,code,line", [
+        ("(" * 2000 + "x" + ")" * 2000, 2,
+         "error: parentheses nested deeper than 100 (at position 100)"),
+        (" + ".join(["x"] * 3000), 0, "interval: [3000, 3000]"),
+        ("1/2." * 3000 + "x", 0, f"interval: [1/{2 ** 3000}, 1/{2 ** 3000}]"),
+    ], ids=["parens_2000", "summands_3000", "scalings_3000"])
+    def test_deep_terms(self, capsys, term, code, line):
+        got, out, err = run(capsys, "eval", "--vars", "x", term)
+        assert got == code
+        assert line in (out if code == 0 else err).splitlines()
+
+    @pytest.mark.parametrize("fmt,expected", [
+        ("json", '{"error": "lp broke", "kind": "internal"}\n'),
+        ("text", "internal error: lp broke\n"),
+    ])
+    def test_internal_error_exits_three(self, capsys, monkeypatch, fmt,
+                                        expected):
+        def broken(system):
+            raise InternalError("lp broke")
+
+        monkeypatch.setattr("convexmod.convex.feasible", broken)
+        code, out, err = run(capsys, "eval", "--vars", "x", "x | 2.x",
+                             "--format", fmt)
+        assert code == 3
+        assert out == ""
+        assert err == expected
 
 
 class TestLaws:
@@ -300,8 +329,11 @@ class TestDelta:
         ([{"set": ["x"], "value": 1}], "'weights' array"),
         ({"weights": [{"set": "xy", "value": 1}]}, "'set' must be an array"),
         ({"weights": [{"set": 5, "value": 1}]}, "'set' must be an array"),
+        ({"weights": [{"set": ["x", 1], "value": 1},
+                      {"set": ["y"], "value": 1}]},
+         "'set' must hold symbol names"),
     ], ids=["missing_value", "top_level_array", "set_is_string",
-            "set_is_number"])
+            "set_is_number", "set_element_not_string"])
     def test_wrong_shape(self, capsys, tmp_path, payload, message):
         p = tmp_path / "phi.json"
         p.write_text(json.dumps(payload), encoding="utf-8")

@@ -1,13 +1,21 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexmod.errors import DimensionMismatchError
-from convexmod.exactlp import FeasibilitySystem, feasible, make_system
+from convexmod.errors import DimensionMismatchError, InternalError
+from convexmod.exactlp import (
+    FeasibilitySystem,
+    _assert_witness,
+    _check_certificate,
+    _integral,
+    _phase1,
+    feasible,
+    make_system,
+)
 
-from oracles import feasible_by_elimination
+from oracles import feasible_by_elimination, feasible_by_fraction_simplex
 
 F = Fraction
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -16,6 +24,19 @@ smallpos = st.fractions(min_value=0, max_value=3, max_denominator=4)
 
 def ones_row(vectors):
     return [tuple(v) + (F(1),) for v in vectors]
+
+
+def farkas_certificate(sys_):
+    """The dual the kernel reads off an infeasible tableau, after the
+    kernel's own check; then re-checked here over Fractions."""
+    columns, target = _integral(sys_)
+    solution, y = _phase1(columns, target)
+    assert solution is None
+    _check_certificate(columns, target, y)
+    for col in sys_.columns:
+        assert sum(yk * v for yk, v in zip(y, col)) <= 0
+    assert sum(yk * v for yk, v in zip(y, sys_.target)) > 0
+    return y
 
 
 class TestExamples:
@@ -35,10 +56,12 @@ class TestExamples:
         cols = ones_row([g1, g2])
         target = (F(3), F(6), F(1))
         assert feasible(make_system(cols, target)) is None
+        farkas_certificate(make_system(cols, target))
 
     def test_no_columns_cannot_meet_ones_row(self):
         sys_ = make_system([], (F(1),))
         assert feasible(sys_) is None
+        assert farkas_certificate(sys_) == [1]
 
     def test_zero_dimensional_system(self):
         sys_ = make_system([], ())
@@ -72,6 +95,24 @@ class TestContracts:
                        for j, w in enumerate(witness)) == target[i]
         assert all(w >= 0 for w in witness)
 
+    def test_tampered_certificate_raises(self):
+        sys_ = make_system(ones_row([(F(0),), (F(2),)]), (F(3), F(1)))
+        columns, target = _integral(sys_)
+        y = farkas_certificate(sys_)
+        with pytest.raises(InternalError, match="column"):
+            _check_certificate(columns, target, [-v for v in y])
+        with pytest.raises(InternalError, match="separate"):
+            _check_certificate(columns, target, [0] * len(y))
+
+    def test_tampered_witness_raises(self):
+        sys_ = make_system([(1, 1), (3, 1)], (2, 1))
+        witness = feasible(sys_)
+        assert witness == [F(1, 2), F(1, 2)]
+        with pytest.raises(InternalError, match="re-substitution"):
+            _assert_witness(sys_, [F(1, 3), F(2, 3)])
+        with pytest.raises(InternalError, match="negative"):
+            _assert_witness(sys_, [F(2), F(-1, 3)])
+
     def test_determinism(self):
         cols = [(1, 0, 1), (0, 1, 1), (2, 2, 1), (1, 1, 1)]
         target = (F(3, 4), F(3, 4), F(1))
@@ -89,7 +130,9 @@ class TestOracleAgreement:
         verdict = feasible(make_system(cols, target))
         oracle = feasible_by_elimination(cols, target)
         assert (verdict is None) == (oracle is None)
-        if verdict is not None:
+        if verdict is None:
+            farkas_certificate(make_system(cols, target))
+        else:
             for i in range(3):
                 assert sum(w * cols[j][i]
                            for j, w in enumerate(verdict)) == target[i]
@@ -110,3 +153,32 @@ class TestOracleAgreement:
         ) + (F(1),)
         cols = ones_row(gens)
         assert feasible(make_system(cols, target)) is not None
+
+
+entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def systems(draw):
+    """1-5 rows, 0-7 columns, entries negative, zero and fractional;
+    half the time with a homogenizing row of ones, as hull membership
+    builds them, so feasible systems are common too."""
+    rows = draw(st.integers(1, 5))
+    width = draw(st.integers(0, 7))
+    hull = draw(st.booleans())
+    free = rows - 1 if hull else rows
+    vec = st.lists(entries, min_size=free, max_size=free)
+    cols = [draw(vec) + ([F(1)] if hull else []) for _ in range(width)]
+    target = draw(vec) + ([F(1)] if hull else [])
+    return make_system(cols, target)
+
+
+class TestFractionSimplexAgreement:
+    @settings(max_examples=150)
+    @given(systems())
+    def test_identical_witness_or_none(self, sys_):
+        verdict = feasible(sys_)
+        reference = feasible_by_fraction_simplex(sys_)
+        assert verdict == reference
+        if verdict is None:
+            farkas_certificate(sys_)

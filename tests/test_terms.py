@@ -17,6 +17,7 @@ from convexmod.errors import (
 from convexmod.freemod import finsupp
 from convexmod.semiring import get_semiring
 from convexmod.terms import (
+    MAX_NESTING,
     Add,
     Bot,
     Join,
@@ -101,11 +102,18 @@ class TestParseErrors:
         ("3 + x", 0),
         ("", 0),
         ("1/0.x", 0),
+        pytest.param("(" * 2000 + "x" + ")" * 2000, 100, id="parens_2000"),
     ])
     def test_position_reported(self, text, pos):
         with pytest.raises(ParseError) as err:
             parse(text, QPLUS)
         assert err.value.position == pos
+
+    def test_nesting_limit_is_inclusive(self):
+        depth = MAX_NESTING
+        assert parse("(" * depth + "x" + ")" * depth, QPLUS) == Var("x")
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse("(" * (depth + 1) + "x" + ")" * (depth + 1), QPLUS)
 
     def test_fraction_scalar_rejected_over_nat(self):
         with pytest.raises(ParseError, match="bad scalar"):

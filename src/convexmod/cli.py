@@ -61,6 +61,9 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 SUITES = ("weakdist", "pentagon", "naturality", "appendixA")
+# appendixA checks all 2^(2^xsize) families of subsets: 65,536 at
+# xsize 4 (under a second), 2^32 at xsize 5.
+APPENDIX_A_MAX_XSIZE = 4
 
 
 def _parse_vars(arg: str | None) -> list[str]:
@@ -253,7 +256,12 @@ def _cmd_laws(args, out) -> int:
         reports = check_naturality(sr, xsize=args.xsize or 3,
                                    trials=args.trials, seed=seed)
     elif args.suite == "appendixA":
-        reports = _appendix_a_reports(args.xsize or 3)
+        xsize = args.xsize or 3
+        if xsize > APPENDIX_A_MAX_XSIZE:
+            raise ConvexmodError(
+                f"appendixA enumerates 2^(2^xsize) families; xsize must "
+                f"be at most {APPENDIX_A_MAX_XSIZE}")
+        reports = _appendix_a_reports(xsize)
     else:
         raise ConvexmodError(f"unknown suite {args.suite!r}")
     for line in _report_lines(reports, args.format):

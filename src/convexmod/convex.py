@@ -17,19 +17,25 @@ Membership runs the algorithm named by the semiring's ``hull_membership``:
   to 1 force one of them to be 0), so membership is literal lookup.
 
 Canonicalization deletes every generator that lies in the hull of the
-others, iterating in sorted order to a fixpoint.  Over qplus and bool
-the surviving generators are exactly the extreme points, and the
-canonical form is unique, which makes structural equality of canonical
-sets coincide with set equality.
+others, in one pass in sorted order: deleting a redundant generator
+leaves the hull unchanged and only shrinks the hull of the others, so
+a generator kept once is never redundant later and no second sweep is
+needed.  Every route runs the same loop over generator indices; over
+qplus the integer LP columns (sorted union support plus the row of
+ones, scaled by the lcm of every denominator) are built once per call
+and each redundancy test hands a subset of them to ``feasible``.  Over
+qplus and bool the surviving generators are exactly the extreme
+points, and the canonical form is unique, which makes structural
+equality of canonical sets coincide with set equality.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from math import lcm
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import ConvexmodError, SemiringMismatchError
-from .exactlp import feasible, make_system
+from .exactlp import FeasibilitySystem, feasible
 from .freemod import FinSupp, fs_add, fs_from_json, fs_scale, fs_zero, sort_key
 from .semiring import (
     HULL_EXACT_LP,
@@ -74,8 +80,7 @@ class ConvexSet:
 
     def support(self) -> tuple:
         """Sorted union of the generators' supports."""
-        keys = {sort_key(k): k for g in self.generators for k in g.support()}
-        return tuple(keys[sk] for sk in sorted(keys))
+        return _union_support(self.generators)
 
     def __eq__(self, other: Any) -> bool:
         return isinstance(other, ConvexSet) and self._skey == other._skey
@@ -96,6 +101,11 @@ class ConvexSet:
             "semiring": self.semiring.id,
             "generators": [g.to_json_dict() for g in self.generators],
         }
+
+
+def _union_support(gens: Iterable[FinSupp]) -> tuple:
+    keys = {sort_key(k): k for g in gens for k in g.support()}
+    return tuple(keys[sk] for sk in sorted(keys))
 
 
 def convex_set(sr: Semiring, generators: Iterable[FinSupp],
@@ -133,37 +143,61 @@ def member(A: ConvexSet, phi: FinSupp) -> bool:
             f"membership of a {phi.semiring.id} value in a {sr.id} set")
     if not A.generators:
         return False
+    k = len(A.generators)
+    return _hull_test(sr, A.generators + (phi,))(range(k), k)
+
+
+def _hull_test(sr: Semiring, gens: Sequence[FinSupp]
+               ) -> Callable[[Sequence[int], int], bool]:
+    """The semiring's membership test over one generator list:
+    ``test(rest, i)`` decides gens[i] in hull(gens[j] for j in rest),
+    for a nonempty index list ``rest``."""
     if sr.hull_membership == HULL_EXACT_LP:
-        return _member_exact_lp(A, phi)
+        return _member_exact_lp(gens)
     if sr.hull_membership == HULL_JOIN_COVER:
-        return _member_join_cover(A, phi)
+        return _member_join_cover(gens)
     # HULL_LOOKUP: every subset is convex, the hull adds nothing.
-    return phi in A.generators
+    return lambda rest, i: any(gens[j] == gens[i] for j in rest)
 
 
-def _member_exact_lp(A: ConvexSet, phi: FinSupp) -> bool:
-    support = {sort_key(k): k for g in A.generators for k in g.support()}
-    support.update({sort_key(k): k for k in phi.support()})
-    keys = [support[sk] for sk in sorted(support)]
-    columns = [
-        tuple(g.value(k) for k in keys) + (Fraction(1),)
-        for g in A.generators
-    ]
-    target = tuple(phi.value(k) for k in keys) + (Fraction(1),)
-    return feasible(make_system(columns, target)) is not None
+def _member_exact_lp(gens: Sequence[FinSupp]
+                     ) -> Callable[[Sequence[int], int], bool]:
+    columns = _homogenized_columns(gens)
+
+    def test(rest: Sequence[int], i: int) -> bool:
+        system = FeasibilitySystem(tuple(columns[j] for j in rest),
+                                   columns[i])
+        return feasible(system) is not None
+
+    return test
 
 
-def _member_join_cover(A: ConvexSet, phi: FinSupp) -> bool:
-    # Convex closure over bool is closure under binary joins, so phi is
-    # in the hull iff the generators dominated by phi cover it exactly.
-    phi_supp = set(phi.support())
-    below = [g for g in A.generators if set(g.support()) <= phi_supp]
-    if not below:
-        return False
-    union: set = set()
-    for g in below:
-        union.update(g.support())
-    return union == phi_supp
+def _homogenized_columns(gens: Sequence[FinSupp]) -> list[tuple[int, ...]]:
+    """One integer LP column per generator: its values on the sorted
+    union support, then 1 for the homogenizing row (weights sum to 1),
+    all times the lcm of every denominator.  Scaling every column and
+    the target by one positive factor keeps the solutions."""
+    keys = _union_support(gens)
+    values = [[g.value(k) for k in keys] for g in gens]
+    scale = lcm(*(v.denominator for col in values for v in col))
+    return [tuple([v.numerator * (scale // v.denominator) for v in col]
+                  + [scale])
+            for col in values]
+
+
+def _member_join_cover(gens: Sequence[FinSupp]
+                       ) -> Callable[[Sequence[int], int], bool]:
+    supports = [frozenset(g.support()) for g in gens]
+
+    def test(rest: Sequence[int], i: int) -> bool:
+        # Convex closure over bool is closure under binary joins, so
+        # phi is in the hull iff the generators dominated by phi cover
+        # it exactly.
+        phi = supports[i]
+        below = [supports[j] for j in rest if supports[j] <= phi]
+        return bool(below) and frozenset().union(*below) == phi
+
+    return test
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +206,13 @@ def _member_join_cover(A: ConvexSet, phi: FinSupp) -> bool:
 
 def hull_canonicalize(generators: Iterable[FinSupp],
                       sr: Semiring | None = None) -> ConvexSet:
-    """Canonical ConvexSet: deduplicate, then delete every generator
-    that is a member of the hull of the remaining ones, scanning in
-    sorted order until a fixpoint.
+    """Canonical ConvexSet: deduplicate, then one pass in sorted order
+    that deletes each generator lying in the hull of the others still
+    present.
+
+    One pass reaches the fixpoint.  Deleting a redundant generator
+    leaves the hull unchanged and only shrinks the hull of the others,
+    so a generator kept once is still outside that hull at the end.
 
     ``sr`` is only needed for an empty generator list, where the
     semiring cannot be inferred.
@@ -187,26 +225,19 @@ def hull_canonicalize(generators: Iterable[FinSupp],
         return ConvexSet(sr, (), True, _trusted=True)
     if sr is None:
         sr = gens[0].semiring
-    base = convex_set(sr, gens)
-    if sr.every_subset_convex:
-        # The canonical form is the sorted dedup.
-        return ConvexSet(sr, base.generators, True, _trusted=True)
+    base = convex_set(sr, gens).generators
+    if sr.every_subset_convex or len(base) == 1:
+        # Property A or a single point: the canonical form is the
+        # sorted dedup.
+        return ConvexSet(sr, base, True, _trusted=True)
 
-    current = list(base.generators)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(current):
-            rest = current[:i] + current[i + 1:]
-            if rest and member(
-                    ConvexSet(sr, tuple(rest), False, _trusted=True),
-                    current[i]):
-                current.pop(i)
-                changed = True
-            else:
-                i += 1
-    return ConvexSet(sr, tuple(current), True, _trusted=True)
+    test = _hull_test(sr, base)
+    kept = list(range(len(base)))
+    for i in range(len(base)):
+        rest = [j for j in kept if j != i]
+        if rest and test(rest, i):
+            kept.remove(i)
+    return ConvexSet(sr, tuple(base[j] for j in kept), True, _trusted=True)
 
 
 def canonicalize(A: ConvexSet) -> ConvexSet:

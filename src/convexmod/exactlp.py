@@ -6,33 +6,58 @@ extra homogenizing row of ones (forcing sum lambda = 1); that encoding
 is the caller's business, this module only sees columns and a target
 of equal dimension.
 
-The algorithm is the textbook phase-1: one artificial variable per row,
-minimize their sum, pivot with Bland's anti-cycling rule (smallest
-eligible entering index; smallest ratio, then smallest basic index, on
-leaving).  Bland's rule guarantees termination.
+The system is read once into Python ints (times the lcm L of its
+denominators) and presolved, for any sign pattern:
 
-The tableau holds Python ints.  The system is read once: rows whose
-target coordinate is negative are negated so the right-hand side is
-nonnegative, and everything is multiplied by the lcm L of the
-denominators.  The artificial columns stay the unit vectors, so the
-tableau starts as an integer matrix over the basis I and pivots
-fraction-free (Bareiss, Math. Comp. 1968): one positive common
-denominator D, every update divided exactly by the previous pivot.
-Because only the artificial columns are left unscaled, an entry is the
-textbook (``Fraction``) one times D, times L in rows whose basic
-variable is artificial, divided by L in artificial columns.  These
-positive factors cancel in the ratio test (compared by cross
-multiplication) and are common to the rows a reduced cost sums over:
-a column has a negative reduced cost iff that sum exceeds 0 (real) or
-D (artificial).  So every entering and leaving choice, and every
-witness, is the one the textbook tableau gives.
+* A row with target 0 and no negative entry is a forcing row: every
+  column with a positive entry there must take weight 0.  The forcing
+  rows and the columns they force leave the system; every kept column
+  is 0 on the forcing rows, so nothing else changes.
+* A remaining row with a nonzero target where no kept column has an
+  entry of the target's sign is infeasible on its own; no pivoting is
+  needed.  Over qplus this is "the target uses a coordinate that no
+  surviving generator reaches".
+
+The algorithm on what remains is the textbook phase-1: one artificial
+variable per row, minimize their sum, pivot with Bland's anti-cycling
+rule (smallest eligible entering index; smallest ratio, then smallest
+basic index, on leaving).  Bland's rule guarantees termination.
+
+The tableau holds Python ints.  Rows whose target coordinate is
+negative are negated so the right-hand side is nonnegative.  The
+artificial columns stay the unit vectors, so the tableau starts as an
+integer matrix over the basis I and pivots fraction-free (Bareiss,
+Math. Comp. 1968): one positive common denominator D, every update
+divided exactly by the previous pivot.  Because only the artificial
+columns are left unscaled, an entry is the textbook (``Fraction``) one
+times D, times L in rows whose basic variable is artificial, divided
+by L in artificial columns.  These positive factors cancel in the
+ratio test (compared by cross multiplication) and are common to the
+rows a reduced cost sums over: a column has a negative reduced cost
+iff that sum exceeds 0 (real) or D (artificial).  So every entering
+and leaving choice, and every witness, is the one the textbook tableau
+gives.
+
+The presolved system decides feasibility.  When it is feasible, phase
+1 runs again on the whole system for the witness: a forced column can
+enter the whole system's basis on a degenerate pivot (a ratio-0 tie
+that Bland's rule breaks towards an earlier row) and lead to another
+vertex, so padding the presolved witness with zeros would not always
+give the textbook witness.  Feasible systems are the rare answer in
+redundancy tests, so this costs little.
 
 Both answers carry evidence checked before they are returned.  A
-witness ``B_i / D`` is re-substituted exactly into the system as handed
-in.  A "no" comes with the phase-1 dual y (read off the artificial
-columns): a Farkas certificate with y.a_j <= 0 for every column and
-y.b > 0, checked in integers against the scaled system.  A failed check
-is an ``InternalError``.
+witness ``B_i / D`` is re-substituted exactly into the system as
+handed in.  A "no" comes with a Farkas certificate y: the phase-1 dual
+read off the artificial columns, or the unit vector of a row
+infeasible on its own, signed by its target.  A certificate of the
+presolved system is lifted to the whole one by -N on the forcing rows,
+where N is the least integer >= y.a_j / s_j over the forced columns j
+(s_j > 0 the sum of a_j over the forcing rows); that leaves y.b and
+y.a_j of the kept columns as they were and makes y.a_j <= 0 on the
+forced ones.  The lifted y is checked in integers against the whole
+scaled system: y.a_j <= 0 for every column and y.b > 0.  A failed
+check is an ``InternalError``.
 """
 
 from __future__ import annotations
@@ -45,15 +70,17 @@ from typing import Sequence
 
 from .errors import DimensionMismatchError, InternalError
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[Fraction | int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeasibilitySystem:
     """Columns and target of the feasibility question, exact rationals.
 
     ``columns[j][i]`` is the i-th coordinate of the j-th generator
     column; ``target[i]`` the i-th coordinate of the right-hand side.
+    Entries are ``Fraction`` or ``int``; a caller that has already
+    scaled its system to integers hands the ints over as they are.
     """
 
     columns: tuple[Vector, ...]
@@ -68,10 +95,14 @@ class FeasibilitySystem:
                     f"dimension {dim}")
 
 
+def _exact(v: Fraction | int) -> Fraction | int:
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
 def make_system(columns: Sequence[Sequence[Fraction | int]],
                 target: Sequence[Fraction | int]) -> FeasibilitySystem:
-    cols = tuple(tuple(Fraction(v) for v in col) for col in columns)
-    tgt = tuple(Fraction(v) for v in target)
+    cols = tuple(tuple(_exact(v) for v in col) for col in columns)
+    tgt = tuple(_exact(v) for v in target)
     return FeasibilitySystem(columns=cols, target=tgt)
 
 
@@ -80,12 +111,12 @@ def feasible(sys_: FeasibilitySystem) -> list[Fraction] | None:
 
     The witness satisfies the equations exactly and is non-negative,
     both asserted by re-substitution; None is returned only after a
-    Farkas certificate has been checked.
+    Farkas certificate has been checked against the whole system.
     """
     if not sys_.target:
         return [Fraction(0)] * len(sys_.columns)
     columns, target = _integral(sys_)
-    solution, certificate = _phase1(columns, target)
+    solution, certificate = _solve(columns, target)
     if solution is None:
         _check_certificate(columns, target, certificate)
         return None
@@ -95,6 +126,27 @@ def feasible(sys_: FeasibilitySystem) -> list[Fraction] | None:
     return witness
 
 
+def _solve(columns: list[list[int]], target: list[int]):
+    """Presolve, then phase 1; the answer is for the whole system.
+
+    Returns ``((values, D), None)`` with one value per column, or
+    ``(None, y)`` with one certificate entry per row.
+    """
+    forcing, rows, kept, y = _presolve(columns, target)
+    if y is None:
+        if not forcing:
+            return _phase1(columns, target)
+        solution, y = _phase1(
+            [[columns[j][i] for i in rows] for j in kept],
+            [target[i] for i in rows])
+        if solution is not None:
+            # A forced column can enter the whole system's basis on a
+            # degenerate pivot and steer Bland's rule to another
+            # vertex, so the witness comes from the whole system.
+            return _phase1(columns, target)
+    return None, _lift_certificate(columns, forcing, rows, y)
+
+
 def _integral(sys_: FeasibilitySystem
               ) -> tuple[list[list[int]], list[int]]:
     """The system times the lcm of its denominators: integer columns
@@ -102,10 +154,56 @@ def _integral(sys_: FeasibilitySystem
     certificates."""
     scale = lcm(*(v.denominator for v in sys_.target),
                 *(v.denominator for col in sys_.columns for v in col))
+    if scale == 1:
+        return ([[v.numerator for v in col] for col in sys_.columns],
+                [v.numerator for v in sys_.target])
     columns = [[v.numerator * (scale // v.denominator) for v in col]
                for col in sys_.columns]
     target = [v.numerator * (scale // v.denominator) for v in sys_.target]
     return columns, target
+
+
+def _presolve(columns: list[list[int]], target: list[int]):
+    """Drop forcing rows and the columns they force; spot a row that is
+    infeasible on its own.
+
+    Returns ``(forcing, rows, kept, y)``: the forcing row indices, the
+    other row indices, the kept column indices, and the reduced Farkas
+    certificate (over ``rows``) of an infeasible row, or None.
+    """
+    m = len(target)
+    forcing = [i for i in range(m)
+               if not target[i] and all(col[i] >= 0 for col in columns)]
+    # Entries on forcing rows are >= 0, so nonzero means forced.
+    kept = [j for j, col in enumerate(columns)
+            if not any(col[i] for i in forcing)]
+    rows = [i for i in range(m) if i not in forcing]
+    for k, i in enumerate(rows):
+        t = target[i]
+        if t and all(columns[j][i] * t <= 0 for j in kept):
+            y = [0] * len(rows)
+            y[k] = 1 if t > 0 else -1
+            return forcing, rows, kept, y
+    return forcing, rows, kept, None
+
+
+def _lift_certificate(columns: list[list[int]], forcing: list[int],
+                      rows: list[int], y_rows: list[int]) -> list[int]:
+    """A certificate of the presolved system, extended to every row:
+    ``y_rows`` on ``rows``, -N on the forcing rows, N the least integer
+    making y.a_j <= 0 on every forced column."""
+    y = [0] * (len(forcing) + len(rows))
+    for i, v in zip(rows, y_rows):
+        y[i] = v
+    n = 0
+    for col in columns:
+        # s > 0 exactly on the forced columns.
+        s = sum(col[i] for i in forcing)
+        if s:
+            n = max(n, -(-sum(y[i] * col[i] for i in rows) // s))
+    for i in forcing:
+        y[i] = -n
+    return y
 
 
 def _phase1(columns: list[list[int]], target: list[int]):

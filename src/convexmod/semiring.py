@@ -205,14 +205,9 @@ class _QplusSemiring(Semiring):
     hull_membership = HULL_EXACT_LP
     declared_properties = frozenset(
         {"positive", "semifield", "refinable", "B", "E"})
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    # Class constants shadow the base properties; Fraction is immutable.
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def add(self, a: Fraction, b: Fraction) -> Fraction:
         return a + b

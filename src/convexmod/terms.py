@@ -11,7 +11,8 @@ Identifiers match [a-zA-Z][a-zA-Z0-9_]* and must not be the keyword
 ``bot``.  Scalars are nonnegative rationals written ``p`` or ``p/q``;
 over nat they must reduce to whole numbers, over bool to 0 or 1.
 Parentheses nest at most ``MAX_NESTING`` deep; sums, joins and scalar
-prefixes may be arbitrarily long, and evaluation uses no recursion.
+prefixes may be arbitrarily long, and evaluation, printing and
+variable collection use no recursion.
 
 A term denotes a convex set of weightings over its declared variables:
 a variable denotes the point set of its own unit weighting, ``0`` the
@@ -237,50 +238,61 @@ def format_scalar(value: Scalar) -> str:
 
 
 def format_term(t: Term) -> str:
-    """Minimal-parenthesis printer; reparsing reproduces the tree."""
-    if isinstance(t, Bot):
-        return "bot"
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Scale):
-        body = t.body
-        if isinstance(body, (Add, Join)):
-            inner = f"({format_term(body)})"
+    """Minimal-parenthesis printer; reparsing reproduces the tree.
+
+    Post-order over an explicit stack, like ``eval_term``."""
+    printed: list[str] = []
+    # (node, True) once its operands are on ``printed``.
+    todo: list[tuple[Term, bool]] = [(t, False)]
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, Bot):
+            printed.append("bot")
+        elif isinstance(node, Zero):
+            printed.append("0")
+        elif isinstance(node, Var):
+            printed.append(node.name)
+        elif isinstance(node, Scale):
+            if ready:
+                inner = printed.pop()
+                if isinstance(node.body, (Add, Join)):
+                    inner = f"({inner})"
+                printed.append(f"{format_scalar(node.scalar)}.{inner}")
+            else:
+                todo += [(node, True), (node.body, False)]
+        elif isinstance(node, (Add, Join)):
+            if ready:
+                right = printed.pop()
+                left = printed.pop()
+                if isinstance(node, Add):
+                    if isinstance(node.left, Join):
+                        left = f"({left})"
+                    if isinstance(node.right, (Add, Join)):
+                        right = f"({right})"
+                    printed.append(f"{left} + {right}")
+                else:
+                    if isinstance(node.right, Join):
+                        right = f"({right})"
+                    printed.append(f"{left} | {right}")
+            else:
+                todo += [(node, True), (node.right, False),
+                         (node.left, False)]
         else:
-            inner = format_term(body)
-        return f"{format_scalar(t.scalar)}.{inner}"
-    if isinstance(t, Add):
-        left = format_term(t.left)
-        if isinstance(t.left, Join):
-            left = f"({left})"
-        right = format_term(t.right)
-        if isinstance(t.right, (Add, Join)):
-            right = f"({right})"
-        return f"{left} + {right}"
-    if isinstance(t, Join):
-        left = format_term(t.left)
-        right = format_term(t.right)
-        if isinstance(t.right, Join):
-            right = f"({right})"
-        return f"{left} | {right}"
-    raise ConvexmodError(f"not a term: {t!r}")
+            raise ConvexmodError(f"not a term: {node!r}")
+    return printed.pop()
 
 
 def free_variables(t: Term) -> tuple[str, ...]:
     out: set[str] = set()
-
-    def walk(node: Term):
+    todo: list[Term] = [t]
+    while todo:
+        node = todo.pop()
         if isinstance(node, Var):
             out.add(node.name)
         elif isinstance(node, Scale):
-            walk(node.body)
+            todo.append(node.body)
         elif isinstance(node, (Add, Join)):
-            walk(node.left)
-            walk(node.right)
-
-    walk(t)
+            todo += [node.left, node.right]
     return tuple(sorted(out))
 
 

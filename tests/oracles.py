@@ -27,6 +27,12 @@ tautology:
 * ``fs_equal_extensional`` compares two finitely supported functions
   by evaluating both on the union of their supports.  The package
   compares canonical entry tuples.
+* ``canonical_by_fixpoint`` is the package's former canonicalizer: it
+  sweeps the sorted generators, deleting each one in the hull of the
+  others, until a whole sweep deletes nothing, with membership decided
+  by the oracles above (``qplus_member_by_elimination``,
+  ``bool_member_by_supports``).  The package makes one pass and tests
+  membership on index lists.
 """
 
 from __future__ import annotations
@@ -137,7 +143,8 @@ def feasible_by_elimination(
 
 
 def feasible_by_fraction_simplex(sys_):
-    """Phase-1 simplex over Fractions: a witness list or None."""
+    """Phase-1 simplex over Fractions (int entries are read as
+    Fractions): a witness list or None."""
     m = len(sys_.target)
     n = len(sys_.columns)
 
@@ -150,8 +157,8 @@ def feasible_by_fraction_simplex(sys_):
     b: list[Fraction] = []
     for i in range(m):
         sign = -1 if sys_.target[i] < 0 else 1
-        rows.append([sign * sys_.columns[j][i] for j in range(n)])
-        b.append(sign * sys_.target[i])
+        rows.append([sign * Fraction(sys_.columns[j][i]) for j in range(n)])
+        b.append(sign * Fraction(sys_.target[i]))
 
     # Append the artificial identity block: tableau is m x (n + m).
     total = n + m
@@ -252,3 +259,35 @@ def fs_equal_extensional(a, b) -> bool:
             f"mixed semirings: {a.semiring.id} vs {b.semiring.id}")
     keys = list(a.support()) + list(b.support())
     return all(a.value(k) == b.value(k) for k in keys)
+
+
+def qplus_member_by_elimination(gens, phi) -> bool:
+    """Hull membership over qplus for symbol-keyed values: the
+    homogenized system solved by subset elimination."""
+    keys = sorted({k for g in list(gens) + [phi] for k in g.support()})
+    columns = [[g.value(k) for k in keys] + [Fraction(1)] for g in gens]
+    target = [phi.value(k) for k in keys] + [Fraction(1)]
+    return feasible_by_elimination(columns, target) is not None
+
+
+def bool_member_by_supports(gens, phi) -> bool:
+    return bool_member_by_subsets([frozenset(g.support()) for g in gens],
+                                  frozenset(phi.support()))
+
+
+def canonical_by_fixpoint(generators, member) -> tuple:
+    """Sorted, deduplicated generators with every one in the hull of the
+    others deleted, sweeping until a sweep deletes nothing."""
+    current = sorted(set(generators))
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(current):
+            rest = current[:i] + current[i + 1:]
+            if rest and member(rest, current[i]):
+                current.pop(i)
+                changed = True
+            else:
+                i += 1
+    return tuple(current)

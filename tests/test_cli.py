@@ -251,6 +251,34 @@ class TestLaws:
         assert out == ""
         assert err == "error: xsize must be between 1 and 6\n"
 
+    @pytest.mark.parametrize("fmt,expected", [
+        ("text", "error: appendixA enumerates 2^(2^xsize) families; "
+                 "xsize must be at most 4\n"),
+        ("json", json.dumps({
+            "error": "appendixA enumerates 2^(2^xsize) families; "
+                     "xsize must be at most 4",
+            "kind": "usage"}) + "\n"),
+    ])
+    @pytest.mark.parametrize("xsize", ["5", "6"])
+    def test_appendix_a_xsize_above_cap_rejected(self, capsys, monkeypatch,
+                                                 xsize, fmt, expected):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("appendixA enumerated above its cap")
+        monkeypatch.setattr("convexmod.cli.trivial_lifting_fixed_points",
+                            refuse)
+        code, out, err = run(capsys, "laws", "--suite", "appendixA",
+                             "--xsize", xsize, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == expected
+
+    def test_appendix_a_at_cap_runs(self, capsys):
+        code, out, _ = run(capsys, "laws", "--suite", "appendixA",
+                           "--xsize", "4", "--format", "json")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rows[1]["meta"]["families"] == 2 ** 16
+
     def test_nonpositive_value_bound_rejected_over_nat(self, capsys):
         code, out, err = run(capsys, "laws", "--suite", "weakdist",
                              "--semiring", "nat", "--value-bound", "-3")

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexmod.convex import (
@@ -21,10 +21,22 @@ from convexmod.convex import (
     member,
 )
 from convexmod.errors import SemiringMismatchError
-from convexmod.freemod import finsupp, fs_map, fs_scale, fs_unit, fs_zero
+from convexmod.freemod import (
+    finsupp,
+    fs_add,
+    fs_map,
+    fs_scale,
+    fs_unit,
+    fs_zero,
+)
 from convexmod.semiring import BOOL, NAT, QPLUS
 
-from oracles import bool_member_by_subsets
+from oracles import (
+    bool_member_by_subsets,
+    bool_member_by_supports,
+    canonical_by_fixpoint,
+    qplus_member_by_elimination,
+)
 
 F = Fraction
 SYMS = ["u", "v", "x", "y", "z"]
@@ -46,6 +58,35 @@ small_qset = st.lists(finsupp_q, max_size=3).map(
 finsupp_b = st.lists(st.sampled_from(SYMS), max_size=3).map(bsupp)
 small_bset = st.lists(finsupp_b, max_size=3).map(
     lambda gens: hull_canonicalize(gens, BOOL))
+ORACLE_MEMBER = {"qplus": qplus_member_by_elimination,
+                 "bool": bool_member_by_supports}
+
+
+@st.composite
+def padded_generators(draw, sr):
+    """Random generators plus convex combinations of them, shuffled:
+    every combination is redundant, and so may be some generators."""
+    gens = draw(st.lists(finsupp_q if sr is QPLUS else finsupp_b,
+                         min_size=1, max_size=5))
+    padded = list(gens)
+    for _ in range(draw(st.integers(0, 3))):
+        picks = draw(st.lists(st.sampled_from(gens), min_size=1,
+                              max_size=3))
+        if sr is QPLUS:
+            weights = [draw(st.fractions(min_value=F(1, 4), max_value=2,
+                                         max_denominator=4))
+                       for _ in picks]
+            total = sum(weights)
+            combo = fs_zero(QPLUS)
+            for w, g in zip(weights, picks):
+                combo = fs_add(combo, fs_scale(w / total, g))
+        else:
+            # Over bool a convex combination is a join.
+            combo = picks[0]
+            for g in picks[1:]:
+                combo = fs_add(combo, g)
+        padded.append(combo)
+    return draw(st.permutations(padded))
 
 
 class TestMembership:
@@ -139,6 +180,14 @@ class TestCanonicalization:
     @given(small_qset)
     def test_idempotence_random(self, A):
         assert hull_canonicalize(list(A.generators), QPLUS) == A
+
+    @pytest.mark.parametrize("sr", [QPLUS, BOOL], ids=["qplus", "bool"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_pass_matches_fixpoint(self, sr, data):
+        gens = data.draw(padded_generators(sr))
+        reference = canonical_by_fixpoint(gens, ORACLE_MEMBER[sr.id])
+        assert hull_canonicalize(gens, sr).generators == reference
 
     @given(st.lists(finsupp_q, max_size=4))
     def test_no_canonical_generator_redundant(self, gens):

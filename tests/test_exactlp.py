@@ -11,6 +11,7 @@ from convexmod.exactlp import (
     _check_certificate,
     _integral,
     _phase1,
+    _solve,
     feasible,
     make_system,
 )
@@ -32,6 +33,21 @@ def farkas_certificate(sys_):
     columns, target = _integral(sys_)
     solution, y = _phase1(columns, target)
     assert solution is None
+    _check_certificate(columns, target, y)
+    for col in sys_.columns:
+        assert sum(yk * v for yk, v in zip(y, col)) <= 0
+    assert sum(yk * v for yk, v in zip(y, sys_.target)) > 0
+    return y
+
+
+def lifted_certificate(sys_):
+    """The certificate ``feasible`` checks behind a None: read off the
+    presolved system and lifted to every row; then re-checked here over
+    Fractions against the system as handed in."""
+    columns, target = _integral(sys_)
+    solution, y = _solve(columns, target)
+    assert solution is None
+    assert len(y) == len(sys_.target)
     _check_certificate(columns, target, y)
     for col in sys_.columns:
         assert sum(yk * v for yk, v in zip(y, col)) <= 0
@@ -103,6 +119,22 @@ class TestContracts:
             _check_certificate(columns, target, [-v for v in y])
         with pytest.raises(InternalError, match="separate"):
             _check_certificate(columns, target, [0] * len(y))
+
+    def test_tampered_lift_raises(self):
+        # Row 0 forces column 0 to weight 0; row 1 is then infeasible on
+        # its own.  The lift puts -5 on row 0, the least value that
+        # covers column 0's y.a_j = 5 over its forcing-row sum 1.
+        sys_ = make_system([(1, 5, 1), (0, 0, 1)], (0, 3, 1))
+        columns, target = _integral(sys_)
+        y = lifted_certificate(sys_)
+        assert y == [-5, 1, 0]
+        for forcing_entry in (0, -4):
+            with pytest.raises(InternalError, match="column 0"):
+                _check_certificate(columns, target, [forcing_entry, 1, 0])
+
+    def test_forced_column_gets_zero_weight(self):
+        sys_ = make_system([(2, 1, 1), (0, 1, 1), (0, 3, 1)], (0, 2, 1))
+        assert feasible(sys_) == [F(0), F(1, 2), F(1, 2)]
 
     def test_tampered_witness_raises(self):
         sys_ = make_system([(1, 1), (3, 1)], (2, 1))
@@ -182,3 +214,58 @@ class TestFractionSimplexAgreement:
         assert verdict == reference
         if verdict is None:
             farkas_certificate(sys_)
+
+
+nonneg = st.one_of(st.just(F(0)),
+                   st.fractions(min_value=0, max_value=4, max_denominator=6))
+positive = st.fractions(min_value=F(1, 6), max_value=4, max_denominator=6)
+
+
+@st.composite
+def presolved_systems(draw):
+    """Systems the presolve acts on: like ``systems``, but each row is
+    left free, planted as a forcing row (target 0, every entry >= 0,
+    zeros common) or, more rarely, planted as infeasible on its own
+    (nonzero target, no entry of its sign)."""
+    rows = draw(st.integers(1, 5))
+    width = draw(st.integers(0, 7))
+    hull = draw(st.booleans())
+    free = rows - 1 if hull else rows
+    cols = [[draw(entries) for _ in range(free)] for _ in range(width)]
+    target = [draw(entries) for _ in range(free)]
+    for i in range(free):
+        kind = draw(st.sampled_from(
+            ["free", "free", "forcing", "forcing", "infeasible"]))
+        if kind == "forcing":
+            target[i] = F(0)
+            for col in cols:
+                col[i] = draw(nonneg)
+        elif kind == "infeasible":
+            sign = draw(st.sampled_from([1, -1]))
+            target[i] = sign * draw(positive)
+            for col in cols:
+                col[i] = -sign * draw(nonneg)
+    if hull:
+        cols = [col + [F(1)] for col in cols]
+        target.append(F(1))
+    return make_system(cols, target)
+
+
+class TestPresolveAgreement:
+    def test_forced_column_entering_first(self):
+        # Row 2 forces column 1, yet on the whole system column 1 is
+        # Bland's first entering choice, and the path ends at another
+        # vertex than the presolved system's [0, 0, 1/11, 3/11].
+        sys_ = make_system([(3, 3, 0), (-3, 1, 2), (-2, 3, 0),
+                            (-3, -1, 0)], (-1, 0, 0))
+        witness = [F(1, 6), F(0), F(0), F(1, 2)]
+        assert feasible(sys_) == feasible_by_fraction_simplex(sys_) == witness
+
+    @settings(max_examples=150)
+    @given(presolved_systems())
+    def test_identical_witness_or_none(self, sys_):
+        verdict = feasible(sys_)
+        reference = feasible_by_fraction_simplex(sys_)
+        assert verdict == reference
+        if verdict is None:
+            lifted_certificate(sys_)

@@ -144,6 +144,8 @@ class TestPrinting:
         ("(x | y) + z", "(x | y) + z"),
         ("0.bot", "0.bot"),
         ("2.3.x", "2.3.x"),
+        pytest.param(" + ".join(["x"] * 3000), " + ".join(["x"] * 3000),
+                     id="summands_3000"),
     ])
     def test_golden(self, text, printed):
         assert format_term(parse(text, QPLUS)) == printed
@@ -496,6 +498,10 @@ class TestFreeVariables:
 
     def test_closed_term(self):
         assert free_variables(parse("0 | bot", QPLUS)) == ()
+
+    def test_summands_3000(self):
+        t = parse(" + ".join(["x"] * 3000) + " | y", QPLUS)
+        assert free_variables(t) == ("x", "y")
 
 
 class TestTermFiles:

@@ -72,6 +72,8 @@ def _parse_vars(arg: str | None) -> list[str]:
     out = []
     for name in arg.split(","):
         name = name.strip()
+        if name in out:
+            raise ConvexmodError(f"duplicate variable {name!r} in --vars")
         if name:
             out.append(name)
     if not out:
@@ -315,7 +317,7 @@ def _cmd_delta(args, out) -> int:
         closure = [psi for psi in weightings_over(sr, symbols, len(symbols),
                                                   None)
                    if member(hull, psi)]
-        same = ({p._skey for p in closure} == {p._skey for p in brute})
+        same = set(closure) == set(brute)
         compare = {"bruteforce_count": len(brute),
                    "closure_count": len(closure),
                    "agree": same}

@@ -72,13 +72,24 @@ def family_weighting(sr: Semiring,
 def alpha(Phi: ConvexFamilyWeighting) -> ConvexSet:
     """Resolve a weighting of convex sets to one convex set: the
     Minkowski sum of the scaled keys.  Not available over nat, whose
-    hulls cannot absorb the missing choices."""
+    hulls cannot absorb the missing choices.
+
+    The fold starts from the first scaled key instead of {epsilon}.
+    Over a positive semifield, scaling by a nonzero lambda is a
+    bijection that preserves weighted sums with weights summing to 1,
+    so lambda * A of a canonical A keeps exactly its extreme points:
+    it is canonical already, and ``canonicalize`` only does work on a
+    key that was not canonical to begin with.  Every later key goes
+    through ``cs_add``, which re-canonicalizes the sum."""
     sr = Phi.semiring
     if not sr.is_semifield:
         raise NotSemifieldError(
             "not a semifield; the resolved set is not convex over nat")
-    acc = cs_zero(sr)
-    for A, v in Phi.items():
+    if Phi.is_zero():
+        return cs_zero(sr)
+    (A0, v0), *rest = Phi.entries
+    acc = canonicalize(cs_scale(v0, A0))
+    for A, v in rest:
         acc = cs_add(acc, cs_scale(v, A))
     return acc
 

@@ -27,6 +27,10 @@ and each redundancy test hands a subset of them to ``feasible``.  Over
 qplus and bool the surviving generators are exactly the extreme
 points, and the canonical form is unique, which makes structural
 equality of canonical sets coincide with set equality.
+
+A ConvexSet hashes once, at construction, from its semiring id and its
+generator tuple, whose FinSupp members contribute their cached
+hashes.  ``_skey`` only orders and compares, as in ``freemod``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,14 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import ConvexmodError, SemiringMismatchError
 from .exactlp import FeasibilitySystem, feasible
-from .freemod import FinSupp, fs_add, fs_from_json, fs_scale, fs_zero, sort_key
+from .freemod import (
+    FinSupp,
+    fs_add,
+    fs_from_json,
+    fs_scale,
+    fs_zero,
+    sorted_unique,
+)
 from .semiring import (
     HULL_EXACT_LP,
     HULL_JOIN_COVER,
@@ -70,7 +81,7 @@ class ConvexSet:
         object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "_skey", (
             3, semiring.id, tuple(g._skey for g in generators)))
-        object.__setattr__(self, "_hash", hash(self._skey))
+        object.__setattr__(self, "_hash", hash((semiring.id, generators)))
 
     def __setattr__(self, name: str, value: Any):
         raise AttributeError("ConvexSet is immutable")
@@ -104,21 +115,26 @@ class ConvexSet:
 
 
 def _union_support(gens: Iterable[FinSupp]) -> tuple:
-    keys = {sort_key(k): k for g in gens for k in g.support()}
-    return tuple(keys[sk] for sk in sorted(keys))
+    return tuple(sorted_unique(k for g in gens for k, _ in g.entries))
+
+
+def _sorted_generators(sr: Semiring, generators: Iterable[FinSupp]
+                       ) -> tuple[FinSupp, ...]:
+    """The distinct generators in sorted order, all checked to lie
+    over ``sr``."""
+    gens = tuple(sorted_unique(generators))
+    for g in gens:
+        if g.semiring.id != sr.id:
+            raise SemiringMismatchError(
+                f"generator over {g.semiring.id} in a {sr.id} set")
+    return gens
 
 
 def convex_set(sr: Semiring, generators: Iterable[FinSupp],
                canonical: bool = False) -> ConvexSet:
     """Sorted, duplicate-free ConvexSet; no redundancy removal."""
-    gens: dict[tuple, FinSupp] = {}
-    for g in generators:
-        if g.semiring.id != sr.id:
-            raise SemiringMismatchError(
-                f"generator over {g.semiring.id} in a {sr.id} set")
-        gens[g._skey] = g
-    ordered = tuple(gens[k] for k in sorted(gens))
-    return ConvexSet(sr, ordered, canonical, _trusted=True)
+    return ConvexSet(sr, _sorted_generators(sr, generators), canonical,
+                     _trusted=True)
 
 
 def cs_from_json(data: Mapping[str, Any]) -> ConvexSet:
@@ -225,7 +241,7 @@ def hull_canonicalize(generators: Iterable[FinSupp],
         return ConvexSet(sr, (), True, _trusted=True)
     if sr is None:
         sr = gens[0].semiring
-    base = convex_set(sr, gens).generators
+    base = _sorted_generators(sr, gens)
     if sr.every_subset_convex or len(base) == 1:
         # Property A or a single point: the canonical form is the
         # sorted dedup.

@@ -58,7 +58,7 @@ from .freemod import (
     fs_scale,
     fs_unit,
     fs_zero,
-    sort_key,
+    sorted_unique,
 )
 from .report import (
     FAIL,
@@ -80,8 +80,7 @@ SYMBOL_POOL = ("x", "y", "z", "u", "v", "w")
 
 def set_key(elements: Iterable[Any]) -> tuple:
     """Canonical duplicate-free sorted tuple used as a finite-set key."""
-    keyed = {sort_key(e): e for e in elements}
-    return tuple(keyed[k] for k in sorted(keyed))
+    return tuple(sorted_unique(elements))
 
 
 def set_weighting(sr: Semiring, items: Iterable[tuple[Iterable[Any], Scalar]]
@@ -144,11 +143,9 @@ def choice_set(Phi: SetWeighting) -> list[FinSupp]:
         return []
     if not keys:
         return [fs_zero(sr)]
-    seen: dict[tuple, FinSupp] = {}
-    for picks in itertools.product(*keys):
-        phi = finsupp(sr, [(x, Phi.value(A)) for A, x in zip(keys, picks)])
-        seen[phi._skey] = phi
-    return [seen[k] for k in sorted(seen)]
+    return sorted_unique(
+        finsupp(sr, [(x, Phi.value(A)) for A, x in zip(keys, picks)])
+        for picks in itertools.product(*keys))
 
 
 def delta_hull(Phi: SetWeighting) -> ConvexSet:
@@ -196,7 +193,7 @@ def delta_bruteforce(Phi: SetWeighting) -> list[FinSupp]:
         return []
     if not keys:
         return [fs_zero(sr)]
-    seen: dict[tuple, FinSupp] = {}
+    seen: set[FinSupp] = set()
     if sr.enumeration == MODE_EXHAUSTIVE:
         # The only nonzero scalar is one, so weightings are subsets.
         union = set_key(x for A in keys for x in A)
@@ -205,8 +202,7 @@ def delta_bruteforce(Phi: SetWeighting) -> list[FinSupp]:
             for sub in itertools.combinations(union, r):
                 picked = frozenset(sub)
                 if all(picked & A for A in key_sets):
-                    phi = finsupp(sr, [(x, 1) for x in sub])
-                    seen[phi._skey] = phi
+                    seen.add(finsupp(sr, [(x, 1) for x in sub]))
     else:
         per_set = []
         for A in keys:
@@ -216,9 +212,8 @@ def delta_bruteforce(Phi: SetWeighting) -> list[FinSupp]:
             per_set.append(options)
         for slices in itertools.product(*per_set):
             entries = [pair for slice_ in slices for pair in slice_]
-            phi = finsupp(sr, entries)
-            seen[phi._skey] = phi
-    return [seen[k] for k in sorted(seen)]
+            seen.add(finsupp(sr, entries))
+    return sorted_unique(seen)
 
 
 def delta_witness_check(Phi: SetWeighting, phi: FinSupp,
@@ -266,11 +261,6 @@ def _weighted_generator_hull(sr: Semiring,
             acc = fs_add(acc, fs_scale(w, g))
         members.append(acc)
     return hull_canonicalize(members, sr)
-
-
-def _finsupp_set(items: Iterable[FinSupp]) -> list[FinSupp]:
-    seen = {phi._skey: phi for phi in items}
-    return [seen[k] for k in sorted(seen)]
 
 
 def weightings_over(sr: Semiring, pool: Sequence, max_support: int,
@@ -344,7 +334,7 @@ def _check_mu_S_rectangle_extensional(sr: Semiring, xis, mode) -> LawReport:
         left = delta_bruteforce(fs_mult(xi))
         mapped = finsupp(
             sr, [(tuple(delta_bruteforce(K)), w) for K, w in xi.items()])
-        right = _finsupp_set(
+        right = sorted_unique(
             fs_mult(e) for e in delta_bruteforce(mapped))
         if left != right:
             return LawReport(
@@ -361,16 +351,10 @@ def _check_mu_S_rectangle_hull(sr: Semiring, xis, mode) -> LawReport:
     law-then-collapse."""
     for xi in xis:
         left = delta_hull(fs_mult(xi))
-        weighted = []
-        for K, w in xi.items():
-            weighted.append((delta_hull(K), w))
-        collapsed: dict[tuple, tuple[ConvexSet, Scalar]] = {}
-        for A, w in weighted:
-            if A._skey in collapsed:
-                collapsed[A._skey] = (A, sr.add(collapsed[A._skey][1], w))
-            else:
-                collapsed[A._skey] = (A, w)
-        right = _weighted_generator_hull(sr, list(collapsed.values()))
+        # Equal law values merge by adding their weights: over a
+        # semifield w1*A + w2*A = (w1+w2)*A for convex A.
+        collapsed = finsupp(sr, [(delta_hull(K), w) for K, w in xi.items()])
+        right = _weighted_generator_hull(sr, list(collapsed.items()))
         if not cs_equal(left, right):
             return LawReport(
                 name="mu_S_rectangle", semiring=sr.id, status=FAIL, mode=mode,
@@ -394,7 +378,7 @@ def _check_mu_P_rectangle_extensional(sr: Semiring, thetas, mode) -> LawReport:
         right_items: list[FinSupp] = []
         for chi in delta_bruteforce(theta):
             right_items.extend(delta_bruteforce(chi))
-        right = _finsupp_set(right_items)
+        right = sorted_unique(right_items)
         if left != right:
             return LawReport(
                 name="mu_P_rectangle", semiring=sr.id, status=FAIL, mode=mode,
@@ -427,7 +411,7 @@ def _check_eta_S_triangle(sr: Semiring, sets_pool, mode) -> LawReport:
     set otherwise, and the counterexample is reported."""
     for A in sets_pool:
         Phi = set_weighting(sr, [(A, sr.one)])
-        diracs = _finsupp_set(fs_unit(sr, x) for x in A)
+        diracs = sorted_unique(fs_unit(sr, x) for x in A)
         if sr.enumeration is not None:
             got = delta_bruteforce(Phi)
             if got != diracs:
@@ -575,7 +559,7 @@ def check_naturality(sr: Semiring, xsize: int = 3, trials: int = 50,
                 for f_vals in itertools.product(universe, repeat=len(universe)):
                     f = dict(zip(universe, f_vals))
                     left = delta_bruteforce(_map_set_weighting(f, Phi))
-                    right = _finsupp_set(
+                    right = sorted_unique(
                         fs_map(f, phi) for phi in delta_bruteforce(Phi))
                     if left != right:
                         ok = False
@@ -623,8 +607,8 @@ def _search_choice_naturality_violation(sr: Semiring, xsize: int):
                 for f_vals in itertools.product(universe,
                                                 repeat=len(universe)):
                     f = dict(zip(universe, f_vals))
-                    left = _finsupp_set(choice_set(_map_set_weighting(f, Phi)))
-                    right = _finsupp_set(fs_map(f, phi) for phi in base)
+                    left = sorted_unique(choice_set(_map_set_weighting(f, Phi)))
+                    right = sorted_unique(fs_map(f, phi) for phi in base)
                     if left != right:
                         return {"Phi": Phi, "f": f,
                                 "left": left, "right": right}
@@ -669,7 +653,7 @@ class Interval:
         return self._skey < other._skey
 
     def __hash__(self):
-        return hash(self._skey)
+        return hash((self.lo, self.hi))
 
     def __repr__(self):
         if self.empty:
@@ -756,12 +740,10 @@ def _carrier_sets(sr: Semiring, universe: Sequence[str]
     as that stays small, otherwise generator lists are capped at two."""
     phis = weightings_over(sr, universe, len(universe), None)
     top = len(phis) if 2 ** len(phis) <= 512 else 2
-    seen = {}
-    for r in range(0, top + 1):
-        for combo in itertools.combinations(phis, r):
-            A = hull_canonicalize(list(combo), sr)
-            seen[A._skey] = A
-    return [seen[k] for k in sorted(seen)]
+    return sorted_unique(
+        hull_canonicalize(list(combo), sr)
+        for r in range(0, top + 1)
+        for combo in itertools.combinations(phis, r))
 
 
 def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
@@ -878,16 +860,14 @@ def barr_extend(R: Relation, sr: Semiring, value_bound: int = 2):
             "barr extension is enumerable only over bool or bounded nat")
     values = sr.carrier(value_bound)
     pairs = list(R.pairs)
-    out: dict[tuple, tuple[FinSupp, FinSupp]] = {}
-    for w in itertools.product(values, repeat=len(pairs)):
-        phi = finsupp(sr, [(x, wi) for (x, _y), wi in zip(pairs, w)])
-        xi = finsupp(sr, [(y, wi) for (_x, y), wi in zip(pairs, w)])
-        out[(phi._skey, xi._skey)] = (phi, xi)
-    rel_pairs = [out[k] for k in sorted(out)]
+    rel_pairs = sorted_unique(
+        (finsupp(sr, [(x, wi) for (x, _y), wi in zip(pairs, w)]),
+         finsupp(sr, [(y, wi) for (_x, y), wi in zip(pairs, w)]))
+        for w in itertools.product(values, repeat=len(pairs)))
     domain = weightings_over(sr, list(R.domain), len(R.domain), value_bound)
     # Fibres that merge can push an image past the bound, so the
     # codomain also takes every image the pairs reach.
-    codomain = _finsupp_set([xi for _phi, xi in rel_pairs] + weightings_over(
+    codomain = sorted_unique([xi for _phi, xi in rel_pairs] + weightings_over(
         sr, list(R.codomain), len(R.codomain), value_bound))
     return Relation(tuple(domain), tuple(codomain), tuple(rel_pairs))
 

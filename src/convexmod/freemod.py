@@ -7,11 +7,18 @@ with no zero scalars, so structural equality coincides with
 extensional equality and the representation is canonical.
 
 Keys are usually interned strings (variable symbols), but every
-operation is generic in the key type: any value with a total order
-under ``sort_key`` works.  That generality is what lets the higher
-modules nest values, a weighting over symbol sets, over inner FinSupp
-values (the classical S(S X) layer), or over convex sets, without
-duplicating this module.
+operation is generic in the key type: any hashable value with a total
+order under ``sort_key`` works.  That generality is what lets the
+higher modules nest values, a weighting over symbol sets, over inner
+FinSupp values (the classical S(S X) layer), or over convex sets,
+without duplicating this module.
+
+Each value hashes once, at construction, from its semiring id and its
+entries; a nested FinSupp or ConvexSet key contributes its own cached
+hash, so hashing never descends to the scalars of inner values.  The
+precomputed ``_skey`` only orders and compares: it decides ``==``,
+``<`` and every sorted order.  Dedup dicts and sets are keyed by the
+values themselves, never by ``_skey``.
 
 The monad structure lives here too:
 
@@ -80,7 +87,7 @@ class FinSupp:
         object.__setattr__(self, "_skey", (
             2, semiring.id,
             tuple((sort_key(k), v) for k, v in entries)))
-        object.__setattr__(self, "_hash", hash(self._skey))
+        object.__setattr__(self, "_hash", hash((semiring.id, entries)))
 
     def __setattr__(self, name: str, value: Any):
         raise AttributeError("FinSupp is immutable")
@@ -145,18 +152,23 @@ def finsupp(sr: Semiring,
     """
     if isinstance(items, Mapping):
         items = items.items()
-    merged: dict[tuple, tuple[Key, Scalar]] = {}
+    merged: dict[Key, Scalar] = {}
     for k, v in items:
         v = sr.validate(v)
-        sk = sort_key(k)
-        if sk in merged:
-            merged[sk] = (merged[sk][0], sr.add(merged[sk][1], v))
+        if k in merged:
+            merged[k] = sr.add(merged[k], v)
         else:
-            merged[sk] = (k, v)
+            merged[k] = v
     entries = tuple(
-        (k, v) for _, (k, v) in sorted(merged.items(), key=lambda e: e[0])
-        if not sr.is_zero(v))
+        (k, merged[k]) for k in sorted(merged, key=sort_key)
+        if not sr.is_zero(merged[k]))
     return FinSupp(sr, entries, _trusted=True)
+
+
+def sorted_unique(values: Iterable) -> list:
+    """The distinct values in ``sort_key`` order, deduplicated by
+    their own hash and equality."""
+    return sorted(set(values), key=sort_key)
 
 
 def fs_zero(sr: Semiring) -> FinSupp:

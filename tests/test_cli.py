@@ -440,6 +440,38 @@ class TestUsage:
         assert code == 2
         assert "empty variable list" in err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["eval", "x", "--vars", "x,x"], "x"),
+        (["eval", "x | 2.y", "--vars", "y,x,y"], "y"),
+        (["eq", "--vars", "x,y,x", "x", "x"], "x"),
+        (["render", "--vars", "x,x", "x | 2.x"], "x"),
+    ], ids=["eval", "eval_polygon", "eq", "render"])
+    def test_duplicate_var_rejected(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: duplicate variable '{name}' in --vars\n"
+
+    def test_duplicate_var_json_diagnostic(self, capsys):
+        code, out, err = run(capsys, "eval", "x", "--vars", "x, x",
+                             "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "duplicate variable 'x' in --vars", "kind": "usage"}
+
+    def test_duplicate_var_in_render_set_json(self, capsys, tmp_path):
+        p = tmp_path / "set.json"
+        p.write_text(json.dumps({
+            "semiring": "qplus",
+            "generators": [{"x": "2"}, {"y": "5"}],
+        }), encoding="utf-8")
+        code, out, err = run(capsys, "render", "--set-json", str(p),
+                             "--vars", "y,y")
+        assert code == 2
+        assert out == ""
+        assert err == "error: duplicate variable 'y' in --vars\n"
+
     def test_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("CONVEXMOD_SEED", "not-a-number")
         code, _, err = run(capsys, "laws", "--suite", "appendixA")

@@ -32,7 +32,7 @@ from convexmod.convex import (
 )
 from convexmod.distlaw import _weighted_generator_hull
 from convexmod.errors import ConvexmodError, NotSemifieldError, SemiringMismatchError
-from convexmod.freemod import finsupp, fs_unit, fs_zero
+from convexmod.freemod import finsupp, fs_add, fs_scale, fs_unit, fs_zero
 from convexmod.semiring import BOOL, NAT, QPLUS
 
 
@@ -103,22 +103,84 @@ class TestAlpha:
         with pytest.raises(NotSemifieldError):
             alpha(family_weighting(NAT, [(A, 1)]))
 
-    def test_agrees_with_generator_choice_route(self):
+    @pytest.mark.parametrize("sr", [QPLUS, BOOL], ids=["qplus", "bool"])
+    def test_agrees_with_generator_choice_route(self, sr):
+        """The fold from the first scaled key gives exactly the
+        canonical generators of the one-hull route, also when a key
+        reaches ``finsupp`` without being canonicalized."""
         rng = random.Random(3)
-        for _ in range(40):
+        for _ in range(60):
             items = []
             for _ in range(rng.randint(0, 3)):
-                gens = [finsupp(QPLUS,
-                                [(x, Fraction(rng.randint(1, 4),
-                                              rng.randint(1, 3)))
-                                 for x in rng.sample(["x", "y", "z"],
-                                                     rng.randint(0, 2))])
+                gens = [_random_point(rng, sr)
                         for _ in range(rng.randint(0, 2))]
-                items.append((hull_canonicalize(gens, QPLUS),
-                              Fraction(rng.randint(1, 4))))
-            fam = family_weighting(QPLUS, items)
-            via_choices = _weighted_generator_hull(QPLUS, list(fam.items()))
-            assert cs_equal(alpha(fam), via_choices)
+                if gens and rng.random() < 0.5:
+                    # redundant generators, kept by convex_set
+                    gens += _redundant_points(rng, sr, gens)
+                    key = convex_set(sr, gens)
+                else:
+                    key = hull_canonicalize(gens, sr)
+                weight = 1 if sr is BOOL else Fraction(rng.randint(1, 4))
+                items.append((key, weight))
+            fam = finsupp(sr, items)
+            got = alpha(fam)
+            via_choices = _weighted_generator_hull(sr, list(fam.items()))
+            assert got.canonical
+            assert got.generators == via_choices.generators
+
+    @pytest.mark.parametrize("sr", [QPLUS, BOOL], ids=["qplus", "bool"])
+    def test_non_canonical_single_key(self, sr):
+        a, b = fs_unit(sr, "x"), fs_unit(sr, "y")
+        key = convex_set(sr, [a, b] + _redundant_points(
+            random.Random(0), sr, [a, b]))
+        assert not key.canonical and len(key.generators) > 2
+        weight = 1 if sr is BOOL else 3
+        got = alpha(finsupp(sr, [(key, weight)]))
+        assert got.canonical
+        assert got.generators == hull_canonicalize(
+            [fs_scale(weight, a), fs_scale(weight, b)], sr).generators
+
+    @pytest.mark.parametrize("sr", [QPLUS, BOOL], ids=["qplus", "bool"])
+    def test_empty_key_first_or_later_absorbs(self, sr):
+        A = H(sr, fs_unit(sr, "x"), fs_unit(sr, "y"))
+        for empty in (cs_empty(sr), convex_set(sr, [])):
+            got = alpha(finsupp(sr, [(empty, 1), (A, 1)]))
+            assert got.canonical and got.is_empty()
+            assert alpha(finsupp(sr, [(empty, 1)])).is_empty()
+
+    @pytest.mark.parametrize("sr", [QPLUS, BOOL], ids=["qplus", "bool"])
+    def test_empty_weighting_is_canonical_zero_point(self, sr):
+        got = alpha(fs_zero(sr))
+        assert got.canonical
+        assert got.generators == (fs_zero(sr),)
+
+
+def _random_point(rng, sr):
+    syms = rng.sample(["x", "y", "z"], rng.randint(0, 2))
+    if sr is BOOL:
+        return finsupp(BOOL, [(x, 1) for x in syms])
+    return finsupp(QPLUS, [(x, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+                           for x in syms])
+
+
+def _redundant_points(rng, sr, gens):
+    """Convex combinations of ``gens``: over qplus weighted averages,
+    over bool joins."""
+    out = []
+    for _ in range(rng.randint(1, 2)):
+        picks = [rng.choice(gens) for _ in range(rng.randint(2, 3))]
+        if sr is BOOL:
+            combo = fs_zero(BOOL)
+            for g in picks:
+                combo = fs_add(combo, g)
+        else:
+            weights = [Fraction(rng.randint(1, 3)) for _ in picks]
+            total = sum(weights)
+            combo = fs_zero(QPLUS)
+            for w, g in zip(weights, picks):
+                combo = fs_add(combo, fs_scale(w / total, g))
+        out.append(combo)
+    return out
 
 
 class TestPcOps:

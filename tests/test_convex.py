@@ -198,6 +198,50 @@ class TestCanonicalization:
                 assert not member(convex_set(QPLUS, rest), g)
 
 
+class TestHashContract:
+    """Equal sets hash equally whichever constructor built them; the
+    hash reads the generators' cached hashes, ``_skey`` decides
+    equality."""
+
+    @pytest.mark.parametrize("sr", [QPLUS, BOOL], ids=["qplus", "bool"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_convex_set_and_hull_agree(self, sr, data):
+        gens = data.draw(padded_generators(sr))
+        A = hull_canonicalize(gens, sr)
+        again = data.draw(st.permutations(
+            list(A.generators) + list(A.generators)))
+        B = convex_set(sr, again)
+        C = hull_canonicalize(list(reversed(again)), sr)
+        assert not B.canonical and C.canonical
+        assert A == B == C
+        assert hash(A) == hash(B) == hash(C)
+
+    @given(st.lists(st.tuples(st.sampled_from(SYMS), st.integers(0, 3)),
+                    min_size=1, max_size=3))
+    def test_int_and_fraction_generators(self, items):
+        a = convex_set(QPLUS, [qsupp(items)])
+        b = convex_set(QPLUS, [qsupp([(k, F(2 * v, 2)) for k, v in items])])
+        assert a == b and hash(a) == hash(b)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_convex_set_keys_nested(self, data):
+        gens = data.draw(padded_generators(QPLUS))
+        A = hull_canonicalize(gens, QPLUS)
+        B = convex_set(QPLUS, reversed(A.generators))
+        w = data.draw(st.fractions(min_value=F(1, 4), max_value=3,
+                                   max_denominator=4))
+        fa = finsupp(QPLUS, [(A, w), ((A, "x"), 1)])
+        fb = finsupp(QPLUS, [((B, "x"), F(1, 2)), (B, w), ((B, "x"), F(1, 2))])
+        assert fa == fb and hash(fa) == hash(fb)
+        # a set of weightings over sets, one level further up
+        outer_a = convex_set(QPLUS, [fa, fa])
+        outer_b = hull_canonicalize([fb], QPLUS)
+        assert outer_a == outer_b and hash(outer_a) == hash(outer_b)
+        assert len({A, B}) == 1 and len({outer_a, outer_b}) == 1
+
+
 class TestEquality:
     def test_permutation_invariance(self):
         g1, g2 = qsupp([("x", 1)]), qsupp([("y", 2)])

@@ -83,6 +83,54 @@ class TestConstruction:
         assert again == phi
 
 
+int_entries = st.lists(st.tuples(st.sampled_from(SYMS), st.integers(0, 4)),
+                      max_size=5)
+
+
+def _routes(items, rng):
+    """One function built three ways: int scalars, Fraction scalars in
+    reverse order, and every entry split into two halves, shuffled."""
+    halves = [(k, Fraction(v, 2)) for k, v in items for _ in (0, 1)]
+    rng.shuffle(halves)
+    return (qsupp(items),
+            qsupp([(k, Fraction(v)) for k, v in reversed(items)]),
+            qsupp(halves))
+
+
+class TestHashContract:
+    """Equal values hash equally, however they were built: a FinSupp
+    hashes its entries once, with nested keys contributing their own
+    cached hashes, while ``_skey`` decides equality."""
+
+    @given(int_entries, st.randoms(use_true_random=False))
+    def test_routes_agree(self, items, rng):
+        a, b, c = _routes(items, rng)
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+
+    @given(int_entries, int_entries, st.randoms(use_true_random=False))
+    def test_nested_finsupp_keys(self, inner, outer, rng):
+        x1, x2, x3 = _routes(inner, rng)
+        weights = [w for _k, w in outer]
+        nested = [
+            qsupp([(x1, w) for w in weights] + [((x1, "u"), 1)]),
+            qsupp([((x2, "u"), 1)] + [(x2, Fraction(w)) for w in weights]),
+            qsupp([((x3, "u"), Fraction(1, 2)), ((x3, "u"), Fraction(1, 2))]
+                  + [(x3, w) for w in reversed(weights)]),
+        ]
+        assert nested[0] == nested[1] == nested[2]
+        assert len({hash(n) for n in nested}) == 1
+        assert len(set(nested)) == 1
+
+    @given(st.lists(st.sampled_from(SYMS), max_size=4),
+           st.randoms(use_true_random=False))
+    def test_bool_duplicates(self, symbols, rng):
+        doubled = [(s, 1) for s in symbols] * 2
+        rng.shuffle(doubled)
+        a, b = bsupp(symbols), finsupp(BOOL, doubled)
+        assert a == b and hash(a) == hash(b)
+
+
 class TestFunctorAction:
     def test_fibre_sums(self):
         phi = qsupp([("x", Fraction(1, 2)),

@@ -1,3 +1,4 @@
+import ast
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -218,3 +219,62 @@ class TestHandleFacts:
                 path.read_text(encoding="utf-8").splitlines(), start=1)
             if pattern.search(line)]
         assert found == []
+
+    def test_no_module_hashes_a_sort_key(self):
+        """Dedup dicts and sets key on the values, whose hash is cached;
+        hashing an ``_skey`` would rehash every nested scalar."""
+        src = Path(__file__).resolve().parents[1] / "src" / "convexmod"
+        found = [
+            f"{path.name}:{lineno}"
+            for path in sorted(src.glob("*.py"))
+            for lineno in skey_hash_sites(
+                ast.parse(path.read_text(encoding="utf-8")))]
+        assert found == []
+
+    def test_scan_flags_each_hashing_form(self):
+        code = """
+seen[phi._skey] = phi
+out = {A._skey: A for A in sets}
+keys = {(p._skey, q._skey) for p, q in pairs}
+same = {p._skey for p in a} == set(p._skey for p in b)
+if A._skey in collapsed:
+    pass
+h = hash(self._skey)
+d = {self._skey: 1}
+ok = self._skey == other._skey and sorted(xs, key=lambda p: p._skey)
+"""
+        assert skey_hash_sites(ast.parse(code)) == [2, 3, 4, 5, 5, 6, 8, 9]
+
+
+HASHING_CALLS = {"hash", "set", "frozenset", "fromkeys", "add",
+                 "setdefault", "get", "pop", "discard", "remove"}
+
+
+def skey_hash_sites(tree: ast.AST) -> list[int]:
+    """Sorted line numbers where an expression reading ``._skey`` is
+    hashed: a subscript, a dict or set key, an ``in`` test, or the
+    first argument of a hashing call."""
+    hashed = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            hashed.append(node.slice)
+        elif isinstance(node, ast.Dict):
+            hashed.extend(k for k in node.keys if k is not None)
+        elif isinstance(node, ast.DictComp):
+            hashed.append(node.key)
+        elif isinstance(node, ast.Set):
+            hashed.extend(node.elts)
+        elif isinstance(node, ast.SetComp):
+            hashed.append(node.elt)
+        elif isinstance(node, ast.Compare):
+            if any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
+                hashed.append(node.left)
+        elif isinstance(node, ast.Call) and node.args:
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in HASHING_CALLS:
+                hashed.append(node.args[0])
+    return sorted(
+        part.lineno for part in hashed
+        if any(isinstance(n, ast.Attribute) and n.attr == "_skey"
+               for n in ast.walk(part)))

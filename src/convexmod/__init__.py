@@ -27,6 +27,7 @@ from .convex import (
     canonicalize,
     convex_set,
     cs_add,
+    cs_compare,
     cs_empty,
     cs_equal,
     cs_from_json,

@@ -27,11 +27,13 @@ Identical (argv, CONVEXMOD_SEED) runs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
-from .convex import ConvexSet, cs_equal, cs_from_json, cs_to_csv, member
+from .convex import (ConvexSet, cs_compare, cs_equal, cs_from_json,
+                     cs_to_csv, member)
 from .distlaw import (
     SYMBOL_POOL,
     Relation,
@@ -172,28 +174,11 @@ def _cmd_eq(args, out) -> int:
         else:
             print("equal", file=out)
         return EXIT_OK
-    witness = None
-    side = None
-    for g in A.generators:
-        if not member(B, g):
-            witness, side = g, "left"
-            break
-    if witness is None:
-        for g in B.generators:
-            if not member(A, g):
-                witness, side = g, "right"
-                break
-    if witness is None:
-        # equal generators cannot disagree, so one side must be empty
-        side = "left" if A.is_empty() else "right"
-        text = "bot"
-        wjson = None
-    else:
-        text = _fmt_gen(witness, sr)
-        wjson = witness.to_json_dict()
+    side, witness = cs_compare(A, B)
+    text = _fmt_gen(witness, sr)
     if args.format == "json":
-        print(json.dumps({"equal": False, "side": side, "witness": wjson}),
-              file=out)
+        print(json.dumps({"equal": False, "side": side,
+                          "witness": witness.to_json_dict()}), file=out)
     elif args.format == "csv":
         print(f"equal,side,witness\nfalse,{side},\"{text}\"", file=out)
     else:
@@ -245,7 +230,10 @@ def _report_lines(reports, fmt) -> list[str]:
 
 
 def _cmd_laws(args, out) -> int:
-    sr = get_semiring(args.semiring)
+    if args.suite == "appendixA" and args.semiring not in (None, "bool"):
+        raise ConvexmodError(
+            f"appendixA runs over bool only; got --semiring {args.semiring}")
+    sr = get_semiring(args.semiring or "qplus")
     seed = args.seed
     if args.suite == "weakdist":
         reports = check_weak_law(sr, xsize=args.xsize or 2,
@@ -377,7 +365,10 @@ def _cmd_render(args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one; parsing leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="convexmod",
         description="convex sets of semiring weightings: evaluate terms, "
@@ -385,10 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "law, emit plot data")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, semiring=True):
-        if semiring:
-            p.add_argument("--semiring", choices=("bool", "qplus", "nat"),
-                           default="qplus")
+    def common(p, semiring="qplus"):
+        p.add_argument("--semiring", choices=("bool", "qplus", "nat"),
+                       default=semiring)
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="text")
         p.add_argument("--seed", type=int, default=0,
@@ -409,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eq)
 
     p = sub.add_parser("laws", help="run a law suite")
-    common(p)
+    # None: each suite takes its own default (qplus, or bool for
+    # appendixA, which runs over bool only)
+    common(p, semiring=None)
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--xsize", type=int, default=None,
                    help="symbol count (default: suite-specific)")
@@ -436,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     env_seed = os.environ.get("CONVEXMOD_SEED")
     if env_seed is not None and hasattr(args, "seed"):
         try:

@@ -71,8 +71,10 @@ def family_weighting(sr: Semiring,
 
 def alpha(Phi: ConvexFamilyWeighting) -> ConvexSet:
     """Resolve a weighting of convex sets to one convex set: the
-    Minkowski sum of the scaled keys.  Not available over nat, whose
-    hulls cannot absorb the missing choices.
+    Minkowski sum of the scaled keys, the one weighted Minkowski sum
+    of the library (the diagram checks of ``distlaw`` call it too).
+    Not available over nat, whose hulls cannot absorb the missing
+    choices.
 
     The fold starts from the first scaled key instead of {epsilon}.
     Over a positive semifield, scaling by a nonzero lambda is a

@@ -262,17 +262,29 @@ def canonicalize(A: ConvexSet) -> ConvexSet:
     return hull_canonicalize(A.generators, A.semiring)
 
 
-def cs_equal(A: ConvexSet, B: ConvexSet) -> bool:
-    """Set equality of hulls, decided by mutual generator membership."""
+def cs_compare(A: ConvexSet, B: ConvexSet
+               ) -> tuple[str, FinSupp] | None:
+    """None when the hulls are equal, else ``(side, witness)``: the
+    first generator of A outside B's hull ("left"), else the first of
+    B outside A's hull ("right").  Against an empty set, the other
+    side's first generator is always the witness."""
     if A.semiring.id != B.semiring.id:
         raise SemiringMismatchError(
             f"comparing sets over {A.semiring.id} and {B.semiring.id}")
-    if A.canonical and B.canonical:
+    for side, X, Y in (("left", A, B), ("right", B, A)):
+        for g in X.generators:
+            if not member(Y, g):
+                return side, g
+    return None
+
+
+def cs_equal(A: ConvexSet, B: ConvexSet) -> bool:
+    """Set equality of hulls: canonical forms are unique, so two
+    canonical sets compare structurally, otherwise ``cs_compare``
+    decides by mutual generator membership."""
+    if A.canonical and B.canonical and A.semiring.id == B.semiring.id:
         return A.generators == B.generators
-    if A.is_empty() or B.is_empty():
-        return A.is_empty() and B.is_empty()
-    return (all(member(B, g) for g in A.generators)
-            and all(member(A, g) for g in B.generators))
+    return cs_compare(A, B) is None
 
 
 def extreme_points(A: ConvexSet) -> tuple[FinSupp, ...]:

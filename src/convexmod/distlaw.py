@@ -29,17 +29,22 @@ exactly when scalar sums to one force a zero), the pentagon coherence
 checker for composite algebras, the Barr extension of a relation, and
 the deliberately naive extension that sends a relation R to the
 function A |-> {y : exists a in A with a R y} together with its
-one-point weak law.
+one-point weak law.  Each suite only draws its instances and states a
+per-instance check; one driver, ``_law_report``, runs the checks and
+builds every report.  A leg that resolves a weighting of convex sets
+calls ``composite.alpha``, the library's one weighted Minkowski sum.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
+from .composite import alpha
 from .convex import (
     ConvexSet,
     convex_set,
@@ -52,10 +57,8 @@ from .errors import ConvexmodError, NotSemifieldError, SemiringMismatchError
 from .freemod import (
     FinSupp,
     finsupp,
-    fs_add,
     fs_map,
     fs_mult,
-    fs_scale,
     fs_unit,
     fs_zero,
     sorted_unique,
@@ -68,7 +71,7 @@ from .report import (
     MODE_RANDOMIZED,
     PASS,
 )
-from .semiring import Scalar, Semiring
+from .semiring import BOOL, Scalar, Semiring
 
 # Weightings over set-shaped keys reuse the finitely supported map
 # type; the constructors below canonicalize the keys.
@@ -237,30 +240,33 @@ def delta_witness_check(Phi: SetWeighting, phi: FinSupp,
 
 
 # ---------------------------------------------------------------------------
-# shared evaluation helpers for the diagram checkers
+# the suite driver and shared instance pools
 # ---------------------------------------------------------------------------
 
-def _weighted_generator_hull(sr: Semiring,
-                             weighted_sets: Sequence[tuple[ConvexSet, Scalar]]
-                             ) -> ConvexSet:
-    """Hull of { sum_i w_i * g_i : g_i a generator of the i-th set }.
+def _law_report(name: str, sr: Semiring, mode: str, instances: Iterable,
+                check: Callable[[Any], dict | None], detail: str = "",
+                meta: Mapping | None = None, fail_detail: str = "",
+                fail_meta: Mapping | None = None) -> LawReport:
+    """Run one law over its instances in order: ``check`` maps an
+    instance to None where the law holds, else to a counterexample.
+    The first counterexample ends the run, drawing no later instance,
+    with a FAIL report carrying ``fail_detail`` and ``fail_meta``;
+    otherwise the report passes with ``detail`` and ``meta``."""
+    for instance in instances:
+        counterexample = check(instance)
+        if counterexample is not None:
+            return LawReport(name=name, semiring=sr.id, status=FAIL,
+                             mode=mode, detail=fail_detail,
+                             counterexample=counterexample,
+                             meta=dict(fail_meta or {}))
+    return LawReport(name=name, semiring=sr.id, status=PASS, mode=mode,
+                     detail=detail, meta=dict(meta or {}))
 
-    This is the composite leg "law, then elementwise multiplication,
-    then closure" reduced to generators; an empty set among the keys
-    kills every choice, and an empty key list leaves the single empty
-    sum, the zero weighting."""
-    gen_lists = []
-    weights = []
-    for A, w in weighted_sets:
-        gen_lists.append(A.generators)
-        weights.append(w)
-    members = []
-    for picks in itertools.product(*gen_lists):
-        acc = fs_zero(sr)
-        for w, g in zip(weights, picks):
-            acc = fs_add(acc, fs_scale(w, g))
-        members.append(acc)
-    return hull_canonicalize(members, sr)
+
+def _unless(holds: bool, **counterexample) -> dict | None:
+    """A check's verdict on one instance: None when the law holds,
+    otherwise the counterexample, keys in the order given."""
+    return None if holds else counterexample
 
 
 def weightings_over(sr: Semiring, pool: Sequence, max_support: int,
@@ -291,10 +297,6 @@ def _random_qplus_weighting(rng: random.Random, sr: Semiring,
     return finsupp(sr, [(k, _random_fraction(rng)) for k in chosen])
 
 
-# ---------------------------------------------------------------------------
-# weak-law diagram checks
-# ---------------------------------------------------------------------------
-
 def _sets_universe(universe: Sequence[str]) -> list[tuple]:
     """All subsets of the universe as canonical tuples, empty included."""
     out = []
@@ -303,148 +305,103 @@ def _sets_universe(universe: Sequence[str]) -> list[tuple]:
     return sorted(out, key=lambda t: (len(t), t))
 
 
-def _check_eta_P_triangle(sr: Semiring, universe, phis,
-                          mode: str) -> LawReport:
+# ---------------------------------------------------------------------------
+# weak-law diagram checks
+# ---------------------------------------------------------------------------
+
+def _eta_P_violation(phi: FinSupp) -> dict | None:
     """Unit triangle that weak laws keep: wrapping every element of a
     weighting into a one-element set and applying the law returns the
     singleton of the original weighting."""
-    for phi in phis:
-        Phi = set_weighting(sr, [((x,), phi.value(x)) for x in phi.support()])
-        if sr.enumeration is not None:
-            got = delta_bruteforce(Phi)
-            ok = got == [phi]
-        else:
-            got = delta_hull(Phi)
-            ok = cs_equal(got, hull_canonicalize([phi], sr))
-        if not ok:
-            return LawReport(
-                name="eta_P_triangle", semiring=sr.id, status=FAIL,
-                mode=mode, counterexample={"phi": phi, "law_value": got})
-    return LawReport(name="eta_P_triangle", semiring=sr.id, status=PASS,
-                     mode=mode, meta={"instances": len(phis)})
+    sr = phi.semiring
+    Phi = set_weighting(sr, [((x,), phi.value(x)) for x in phi.support()])
+    if sr.enumeration is not None:
+        got = delta_bruteforce(Phi)
+        ok = got == [phi]
+    else:
+        got = delta_hull(Phi)
+        ok = cs_equal(got, hull_canonicalize([phi], sr))
+    return _unless(ok, phi=phi, law_value=got)
 
 
-def _check_mu_S_rectangle_extensional(sr: Semiring, xis, mode) -> LawReport:
+def _mu_S_violation_listed(xi: FinSupp) -> dict | None:
     """Multiplication rectangle on the weighting side, evaluated
     extensionally (enumerable carriers): collapsing a two-level
     weighting first and applying the law equals applying the law
     levelwise, then the law again on the level-two weighting, then
     collapsing each result."""
-    for xi in xis:
-        left = delta_bruteforce(fs_mult(xi))
-        mapped = finsupp(
-            sr, [(tuple(delta_bruteforce(K)), w) for K, w in xi.items()])
-        right = sorted_unique(
-            fs_mult(e) for e in delta_bruteforce(mapped))
-        if left != right:
-            return LawReport(
-                name="mu_S_rectangle", semiring=sr.id, status=FAIL, mode=mode,
-                counterexample={"xi": xi, "left": left, "right": right})
-    return LawReport(name="mu_S_rectangle", semiring=sr.id, status=PASS,
-                     mode=mode, meta={"instances": len(xis)})
+    left = delta_bruteforce(fs_mult(xi))
+    mapped = finsupp(
+        xi.semiring, [(tuple(delta_bruteforce(K)), w) for K, w in xi.items()])
+    right = sorted_unique(fs_mult(e) for e in delta_bruteforce(mapped))
+    return _unless(left == right, xi=xi, left=left, right=right)
 
 
-def _check_mu_S_rectangle_hull(sr: Semiring, xis, mode) -> LawReport:
+def _mu_S_violation_hull(xi: FinSupp) -> dict | None:
     """Same rectangle without a finite carrier (qplus).  The right leg
-    is the law applied levelwise (giving convex sets), then the
-    weighted-generator hull, which is the generator-level reduction of
+    is the law applied levelwise (giving convex sets), then ``alpha``,
+    the weighted Minkowski sum that is the generator-level reduction of
     law-then-collapse."""
-    for xi in xis:
-        left = delta_hull(fs_mult(xi))
-        # Equal law values merge by adding their weights: over a
-        # semifield w1*A + w2*A = (w1+w2)*A for convex A.
-        collapsed = finsupp(sr, [(delta_hull(K), w) for K, w in xi.items()])
-        right = _weighted_generator_hull(sr, list(collapsed.items()))
-        if not cs_equal(left, right):
-            return LawReport(
-                name="mu_S_rectangle", semiring=sr.id, status=FAIL, mode=mode,
-                counterexample={"xi": xi, "left": left, "right": right})
-    return LawReport(name="mu_S_rectangle", semiring=sr.id, status=PASS,
-                     mode=mode, meta={"instances": len(xis)})
+    left = delta_hull(fs_mult(xi))
+    # Equal law values merge by adding their weights: over a
+    # semifield w1*A + w2*A = (w1+w2)*A for convex A.
+    right = alpha(finsupp(xi.semiring,
+                          [(delta_hull(K), w) for K, w in xi.items()]))
+    return _unless(cs_equal(left, right), xi=xi, left=left, right=right)
 
 
 def _union_key(A_of_sets: tuple) -> tuple:
     return set_key(x for A in A_of_sets for x in A)
 
 
-def _check_mu_P_rectangle_extensional(sr: Semiring, thetas, mode) -> LawReport:
+def _mu_P_violation_listed(theta: FinSupp) -> dict | None:
     """Multiplication rectangle on the set side (enumerable carriers):
     uniting each family of sets first and applying the law equals
     applying the law to the family weighting, then the law to each
     resulting set weighting, then uniting the outputs."""
-    for theta in thetas:
-        merged = finsupp(sr, [(_union_key(K), w) for K, w in theta.items()])
-        left = delta_bruteforce(merged)
-        right_items: list[FinSupp] = []
-        for chi in delta_bruteforce(theta):
-            right_items.extend(delta_bruteforce(chi))
-        right = sorted_unique(right_items)
-        if left != right:
-            return LawReport(
-                name="mu_P_rectangle", semiring=sr.id, status=FAIL, mode=mode,
-                counterexample={"theta": theta, "left": left, "right": right})
-    return LawReport(name="mu_P_rectangle", semiring=sr.id, status=PASS,
-                     mode=mode, meta={"instances": len(thetas)})
+    merged = finsupp(theta.semiring,
+                     [(_union_key(K), w) for K, w in theta.items()])
+    left = delta_bruteforce(merged)
+    right_items: list[FinSupp] = []
+    for chi in delta_bruteforce(theta):
+        right_items.extend(delta_bruteforce(chi))
+    right = sorted_unique(right_items)
+    return _unless(left == right, theta=theta, left=left, right=right)
 
 
-def _check_mu_P_rectangle_hull(sr: Semiring, thetas, mode) -> LawReport:
+def _mu_P_violation_hull(theta: FinSupp) -> dict | None:
     """qplus version.  The right leg reduces to the choice weightings
     of the family: the union over a whole hull of convex sets equals
     the hull of the union over its generators."""
-    for theta in thetas:
-        merged = finsupp(sr, [(_union_key(K), w) for K, w in theta.items()])
-        left = delta_hull(merged)
-        right = cs_join_all(
-            [delta_hull(chi) for chi in choice_set(theta)], sr)
-        if not cs_equal(left, right):
-            return LawReport(
-                name="mu_P_rectangle", semiring=sr.id, status=FAIL, mode=mode,
-                counterexample={"theta": theta, "left": left, "right": right})
-    return LawReport(name="mu_P_rectangle", semiring=sr.id, status=PASS,
-                     mode=mode, meta={"instances": len(thetas)})
+    sr = theta.semiring
+    merged = finsupp(sr, [(_union_key(K), w) for K, w in theta.items()])
+    left = delta_hull(merged)
+    right = cs_join_all([delta_hull(chi) for chi in choice_set(theta)], sr)
+    return _unless(cs_equal(left, right), theta=theta, left=left,
+                   right=right)
 
 
-def _check_eta_S_triangle(sr: Semiring, sets_pool, mode) -> LawReport:
+def _eta_S_violation(sr: Semiring, A: tuple) -> dict | None:
     """The dropped unit triangle: the law on the one-set weighting of A
     against the plain set of one-element weightings of A.  Holds iff
     sums to one force a zero summand; fails already at a two-element
     set otherwise, and the counterexample is reported."""
-    for A in sets_pool:
-        Phi = set_weighting(sr, [(A, sr.one)])
-        diracs = sorted_unique(fs_unit(sr, x) for x in A)
-        if sr.enumeration is not None:
-            got = delta_bruteforce(Phi)
-            if got != diracs:
-                extra = next(p for p in got if p not in diracs)
-                return LawReport(
-                    name="eta_S_triangle", semiring=sr.id, status=FAIL,
-                    mode=mode,
-                    detail="law output strictly contains the one-element "
-                           "weightings",
-                    counterexample={"A": A, "law_value": got,
-                                    "units_only": diracs, "extra": extra},
-                    meta={"expected": FAIL})
-        else:
-            hull = delta_hull(Phi)
-            point_set = convex_set(sr, diracs)
-            if len(A) >= 2:
-                avg = finsupp(
-                    sr, [(x, Fraction(1, len(A))) for x in A])
-                if member(hull, avg) and avg not in diracs:
-                    return LawReport(
-                        name="eta_S_triangle", semiring=sr.id, status=FAIL,
-                        mode=mode,
-                        detail="hull of one-element weightings contains "
-                               "their average, the plain set does not",
-                        counterexample={"A": A, "hull": hull,
-                                        "units_only": point_set,
-                                        "extra": avg},
-                        meta={"expected": FAIL})
-    status = PASS
-    return LawReport(name="eta_S_triangle", semiring=sr.id, status=status,
-                     mode=mode, detail="triangle holds",
-                     meta={"instances": len(sets_pool),
-                           "expected": PASS})
+    Phi = set_weighting(sr, [(A, sr.one)])
+    diracs = sorted_unique(fs_unit(sr, x) for x in A)
+    if sr.enumeration is not None:
+        got = delta_bruteforce(Phi)
+        if got != diracs:
+            extra = next(p for p in got if p not in diracs)
+            return {"A": A, "law_value": got, "units_only": diracs,
+                    "extra": extra}
+        return None
+    hull = delta_hull(Phi)
+    if len(A) >= 2:
+        avg = finsupp(sr, [(x, Fraction(1, len(A))) for x in A])
+        if member(hull, avg) and avg not in diracs:
+            return {"A": A, "hull": hull,
+                    "units_only": convex_set(sr, diracs), "extra": avg}
+    return None
 
 
 def check_weak_law(sr: Semiring, xsize: int = 2, trials: int = 50,
@@ -460,7 +417,8 @@ def check_weak_law(sr: Semiring, xsize: int = 2, trials: int = 50,
     """
     universe = list(SYMBOL_POOL[:xsize])
     sets_pool = _sets_universe(universe)
-    reports: list[LawReport] = []
+    families = [set_key(f) for r in range(0, 3)
+                for f in itertools.combinations(sets_pool, r)]
 
     if sr.enumeration is not None:
         mode = sr.enumeration
@@ -471,40 +429,42 @@ def check_weak_law(sr: Semiring, xsize: int = 2, trials: int = 50,
         level1 = weightings_over(sr, sets_pool, 2, value_bound)
         xis = weightings_over(sr, level1[:40] if bounded else level1, 2,
                               value_bound)
-        families = [set_key(f) for r in range(0, 3)
-                    for f in itertools.combinations(sets_pool, r)]
         thetas = weightings_over(sr, families[:15] if bounded else families,
                                  2, value_bound)
-        reports.append(_check_eta_P_triangle(sr, universe, phis, mode))
-        reports.append(_check_mu_S_rectangle_extensional(sr, xis, mode))
-        reports.append(_check_mu_P_rectangle_extensional(sr, thetas, mode))
-        reports.append(_check_eta_S_triangle(sr, sets_pool, mode))
-        return reports
+        mu_S, mu_P = _mu_S_violation_listed, _mu_P_violation_listed
+        eta_S_failure = "law output strictly contains the one-element " \
+                        "weightings"
+    else:
+        # The checks draw nothing, so drawing every pool up front keeps
+        # the stream of the seed.
+        rng = random.Random(seed)
+        mode = MODE_RANDOMIZED
+        phis = [_random_qplus_weighting(rng, sr, universe, len(universe))
+                for _ in range(trials)]
+        level1 = [_random_qplus_weighting(rng, sr, sets_pool, 2)
+                  for _ in range(trials)]
+        xis = [_random_qplus_weighting(rng, sr, level1, 2)
+               for _ in range(trials)]
+        thetas = [_random_qplus_weighting(rng, sr, families, 2)
+                  for _ in range(trials)]
+        mu_S, mu_P = _mu_S_violation_hull, _mu_P_violation_hull
+        eta_S_failure = "hull of one-element weightings contains their " \
+                        "average, the plain set does not"
 
-    rng = random.Random(seed)
-    mode = MODE_RANDOMIZED
-    phis = [_random_qplus_weighting(rng, sr, universe, len(universe))
-            for _ in range(trials)]
-    reports.append(_check_eta_P_triangle(sr, universe, phis, mode))
-
-    level1 = [_random_qplus_weighting(rng, sr, sets_pool, 2)
-              for _ in range(trials)]
-    xis = []
-    for _ in range(trials):
-        size = rng.randint(0, 2)
-        keys = rng.sample(level1, min(size, len(level1)))
-        xis.append(finsupp(
-            sr, [(k, _random_fraction(rng)) for k in keys]))
-    reports.append(_check_mu_S_rectangle_hull(sr, xis, mode))
-
-    families = [set_key(f) for r in range(0, 3)
-                for f in itertools.combinations(sets_pool, r)]
-    thetas = [_random_qplus_weighting(rng, sr, families, 2)
-              for _ in range(trials)]
-    reports.append(_check_mu_P_rectangle_hull(sr, thetas, mode))
-
-    reports.append(_check_eta_S_triangle(sr, sets_pool, mode))
-    return reports
+    return [
+        _law_report("eta_P_triangle", sr, mode, phis, _eta_P_violation,
+                    meta={"instances": len(phis)}),
+        _law_report("mu_S_rectangle", sr, mode, xis, mu_S,
+                    meta={"instances": len(xis)}),
+        _law_report("mu_P_rectangle", sr, mode, thetas, mu_P,
+                    meta={"instances": len(thetas)}),
+        _law_report("eta_S_triangle", sr, mode, sets_pool,
+                    functools.partial(_eta_S_violation, sr),
+                    detail="triangle holds",
+                    meta={"instances": len(sets_pool), "expected": PASS},
+                    fail_detail=eta_S_failure,
+                    fail_meta={"expected": FAIL}),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +480,38 @@ def _map_set_weighting(f: Mapping, Phi: SetWeighting) -> SetWeighting:
                         for A, w in Phi.items()])
 
 
+def _weight_one_instances(sr: Semiring, universe: Sequence[str],
+                          sizes: Iterable[int]) -> Iterator[tuple]:
+    """Every weight-one family of ``sizes`` nonempty subsets of the
+    universe, paired with every self-map of the universe, in order."""
+    nonempty = [s for s in _sets_universe(universe) if s]
+    for r in sizes:
+        for fam in itertools.combinations(nonempty, r):
+            Phi = set_weighting(sr, [(A, sr.one) for A in fam])
+            for f_vals in itertools.product(universe, repeat=len(universe)):
+                yield Phi, dict(zip(universe, f_vals))
+
+
+def _naturality_violation_hull(instance: tuple) -> dict | None:
+    Phi, f = instance
+    left = delta_hull(_map_set_weighting(f, Phi))
+    right = hull_canonicalize(
+        [fs_map(f, g) for g in delta_hull(Phi).generators], Phi.semiring)
+    return _unless(cs_equal(left, right), Phi=Phi, f=f, left=left,
+                   right=right)
+
+
+def _naturality_violation_listed(law: Callable, instance: tuple
+                                 ) -> dict | None:
+    """Naturality of a law that lists its weightings (the brute force
+    or the bare choice set): the law of the mapped set weighting
+    against the mapped outputs of the law."""
+    Phi, f = instance
+    left = sorted_unique(law(_map_set_weighting(f, Phi)))
+    right = sorted_unique(fs_map(f, phi) for phi in law(Phi))
+    return _unless(left == right, Phi=Phi, f=f, left=left, right=right)
+
+
 def check_naturality(sr: Semiring, xsize: int = 3, trials: int = 50,
                      seed: int = 0) -> list[LawReport]:
     """Two findings: the hull route is natural (checked on random qplus
@@ -527,92 +519,35 @@ def check_naturality(sr: Semiring, xsize: int = 3, trials: int = 50,
     choice set is not, and a violating instance must be found by
     search.  The search widens its universe rather than pass silently.
     """
-    reports = []
     universe = list(SYMBOL_POOL[:xsize])
-
     if sr.enumeration is None:
         rng = random.Random(seed)
         sets_pool = [s for s in _sets_universe(universe) if s]
-        ok = True
-        witness = None
-        for _ in range(trials):
-            Phi = _random_qplus_weighting(rng, sr, sets_pool, 3)
-            f = {x: rng.choice(universe) for x in universe}
-            left = delta_hull(_map_set_weighting(f, Phi))
-            right = hull_canonicalize(
-                [fs_map(f, g) for g in delta_hull(Phi).generators], sr)
-            if not cs_equal(left, right):
-                ok = False
-                witness = {"Phi": Phi, "f": f, "left": left, "right": right}
-                break
-        reports.append(LawReport(
-            name="delta_naturality", semiring=sr.id,
-            status=PASS if ok else FAIL, mode=MODE_RANDOMIZED,
-            counterexample=witness, meta={"trials": trials, "seed": seed}))
+        # Phi is drawn before f in every trial.
+        instances = ((_random_qplus_weighting(rng, sr, sets_pool, 3),
+                      {x: rng.choice(universe) for x in universe})
+                     for _ in range(trials))
+        delta = _law_report("delta_naturality", sr, MODE_RANDOMIZED,
+                            instances, _naturality_violation_hull,
+                            meta={"trials": trials, "seed": seed},
+                            fail_meta={"trials": trials, "seed": seed})
     else:
-        nonempty = [s for s in _sets_universe(universe) if s]
-        ok = True
-        witness = None
-        for r in range(0, 3):
-            for fam in itertools.combinations(nonempty, r):
-                Phi = set_weighting(sr, [(A, 1) for A in fam])
-                for f_vals in itertools.product(universe, repeat=len(universe)):
-                    f = dict(zip(universe, f_vals))
-                    left = delta_bruteforce(_map_set_weighting(f, Phi))
-                    right = sorted_unique(
-                        fs_map(f, phi) for phi in delta_bruteforce(Phi))
-                    if left != right:
-                        ok = False
-                        witness = {"Phi": Phi, "f": f,
-                                   "left": left, "right": right}
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        reports.append(LawReport(
-            name="delta_naturality", semiring=sr.id,
-            status=PASS if ok else FAIL,
-            mode=MODE_BOUNDED, counterexample=witness))
-
-    found = _search_choice_naturality_violation(sr, xsize)
-    if found is not None:
-        reports.append(LawReport(
-            name="choice_naturality", semiring=sr.id, status=FAIL,
-            mode=MODE_BOUNDED,
-            detail="bare choice set is not natural; violation found",
-            counterexample=found, meta={"expected": FAIL}))
-    else:
-        reports.append(LawReport(
-            name="choice_naturality", semiring=sr.id, status=PASS,
-            mode=MODE_BOUNDED,
-            detail="no violation found even after widening the search; "
-                   "this contradicts the expected non-naturality",
-            meta={"expected": FAIL}))
-    return reports
-
-
-def _search_choice_naturality_violation(sr: Semiring, xsize: int):
-    """Deterministic search for a naturality violation of the bare
-    choice construction over bool-style weight-one families.  Widens
-    the universe up to six symbols before giving up."""
-    one = sr.one
-    for size in range(max(2, xsize), 7):
-        universe = list(SYMBOL_POOL[:size])
-        nonempty = [s for s in _sets_universe(universe) if s]
-        for r in range(1, 4):
-            for fam in itertools.combinations(nonempty, r):
-                Phi = set_weighting(sr, [(A, one) for A in fam])
-                base = choice_set(Phi)
-                for f_vals in itertools.product(universe,
-                                                repeat=len(universe)):
-                    f = dict(zip(universe, f_vals))
-                    left = sorted_unique(choice_set(_map_set_weighting(f, Phi)))
-                    right = sorted_unique(fs_map(f, phi) for phi in base)
-                    if left != right:
-                        return {"Phi": Phi, "f": f,
-                                "left": left, "right": right}
-    return None
+        delta = _law_report("delta_naturality", sr, MODE_BOUNDED,
+                            _weight_one_instances(sr, universe, (0, 1, 2)),
+                            functools.partial(_naturality_violation_listed,
+                                              delta_bruteforce))
+    search = (instance for size in range(max(2, xsize), 7)
+              for instance in _weight_one_instances(
+                  sr, SYMBOL_POOL[:size], (1, 2, 3)))
+    choice = _law_report(
+        "choice_naturality", sr, MODE_BOUNDED, search,
+        functools.partial(_naturality_violation_listed, choice_set),
+        detail="no violation found even after widening the search; "
+               "this contradicts the expected non-naturality",
+        meta={"expected": FAIL},
+        fail_detail="bare choice set is not natural; violation found",
+        fail_meta={"expected": FAIL})
+    return [delta, choice]
 
 
 # ---------------------------------------------------------------------------
@@ -703,18 +638,15 @@ def pentagon_check(algebra: str, Phi: SetWeighting) -> LawReport:
     joining the results.
 
     algebra = "free": carrier is the convex sets over the weighting's
-    semiring; joins are hulls of unions, the weighted sum is the
-    generator-choice hull.  algebra = "interval": carrier is rational
-    intervals with direct endpoint arithmetic, over qplus.
+    semiring; joins are hulls of unions, the weighted sum is ``alpha``.
+    algebra = "interval": carrier is rational intervals with direct
+    endpoint arithmetic, over qplus.
     """
     sr = Phi.semiring
     if algebra == "free":
-        left_inner = finsupp(
-            sr, [(cs_join_all(list(K), sr), w) for K, w in Phi.items()])
-        left = _weighted_generator_hull(sr, list(left_inner.items()))
-        right = cs_join_all(
-            [_weighted_generator_hull(sr, list(chi.items()))
-             for chi in choice_set(Phi)], sr)
+        left = alpha(finsupp(
+            sr, [(cs_join_all(list(K), sr), w) for K, w in Phi.items()]))
+        right = cs_join_all([alpha(chi) for chi in choice_set(Phi)], sr)
         ok = cs_equal(left, right)
     elif algebra == "interval":
         left_phi = finsupp(sr, [(iv_sup(K), w) for K, w in Phi.items()])
@@ -746,6 +678,40 @@ def _carrier_sets(sr: Semiring, universe: Sequence[str]
         for combo in itertools.combinations(phis, r))
 
 
+def _random_free_families(rng: random.Random, sr: Semiring,
+                          universe: Sequence[str], trials: int
+                          ) -> Iterator[FinSupp]:
+    """Seeded weightings of families of one or two random hulls."""
+    for _ in range(trials):
+        sets = []
+        for _ in range(rng.randint(1, 2)):
+            gens = [_random_qplus_weighting(rng, sr, universe, len(universe))
+                    for _ in range(rng.randint(1, 2))]
+            sets.append(hull_canonicalize(gens, sr))
+        keys = []
+        for _ in range(rng.randint(1, 2)):
+            fam = tuple(rng.sample(sets, rng.randint(1, len(sets))))
+            keys.append((set_key(fam), _random_fraction(rng)))
+        yield finsupp(sr, keys)
+
+
+def _random_interval_families(rng: random.Random, sr: Semiring,
+                              trials: int) -> Iterator[FinSupp]:
+    """Seeded weightings of families of random intervals, the empty
+    interval among them one time in five."""
+    for _ in range(trials):
+        ivs = [Interval(*sorted((_random_fraction(rng, allow_zero=True),
+                                 _random_fraction(rng, allow_zero=True))))
+               for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.2:
+            ivs.append(IV_EMPTY)
+        keys = []
+        for _ in range(rng.randint(1, 2)):
+            fam = tuple(rng.sample(ivs, rng.randint(1, len(ivs))))
+            keys.append((set_key(fam), _random_fraction(rng)))
+        yield finsupp(sr, keys)
+
+
 def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
                        seed: int = 0) -> list[LawReport]:
     """Pentagon suite over one semiring.
@@ -760,76 +726,30 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
         raise ConvexmodError(
             "pentagon suite needs a positive semifield (bool or qplus)")
     universe = list(SYMBOL_POOL[:xsize])
-    reports = []
     if sr.enumeration is not None:
         carrier = _carrier_sets(sr, universe)
-        families = [()]
-        for r in (1, 2):
-            families.extend(itertools.combinations(carrier, r))
-        checked = 0
-        for Phi in weightings_over(sr, [set_key(F) for F in families], 2,
-                                   None):
-            report = pentagon_check("free", Phi)
-            checked += 1
-            if not report.passed:
-                return [LawReport(
-                    name="pentagon:free", semiring=sr.id, status=FAIL,
-                    mode=MODE_BOUNDED, counterexample=report.counterexample,
-                    meta={"expected": PASS})]
-        reports.append(LawReport(
-            name="pentagon:free", semiring=sr.id, status=PASS,
-            mode=MODE_BOUNDED,
-            detail=f"{checked} families over {len(carrier)} carrier sets",
-            meta={"expected": PASS, "instances": checked}))
-        return reports
+        families = [set_key(F) for r in range(0, 3)
+                    for F in itertools.combinations(carrier, r)]
+        Phis = weightings_over(sr, families, 2, None)
+        return [_law_report(
+            "pentagon:free", sr, MODE_BOUNDED, Phis,
+            lambda Phi: pentagon_check("free", Phi).counterexample,
+            detail=f"{len(Phis)} families over {len(carrier)} carrier sets",
+            meta={"expected": PASS, "instances": len(Phis)},
+            fail_meta={"expected": PASS})]
 
     rng = random.Random(seed)
-    point_pool = list(universe)
-    ok = 0
-    for _ in range(trials):
-        sets = []
-        for _ in range(rng.randint(1, 2)):
-            gens = [_random_qplus_weighting(rng, sr, point_pool, xsize)
-                    for _ in range(rng.randint(1, 2))]
-            sets.append(hull_canonicalize(gens, sr))
-        keys = []
-        for _ in range(rng.randint(1, 2)):
-            fam = tuple(rng.sample(sets, rng.randint(1, len(sets))))
-            keys.append((set_key(fam), _random_fraction(rng)))
-        Phi = finsupp(sr, keys)
-        report = pentagon_check("free", Phi)
-        if not report.passed:
-            return [LawReport(
-                name="pentagon:free", semiring=sr.id, status=FAIL,
-                mode=MODE_RANDOMIZED, counterexample=report.counterexample,
-                meta={"expected": PASS, "seed": seed})]
-        ok += 1
-    reports.append(LawReport(
-        name="pentagon:free", semiring=sr.id, status=PASS,
-        mode=MODE_RANDOMIZED, detail=f"{ok} random families",
-        meta={"expected": PASS, "seed": seed}))
-
-    for _ in range(trials):
-        ivs = [Interval(*sorted((_random_fraction(rng, allow_zero=True),
-                                 _random_fraction(rng, allow_zero=True))))
-               for _ in range(rng.randint(1, 3))]
-        if rng.random() < 0.2:
-            ivs.append(IV_EMPTY)
-        keys = []
-        for _ in range(rng.randint(1, 2)):
-            fam = tuple(rng.sample(ivs, rng.randint(1, len(ivs))))
-            keys.append((set_key(fam), _random_fraction(rng)))
-        Phi = finsupp(sr, keys)
-        report = pentagon_check("interval", Phi)
-        if not report.passed:
-            return reports + [LawReport(
-                name="pentagon:interval", semiring=sr.id, status=FAIL,
-                mode=MODE_RANDOMIZED, counterexample=report.counterexample,
-                meta={"expected": PASS, "seed": seed})]
-    reports.append(LawReport(
-        name="pentagon:interval", semiring=sr.id, status=PASS,
-        mode=MODE_RANDOMIZED, detail=f"{trials} random families",
-        meta={"expected": PASS, "seed": seed}))
+    meta = {"expected": PASS, "seed": seed}
+    reports = []
+    for algebra, instances in (
+            ("free", _random_free_families(rng, sr, universe, trials)),
+            ("interval", _random_interval_families(rng, sr, trials))):
+        reports.append(_law_report(
+            f"pentagon:{algebra}", sr, MODE_RANDOMIZED, instances,
+            lambda Phi: pentagon_check(algebra, Phi).counterexample,
+            detail=f"{trials} random families", meta=meta, fail_meta=meta))
+        if not reports[-1].passed:
+            return reports
 
     # frozen instance: summing the two singleton families [1,2] and
     # [5,6] must land on the endpoint sums [6, 8]
@@ -891,24 +811,20 @@ def trivial_law(family: Iterable[Iterable[Any]]) -> list[tuple]:
     return [set_key(x for A in family for x in A)]
 
 
+def _fixed_point_violation(fam: tuple) -> dict | None:
+    image = trivial_law(fam)
+    fixed = list(fam) == image
+    singleton = len(fam) == 1 and fam[0] == image[0]
+    return _unless(fixed == singleton, family=fam, image=image)
+
+
 def trivial_lifting_fixed_points(xsize: int = 3) -> LawReport:
     """The induced idempotent on subsets of the powerset algebra sends
     a family to the singleton of its union; its fixed points should be
     exactly the one-element families.  Checked exhaustively."""
-    universe = list(SYMBOL_POOL[:xsize])
-    sets_pool = _sets_universe(universe)
-    checked = 0
-    for r in range(len(sets_pool) + 1):
-        for fam in itertools.combinations(sets_pool, r):
-            image = trivial_law(fam)
-            fixed = list(fam) == image
-            singleton = len(fam) == 1 and fam[0] == image[0]
-            checked += 1
-            if fixed != singleton:
-                return LawReport(
-                    name="trivial_lifting_fixed_points", semiring="bool",
-                    status=FAIL, mode=MODE_EXHAUSTIVE,
-                    counterexample={"family": fam, "image": image})
-    return LawReport(
-        name="trivial_lifting_fixed_points", semiring="bool", status=PASS,
-        mode=MODE_EXHAUSTIVE, meta={"families": checked})
+    sets_pool = _sets_universe(list(SYMBOL_POOL[:xsize]))
+    families = (fam for r in range(len(sets_pool) + 1)
+                for fam in itertools.combinations(sets_pool, r))
+    return _law_report("trivial_lifting_fixed_points", BOOL, MODE_EXHAUSTIVE,
+                       families, _fixed_point_violation,
+                       meta={"families": 2 ** len(sets_pool)})

@@ -33,6 +33,10 @@ tautology:
   by the oracles above (``qplus_member_by_elimination``,
   ``bool_member_by_supports``).  The package makes one pass and tests
   membership on index lists.
+* ``weighted_generator_hull`` is the package's former second weighted
+  Minkowski sum: the hull of every weighted sum that picks one
+  generator per key, built in one go.  The package folds the scaled
+  keys pairwise with ``cs_add`` in ``composite.alpha``.
 """
 
 from __future__ import annotations
@@ -41,7 +45,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
+from convexmod.convex import ConvexSet, hull_canonicalize
 from convexmod.errors import ConvexmodError, SemiringMismatchError
+from convexmod.freemod import fs_add, fs_scale, fs_zero
+from convexmod.semiring import Scalar, Semiring
 
 
 def bool_law_by_slice_products(key_sets: Sequence[Sequence[str]]
@@ -291,3 +298,26 @@ def canonical_by_fixpoint(generators, member) -> tuple:
             else:
                 i += 1
     return tuple(current)
+
+
+def weighted_generator_hull(sr: Semiring,
+                            weighted_sets: Sequence[tuple[ConvexSet, Scalar]]
+                            ) -> ConvexSet:
+    """Hull of { sum_i w_i * g_i : g_i a generator of the i-th set }.
+
+    This is the composite leg "law, then elementwise multiplication,
+    then closure" reduced to generators; an empty set among the keys
+    kills every choice, and an empty key list leaves the single empty
+    sum, the zero weighting."""
+    gen_lists = []
+    weights = []
+    for A, w in weighted_sets:
+        gen_lists.append(A.generators)
+        weights.append(w)
+    members = []
+    for picks in product(*gen_lists):
+        acc = fs_zero(sr)
+        for w, g in zip(weights, picks):
+            acc = fs_add(acc, fs_scale(w, g))
+        members.append(acc)
+    return hull_canonicalize(members, sr)

@@ -13,6 +13,15 @@ from convexmod.errors import InternalError
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def subprocess_env(**extra):
+    """Environment for a ``python -m convexmod`` child: pytest's
+    ``pythonpath`` setting does not reach child processes, so ``src``
+    is put on PYTHONPATH here."""
+    paths = [os.path.join(PKG_ROOT, "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)),
+                **extra)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -52,6 +61,20 @@ class TestEq:
                            "x", "x")
         assert code == 0
         assert out == "equal,side,witness\ntrue,,\n"
+
+    @pytest.mark.parametrize("terms,side", [(("x", "bot"), "left"),
+                                            (("bot", "x"), "right")],
+                             ids=["right_empty", "left_empty"])
+    def test_empty_side_witness_is_the_other_generator(self, capsys, terms,
+                                                       side):
+        code, out, _ = run(capsys, "eq", "--vars", "x", *terms)
+        assert code == 1
+        assert out == f"unequal: the {side} side has {{x: 1}}, " \
+                      "the other does not\n"
+        code, out, _ = run(capsys, "eq", "--vars", "x", "--format", "json",
+                           *terms)
+        assert json.loads(out) == {"equal": False, "side": side,
+                                   "witness": {"x": "1"}}
 
 
 class TestEval:
@@ -271,6 +294,38 @@ class TestLaws:
         assert code == 2
         assert out == ""
         assert err == expected
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("semiring", ["qplus", "nat"])
+    def test_appendix_a_non_bool_semiring_rejected(self, capsys, monkeypatch,
+                                                   semiring, fmt):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("appendixA ran over a non-bool semiring")
+        monkeypatch.setattr("convexmod.cli.trivial_lifting_fixed_points",
+                            refuse)
+        code, out, err = run(capsys, "laws", "--suite", "appendixA",
+                             "--semiring", semiring, "--format", fmt)
+        message = f"appendixA runs over bool only; got --semiring {semiring}"
+        assert code == 2
+        assert out == ""
+        if fmt == "json":
+            assert json.loads(err) == {"error": message, "kind": "usage"}
+        else:
+            assert err == f"error: {message}\n"
+
+    def test_appendix_a_explicit_bool_runs(self, capsys):
+        code, out, _ = run(capsys, "laws", "--suite", "appendixA",
+                           "--semiring", "bool", "--xsize", "2")
+        assert code == 0
+        assert all("[bool/exhaustive]" in line for line in out.splitlines())
+
+    @pytest.mark.parametrize("suite", ["weakdist", "pentagon", "naturality"])
+    def test_other_suites_default_to_qplus(self, capsys, suite):
+        code, out, _ = run(capsys, "laws", "--suite", suite, "--trials", "2",
+                           "--format", "json")
+        assert code == 0
+        assert {json.loads(line)["semiring"] for line in out.splitlines()} \
+            == {"qplus"}
 
     def test_appendix_a_at_cap_runs(self, capsys):
         code, out, _ = run(capsys, "laws", "--suite", "appendixA",
@@ -505,9 +560,9 @@ class TestDeterminism:
         cmd = [sys.executable, "-m", "convexmod", "laws", "--suite",
                "weakdist", "--semiring", "qplus", "--trials", "10",
                "--format", "json"]
-        env = dict(os.environ, PYTHONHASHSEED="0")
+        env = subprocess_env(PYTHONHASHSEED="0")
         a = subprocess.run(cmd, capture_output=True, cwd=PKG_ROOT, env=env)
-        env2 = dict(os.environ, PYTHONHASHSEED="12345")
+        env2 = subprocess_env(PYTHONHASHSEED="12345")
         b = subprocess.run(cmd, capture_output=True, cwd=PKG_ROOT, env=env2)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
@@ -518,6 +573,7 @@ class TestConsoleEntry:
         out = subprocess.run(
             [sys.executable, "-m", "convexmod", "eq", "--vars", "x,y",
              "x|y", "y|x"],
-            capture_output=True, text=True, cwd=PKG_ROOT)
+            capture_output=True, text=True, cwd=PKG_ROOT,
+            env=subprocess_env())
         assert out.returncode == 0
         assert out.stdout == "equal\n"

@@ -30,10 +30,10 @@ from convexmod.convex import (
     cs_scale,
     hull_canonicalize,
 )
-from convexmod.distlaw import _weighted_generator_hull
 from convexmod.errors import ConvexmodError, NotSemifieldError, SemiringMismatchError
 from convexmod.freemod import finsupp, fs_add, fs_scale, fs_unit, fs_zero
 from convexmod.semiring import BOOL, NAT, QPLUS
+from oracles import weighted_generator_hull
 
 
 def W(sr, *pairs):
@@ -124,7 +124,7 @@ class TestAlpha:
                 items.append((key, weight))
             fam = finsupp(sr, items)
             got = alpha(fam)
-            via_choices = _weighted_generator_hull(sr, list(fam.items()))
+            via_choices = weighted_generator_hull(sr, list(fam.items()))
             assert got.canonical
             assert got.generators == via_choices.generators
 

@@ -9,6 +9,7 @@ from convexmod.convex import (
     canonicalize,
     convex_set,
     cs_add,
+    cs_compare,
     cs_empty,
     cs_equal,
     cs_from_json,
@@ -261,6 +262,38 @@ class TestEquality:
 
     def test_empty_vs_zero_differ(self):
         assert not cs_equal(cs_empty(QPLUS), cs_zero(QPLUS))
+
+    def test_compare_names_the_side_and_witness(self):
+        x, x2 = qsupp([("x", 1)]), qsupp([("x", 2)])
+        seg, point = convex_set(QPLUS, [x, x2]), convex_set(QPLUS, [x])
+        assert cs_compare(seg, point) == ("left", x2)
+        assert cs_compare(point, seg) == ("right", x2)
+        assert cs_compare(seg, hull_canonicalize([x2, x])) is None
+
+    def test_compare_against_empty_names_the_other_side(self):
+        x = qsupp([("x", 1)])
+        A, empty = convex_set(QPLUS, [x]), cs_empty(QPLUS)
+        assert cs_compare(A, empty) == ("left", x)
+        assert cs_compare(empty, A) == ("right", x)
+        assert cs_compare(empty, cs_empty(QPLUS)) is None
+
+    def test_compare_mixed_semirings_rejected(self):
+        with pytest.raises(SemiringMismatchError):
+            cs_compare(cs_empty(QPLUS), cs_empty(BOOL))
+        with pytest.raises(SemiringMismatchError):
+            cs_equal(cs_empty(QPLUS), cs_empty(BOOL))
+
+    @given(st.lists(finsupp_q, max_size=3), st.lists(finsupp_q, max_size=3))
+    def test_compare_witness_lies_on_one_side_only(self, g1, g2):
+        A, B = convex_set(QPLUS, g1), convex_set(QPLUS, g2)
+        found = cs_compare(A, B)
+        assert (found is None) == cs_equal(hull_canonicalize(g1, QPLUS),
+                                           hull_canonicalize(g2, QPLUS))
+        if found is not None:
+            side, witness = found
+            inside, outside = (A, B) if side == "left" else (B, A)
+            assert witness in inside.generators
+            assert not member(outside, witness)
 
     @given(st.lists(finsupp_q, max_size=3), st.lists(finsupp_q, max_size=3))
     def test_mutual_membership_matches_canonical_equality(self, g1, g2):

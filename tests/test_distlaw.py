@@ -9,10 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexmod.convex import cs_equal, cs_join_all, cs_scale, hull_canonicalize, member
+from convexmod import distlaw
 from convexmod.distlaw import (
     IV_EMPTY,
     Interval,
     Relation,
+    _law_report,
     barr_extend,
     check_naturality,
     check_pentagon_law,
@@ -34,6 +36,7 @@ from convexmod.distlaw import (
 )
 from convexmod.errors import ConvexmodError, NotSemifieldError
 from convexmod.freemod import finsupp, fs_map, fs_unit, fs_zero
+from convexmod.report import FAIL, PASS, LawReport
 from convexmod.semiring import BOOL, NAT, QPLUS
 
 
@@ -352,7 +355,65 @@ class TestPentagon:
             pentagon_check("affine", fs_zero(QPLUS))
 
 
+class TestLawReportDriver:
+    @staticmethod
+    def _run(fail_at, drawn):
+        def instances():
+            for i in range(5):
+                drawn.append(i)
+                yield i
+        return _law_report(
+            "demo", QPLUS, "randomized", instances(),
+            lambda i: {"i": i} if i == fail_at else None,
+            detail="all held", meta={"instances": 5},
+            fail_detail="one failed", fail_meta={"expected": PASS})
+
+    def test_first_counterexample_stops_drawing(self):
+        drawn = []
+        r = self._run(2, drawn)
+        assert drawn == [0, 1, 2]
+        assert (r.name, r.semiring, r.status, r.mode) == (
+            "demo", "qplus", FAIL, "randomized")
+        assert r.counterexample == {"i": 2}
+        assert (r.detail, r.meta) == ("one failed", {"expected": PASS})
+
+    def test_pass_reads_every_instance(self):
+        drawn = []
+        r = self._run(None, drawn)
+        assert drawn == [0, 1, 2, 3, 4]
+        assert r.status == PASS and r.counterexample is None
+        assert (r.detail, r.meta) == ("all held", {"instances": 5})
+
+
+def _failing_pentagon(algebra_to_fail):
+    """pentagon_check with one algebra forced to fail."""
+    original = pentagon_check
+
+    def check(algebra, Phi):
+        if algebra != algebra_to_fail:
+            return original(algebra, Phi)
+        return LawReport(name=f"pentagon:{algebra}", semiring="qplus",
+                         status=FAIL, mode="exhaustive",
+                         counterexample={"Phi": Phi})
+    return check
+
+
 class TestPentagonSuite:
+    @pytest.mark.parametrize("algebra", ["free", "interval"])
+    def test_failed_random_algebra_ends_the_suite(self, monkeypatch,
+                                                  algebra):
+        monkeypatch.setattr(distlaw, "pentagon_check",
+                            _failing_pentagon(algebra))
+        reports = check_pentagon_law(QPLUS, trials=5, seed=4)
+        names = ["pentagon:free", "pentagon:interval"]
+        assert [r.name for r in reports] == names[:names.index(
+            f"pentagon:{algebra}") + 1]
+        failed = reports[-1]
+        assert failed.status == FAIL and failed.detail == ""
+        assert failed.mode == "randomized"
+        assert failed.meta == {"expected": PASS, "seed": 4}
+        assert list(failed.counterexample) == ["Phi"]
+
     def test_bool_bounded_exhaustive_passes(self):
         reports = check_pentagon_law(BOOL, xsize=2)
         assert [(r.name, r.status) for r in reports] == [

@@ -180,6 +180,10 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
         "x", "x")
     add("error-unknown-suite", "laws", "--suite", "monoid")
     add("error-missing-subcommand")
+    add("error-appendixA-qplus", "laws", "--suite", "appendixA",
+        "--semiring", "qplus")
+    add("error-appendixA-nat-json", "laws", "--suite", "appendixA",
+        "--semiring", "nat", "--format", "json")
     return out
 
 

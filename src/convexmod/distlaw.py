@@ -394,9 +394,8 @@ def _eta_S_violation(sr: Semiring, A: tuple) -> dict | None:
             extra = next(p for p in got if p not in diracs)
             return {"A": A, "law_value": got, "units_only": diracs,
                     "extra": extra}
-        return None
-    hull = delta_hull(Phi)
-    if len(A) >= 2:
+    elif len(A) >= 2:
+        hull = delta_hull(Phi)
         avg = finsupp(sr, [(x, Fraction(1, len(A))) for x in A])
         if member(hull, avg) and avg not in diracs:
             return {"A": A, "hull": hull,
@@ -435,8 +434,7 @@ def check_weak_law(sr: Semiring, xsize: int = 2, trials: int = 50,
         eta_S_failure = "law output strictly contains the one-element " \
                         "weightings"
     else:
-        # The checks draw nothing, so drawing every pool up front keeps
-        # the stream of the seed.
+        # The checks draw nothing: drawing all pools first keeps the stream.
         rng = random.Random(seed)
         mode = MODE_RANDOMIZED
         phis = [_random_qplus_weighting(rng, sr, universe, len(universe))
@@ -480,16 +478,17 @@ def _map_set_weighting(f: Mapping, Phi: SetWeighting) -> SetWeighting:
                         for A, w in Phi.items()])
 
 
-def _weight_one_instances(sr: Semiring, universe: Sequence[str],
+def _weight_one_instances(sr: Semiring, law: Callable, universe: Sequence[str],
                           sizes: Iterable[int]) -> Iterator[tuple]:
-    """Every weight-one family of ``sizes`` nonempty subsets of the
-    universe, paired with every self-map of the universe, in order."""
+    """Each weight-one family Phi of ``sizes`` nonempty subsets of the
+    universe with ``law(Phi)``, for every self-map of the universe."""
     nonempty = [s for s in _sets_universe(universe) if s]
     for r in sizes:
         for fam in itertools.combinations(nonempty, r):
             Phi = set_weighting(sr, [(A, sr.one) for A in fam])
+            value = law(Phi)
             for f_vals in itertools.product(universe, repeat=len(universe)):
-                yield Phi, dict(zip(universe, f_vals))
+                yield Phi, value, dict(zip(universe, f_vals))
 
 
 def _naturality_violation_hull(instance: tuple) -> dict | None:
@@ -505,10 +504,10 @@ def _naturality_violation_listed(law: Callable, instance: tuple
                                  ) -> dict | None:
     """Naturality of a law that lists its weightings (the brute force
     or the bare choice set): the law of the mapped set weighting
-    against the mapped outputs of the law."""
-    Phi, f = instance
+    against the mapped outputs of the law, given as ``value``."""
+    Phi, value, f = instance
     left = sorted_unique(law(_map_set_weighting(f, Phi)))
-    right = sorted_unique(fs_map(f, phi) for phi in law(Phi))
+    right = sorted_unique(fs_map(f, phi) for phi in value)
     return _unless(left == right, Phi=Phi, f=f, left=left, right=right)
 
 
@@ -532,13 +531,14 @@ def check_naturality(sr: Semiring, xsize: int = 3, trials: int = 50,
                             meta={"trials": trials, "seed": seed},
                             fail_meta={"trials": trials, "seed": seed})
     else:
-        delta = _law_report("delta_naturality", sr, MODE_BOUNDED,
-                            _weight_one_instances(sr, universe, (0, 1, 2)),
+        instances = _weight_one_instances(sr, delta_bruteforce, universe,
+                                          (0, 1, 2))
+        delta = _law_report("delta_naturality", sr, MODE_BOUNDED, instances,
                             functools.partial(_naturality_violation_listed,
                                               delta_bruteforce))
     search = (instance for size in range(max(2, xsize), 7)
               for instance in _weight_one_instances(
-                  sr, SYMBOL_POOL[:size], (1, 2, 3)))
+                  sr, choice_set, SYMBOL_POOL[:size], (1, 2, 3)))
     choice = _law_report(
         "choice_naturality", sr, MODE_BOUNDED, search,
         functools.partial(_naturality_violation_listed, choice_set),

@@ -66,6 +66,9 @@ SUITES = ("weakdist", "pentagon", "naturality", "appendixA")
 # appendixA checks all 2^(2^xsize) families of subsets: 65,536 at
 # xsize 4 (under a second), 2^32 at xsize 5.
 APPENDIX_A_MAX_XSIZE = 4
+# pentagon over bool enumerates 5,672 instances at xsize 2 (seconds)
+# and 28,158,761 at xsize 3 (hours).
+PENTAGON_MAX_INSTANCES = 100_000
 
 
 def _parse_vars(arg: str | None) -> list[str]:
@@ -241,7 +244,8 @@ def _cmd_laws(args, out) -> int:
                                  value_bound=args.value_bound)
     elif args.suite == "pentagon":
         reports = check_pentagon_law(sr, xsize=args.xsize or 2,
-                                     trials=args.trials, seed=seed)
+                                     trials=args.trials, seed=seed,
+                                     max_instances=PENTAGON_MAX_INSTANCES)
     elif args.suite == "naturality":
         reports = check_naturality(sr, xsize=args.xsize or 3,
                                    trials=args.trials, seed=seed)

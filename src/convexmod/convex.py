@@ -22,8 +22,15 @@ leaves the hull unchanged and only shrinks the hull of the others, so
 a generator kept once is never redundant later and no second sweep is
 needed.  Every route runs the same loop over generator indices; over
 qplus the integer LP columns (sorted union support plus the row of
-ones, scaled by the lcm of every denominator) are built once per call
-and each redundancy test hands a subset of them to ``feasible``.  Over
+ones, scaled by the lcm of every denominator) are built once per call.
+Each redundancy test first looks for a coordinate on which the tested
+generator is strictly above, or strictly below, every other one: the
+weights of a hull member sum to 1, so each of its coordinates lies
+between the others' least and greatest value there, and such a
+coordinate is a separating functional that answers "no" without an
+LP.  Columns share one positive scale, so comparing the integers
+compares the rationals.  Every other test, and so every "yes", hands
+the subset of columns to ``feasible``.  Over
 qplus and bool the surviving generators are exactly the extreme
 points, and the canonical form is unique, which makes structural
 equality of canonical sets coincide with set equality.
@@ -181,9 +188,15 @@ def _member_exact_lp(gens: Sequence[FinSupp]
     columns = _homogenized_columns(gens)
 
     def test(rest: Sequence[int], i: int) -> bool:
-        system = FeasibilitySystem(tuple(columns[j] for j in rest),
-                                   columns[i])
-        return feasible(system) is not None
+        target = columns[i]
+        others = tuple(columns[j] for j in rest)
+        # Hull members lie between the generators' least and greatest
+        # value on every coordinate: a target strictly outside that
+        # range on one row is not a member, with no LP.
+        for t, row in zip(target, zip(*others)):
+            if t > max(row) or t < min(row):
+                return False
+        return feasible(FeasibilitySystem(others, target)) is not None
 
     return test
 

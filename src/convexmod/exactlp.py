@@ -47,10 +47,13 @@ give the textbook witness.  Feasible systems are the rare answer in
 redundancy tests, so this costs little.
 
 Both answers carry evidence checked before they are returned.  A
-witness ``B_i / D`` is re-substituted exactly into the system as
-handed in.  A "no" comes with a Farkas certificate y: the phase-1 dual
-read off the artificial columns, or the unit vector of a row
-infeasible on its own, signed by its target.  A certificate of the
+witness ``B_i / D`` is re-substituted into the system as handed in,
+multiplied through by D: D > 0, every B_i >= 0 and sum_j B_j a_j = D b.
+That is integer arithmetic when the entries are integers, as the qplus
+route hands them in; ``Fraction`` weights are built only for the
+returned witness.  A "no" comes with a Farkas certificate y: the
+phase-1 dual read off the artificial columns, or the unit vector of a
+row infeasible on its own, signed by its target.  A certificate of the
 presolved system is lifted to the whole one by -N on the forcing rows,
 where N is the least integer >= y.a_j / s_j over the forced columns j
 (s_j > 0 the sum of a_j over the forcing rows); that leaves y.b and
@@ -68,7 +71,7 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .errors import DimensionMismatchError, InternalError
+from .errors import ConvexmodError, DimensionMismatchError, InternalError
 
 Vector = tuple[Fraction | int, ...]
 
@@ -95,12 +98,17 @@ class FeasibilitySystem:
                     f"dimension {dim}")
 
 
-def _exact(v: Fraction | int) -> Fraction | int:
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+def _exact(v: object) -> Fraction | int:
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+        raise ConvexmodError(
+            f"system entries must be int or Fraction, got {v!r}")
+    return v
 
 
 def make_system(columns: Sequence[Sequence[Fraction | int]],
                 target: Sequence[Fraction | int]) -> FeasibilitySystem:
+    """A system from exact entries; anything but an int or a Fraction
+    (a float, a bool, a string) is rejected, never converted."""
     cols = tuple(tuple(_exact(v) for v in col) for col in columns)
     tgt = tuple(_exact(v) for v in target)
     return FeasibilitySystem(columns=cols, target=tgt)
@@ -121,9 +129,8 @@ def feasible(sys_: FeasibilitySystem) -> list[Fraction] | None:
         _check_certificate(columns, target, certificate)
         return None
     values, denominator = solution
-    witness = [Fraction(v, denominator) for v in values]
-    _assert_witness(sys_, witness)
-    return witness
+    _assert_witness(sys_, values, denominator)
+    return [Fraction(v, denominator) for v in values]
 
 
 def _solve(columns: list[list[int]], target: list[int]):
@@ -302,18 +309,22 @@ def _check_certificate(columns: Sequence[Sequence[int]],
             "infeasibility certificate does not separate the target")
 
 
-def _assert_witness(sys_: FeasibilitySystem,
-                    witness: Sequence[Fraction]) -> None:
-    """Exact re-substitution check; raises on any discrepancy."""
-    if len(witness) != len(sys_.columns):
+def _assert_witness(sys_: FeasibilitySystem, values: Sequence[int],
+                    denominator: int) -> None:
+    """Exact re-substitution of the witness ``values[j] / denominator``
+    into the system as handed in, multiplied through by the
+    denominator: D > 0, every value >= 0, and sum_j values[j] * a_j[i]
+    == D * b[i] on every row.  Raises on any discrepancy."""
+    if len(values) != len(sys_.columns):
         raise InternalError("witness length mismatch")
-    if any(w < 0 for w in witness):
-        raise InternalError(f"negative weight in witness: {witness}")
-    dim = len(sys_.target)
-    for i in range(dim):
-        acc = sum((witness[j] * sys_.columns[j][i]
-                   for j in range(len(witness))), Fraction(0))
-        if acc != sys_.target[i]:
+    if denominator <= 0:
+        raise InternalError(f"witness denominator {denominator} is not "
+                            f"positive")
+    if any(v < 0 for v in values):
+        raise InternalError(f"negative weight in witness: {values}")
+    for i, b in enumerate(sys_.target):
+        acc = sum(v * col[i] for v, col in zip(values, sys_.columns))
+        if acc != denominator * b:
             raise InternalError(
                 f"witness re-substitution failed at coordinate {i}: "
-                f"{acc} != {sys_.target[i]}")
+                f"{acc} != {denominator} * {b}")

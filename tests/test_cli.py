@@ -171,8 +171,10 @@ class TestEval:
             raise InternalError("lp broke")
 
         monkeypatch.setattr("convexmod.convex.feasible", broken)
-        code, out, err = run(capsys, "eval", "--vars", "x", "x | 2.x",
-                             "--format", fmt)
+        # 3/2.x lies between the other two points, so only the LP can
+        # decide it.
+        code, out, err = run(capsys, "eval", "--vars", "x",
+                             "x | 2.x | 3/2.x", "--format", fmt)
         assert code == 3
         assert out == ""
         assert err == expected
@@ -253,6 +255,15 @@ class TestLaws:
         lines = out.splitlines()
         assert lines[0] == "name,semiring,status,mode,detail"
         assert lines[1].startswith("appendixA:forward_image,bool,pass,")
+
+    def test_oversized_bool_pentagon_rejected(self, capsys, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("pentagon instances were checked")
+        monkeypatch.setattr("convexmod.distlaw.pentagon_check", refuse)
+        code, out, err = run(capsys, "laws", "--suite", "pentagon",
+                             "--semiring", "bool", "--xsize", "3")
+        assert code == 2 and out == ""
+        assert "28,158,761 instances" in err
 
     def test_zero_trials_rejected(self, capsys):
         code, _, err = run(capsys, "laws", "--suite", "pentagon",

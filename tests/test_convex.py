@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexmod import convex
 from convexmod.convex import (
     canonicalize,
     convex_set,
@@ -22,6 +23,7 @@ from convexmod.convex import (
     member,
 )
 from convexmod.errors import SemiringMismatchError
+from convexmod.exactlp import feasible, make_system
 from convexmod.freemod import (
     finsupp,
     fs_add,
@@ -36,6 +38,7 @@ from oracles import (
     bool_member_by_subsets,
     bool_member_by_supports,
     canonical_by_fixpoint,
+    feasible_by_fraction_simplex,
     qplus_member_by_elimination,
 )
 
@@ -59,16 +62,22 @@ small_qset = st.lists(finsupp_q, max_size=3).map(
 finsupp_b = st.lists(st.sampled_from(SYMS), max_size=3).map(bsupp)
 small_bset = st.lists(finsupp_b, max_size=3).map(
     lambda gens: hull_canonicalize(gens, BOOL))
+# Few symbols and few values, so generators often tie on a coordinate.
+tied_q = st.lists(st.tuples(st.sampled_from(["x", "y", "z"]),
+                            st.sampled_from([F(0), F(1, 2), F(1), F(2)])),
+                  max_size=3).map(qsupp)
 ORACLE_MEMBER = {"qplus": qplus_member_by_elimination,
                  "bool": bool_member_by_supports}
 
 
 @st.composite
-def padded_generators(draw, sr):
-    """Random generators plus convex combinations of them, shuffled:
-    every combination is redundant, and so may be some generators."""
-    gens = draw(st.lists(finsupp_q if sr is QPLUS else finsupp_b,
-                         min_size=1, max_size=5))
+def padded_generators(draw, sr, base=None):
+    """Random generators (drawn from ``base``, by default the
+    semiring's) plus convex combinations of them, shuffled: every
+    combination is redundant, and so may be some generators."""
+    if base is None:
+        base = finsupp_q if sr is QPLUS else finsupp_b
+    gens = draw(st.lists(base, min_size=1, max_size=5))
     padded = list(gens)
     for _ in range(draw(st.integers(0, 3))):
         picks = draw(st.lists(st.sampled_from(gens), min_size=1,
@@ -197,6 +206,67 @@ class TestCanonicalization:
             rest = A.generators[:i] + A.generators[i + 1:]
             if rest:
                 assert not member(convex_set(QPLUS, rest), g)
+
+
+def _counting_feasible(calls):
+    def counted(system):
+        calls.append(system)
+        return feasible(system)
+    return counted
+
+
+def _fraction_system(gens, rest, i):
+    """gens[i] in hull(gens[j] for j in rest) as a system over the
+    generators' own Fraction values, unscaled."""
+    keys = sorted({k for g in gens for k in g.support()})
+
+    def column(g):
+        return tuple(g.value(k) for k in keys) + (F(1),)
+    return make_system([column(gens[j]) for j in rest], column(gens[i]))
+
+
+class TestCoordinateSeparation:
+    """Over qplus a redundancy test answers "no" without an LP when one
+    coordinate of the tested generator is strictly above, or strictly
+    below, that of every other generator."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_lp_free_answer_is_infeasible(self, data):
+        gens = list(data.draw(padded_generators(QPLUS, tied_q)))
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convex, "feasible", _counting_feasible(calls))
+            test = convex._member_exact_lp(gens)
+            for i in range(len(gens)):
+                others = [j for j in range(len(gens)) if j != i]
+                if not others:
+                    continue
+                rest = data.draw(st.lists(st.sampled_from(others),
+                                          min_size=1, unique=True))
+                before = len(calls)
+                answer = test(rest, i)
+                if len(calls) == before:
+                    assert not answer
+                    assert feasible_by_fraction_simplex(
+                        _fraction_system(gens, rest, i)) is None
+            reference = canonical_by_fixpoint(gens,
+                                              qplus_member_by_elimination)
+            assert hull_canonicalize(gens, QPLUS).generators == reference
+
+    def test_separated_generators_need_no_lp(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
+        simplex = [qsupp([(s, 1)]) for s in SYMS]
+        assert hull_canonicalize(simplex).generators == tuple(sorted(simplex))
+        two = [qsupp([("x", 1), ("y", 2)]), qsupp([("x", 3)])]
+        assert hull_canonicalize(two).generators == tuple(sorted(two))
+        assert calls == []
+        # A midpoint ties nowhere strictly, so only the LP removes it.
+        mid = qsupp([("x", F(1, 2)), ("y", F(1, 2))])
+        segment = hull_canonicalize([simplex[2], simplex[3], mid])
+        assert segment.generators == (simplex[2], simplex[3])
+        assert calls
 
 
 class TestHashContract:

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexmod.errors import DimensionMismatchError, InternalError
+from convexmod.errors import (
+    ConvexmodError,
+    DimensionMismatchError,
+    InternalError,
+)
 from convexmod.exactlp import (
     FeasibilitySystem,
     _assert_witness,
@@ -140,10 +144,20 @@ class TestContracts:
         sys_ = make_system([(1, 1), (3, 1)], (2, 1))
         witness = feasible(sys_)
         assert witness == [F(1, 2), F(1, 2)]
+        # The witnesses [1/3, 2/3] and [2, -1/3], as values over D = 3.
         with pytest.raises(InternalError, match="re-substitution"):
-            _assert_witness(sys_, [F(1, 3), F(2, 3)])
+            _assert_witness(sys_, [1, 2], 3)
         with pytest.raises(InternalError, match="negative"):
-            _assert_witness(sys_, [F(2), F(-1, 3)])
+            _assert_witness(sys_, [6, -1], 3)
+        with pytest.raises(InternalError, match="denominator"):
+            _assert_witness(sys_, [-1, -1], -2)
+
+    @pytest.mark.parametrize("entry", [0.1, 1.0, True, "1/2"])
+    def test_inexact_entries_rejected(self, entry):
+        with pytest.raises(ConvexmodError, match="int or Fraction"):
+            make_system([(entry, 1)], (1, 1))
+        with pytest.raises(ConvexmodError, match="int or Fraction"):
+            make_system([(1, 1)], (entry, 1))
 
     def test_determinism(self):
         cols = [(1, 0, 1), (0, 1, 1), (2, 2, 1), (1, 1, 1)]

@@ -42,6 +42,7 @@ from .distlaw import (
     check_weak_law,
     delta_bruteforce,
     delta_hull,
+    pentagon_instance_count,
     set_weighting,
     trivialE_extend,
     trivial_lifting_fixed_points,
@@ -243,9 +244,16 @@ def _cmd_laws(args, out) -> int:
                                  trials=args.trials, seed=seed,
                                  value_bound=args.value_bound)
     elif args.suite == "pentagon":
-        reports = check_pentagon_law(sr, xsize=args.xsize or 2,
-                                     trials=args.trials, seed=seed,
-                                     max_instances=PENTAGON_MAX_INSTANCES)
+        xsize = args.xsize or 2
+        if sr.enumeration == MODE_EXHAUSTIVE:
+            instances = pentagon_instance_count(sr, xsize)
+            if instances > PENTAGON_MAX_INSTANCES:
+                raise ConvexmodError(
+                    f"pentagon over {sr.id} at xsize {xsize} enumerates "
+                    f"{instances:,} instances; at most "
+                    f"{PENTAGON_MAX_INSTANCES:,} are allowed")
+        reports = check_pentagon_law(sr, xsize=xsize,
+                                     trials=args.trials, seed=seed)
     elif args.suite == "naturality":
         reports = check_naturality(sr, xsize=args.xsize or 3,
                                    trials=args.trials, seed=seed)

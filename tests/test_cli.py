@@ -256,14 +256,20 @@ class TestLaws:
         assert lines[0] == "name,semiring,status,mode,detail"
         assert lines[1].startswith("appendixA:forward_image,bool,pass,")
 
-    def test_oversized_bool_pentagon_rejected(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("xsize, cap, count", [
+        ("3", None, "28,158,761"),
+        ("2", 5671, "5,672")])
+    def test_oversized_bool_pentagon_rejected(self, capsys, monkeypatch,
+                                              xsize, cap, count):
         def refuse(*_args, **_kwargs):
             raise AssertionError("pentagon instances were checked")
         monkeypatch.setattr("convexmod.distlaw.pentagon_check", refuse)
+        if cap is not None:
+            monkeypatch.setattr("convexmod.cli.PENTAGON_MAX_INSTANCES", cap)
         code, out, err = run(capsys, "laws", "--suite", "pentagon",
-                             "--semiring", "bool", "--xsize", "3")
+                             "--semiring", "bool", "--xsize", xsize)
         assert code == 2 and out == ""
-        assert "28,158,761 instances" in err
+        assert f"{count} instances" in err
 
     def test_zero_trials_rejected(self, capsys):
         code, _, err = run(capsys, "laws", "--suite", "pentagon",

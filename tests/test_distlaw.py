@@ -28,6 +28,7 @@ from convexmod.distlaw import (
     iv_sup,
     membership_weighting,
     pentagon_check,
+    pentagon_instance_count,
     set_key,
     set_weighting,
     trivialE_extend,
@@ -420,16 +421,12 @@ class TestPentagonSuite:
             ("pentagon:free", "pass")]
         assert reports[0].meta["instances"] == 5672
 
-    def test_bool_cap_is_the_exact_instance_count(self):
-        reports = check_pentagon_law(BOOL, xsize=2, max_instances=5672)
-        assert reports[0].meta["instances"] == 5672
-        with pytest.raises(ConvexmodError, match="5,672 instances"):
-            check_pentagon_law(BOOL, xsize=2, max_instances=5671)
-
-    def test_bool_oversized_refused_before_enumerating(self):
+    @pytest.mark.parametrize("xsize, instances", [
+        (2, 5672),
         # 1 + F + C(F, 2) over F = 1 + 122 + C(122, 2) = 7,504 families.
-        with pytest.raises(ConvexmodError, match="28,158,761 instances"):
-            check_pentagon_law(BOOL, xsize=3, max_instances=10 ** 7)
+        (3, 28_158_761)])
+    def test_bool_instance_count(self, xsize, instances):
+        assert pentagon_instance_count(BOOL, xsize) == instances
 
     def test_qplus_randomized_passes_with_sum_rule(self):
         reports = check_pentagon_law(QPLUS, trials=30, seed=4)

@@ -46,6 +46,7 @@ from .distlaw import (
     set_weighting,
     trivialE_extend,
     trivial_lifting_fixed_points,
+    weak_law_instance_count,
     weightings_over,
 )
 from .errors import ConvexmodError, InternalError, ParseError
@@ -70,6 +71,9 @@ APPENDIX_A_MAX_XSIZE = 4
 # pentagon over bool enumerates 5,672 instances at xsize 2 (seconds)
 # and 28,158,761 at xsize 3 (hours).
 PENTAGON_MAX_INSTANCES = 100_000
+# weakdist over bool checks 1,424 instances at xsize 3 (about a second)
+# and 18,940 at xsize 4, with larger sets (unfinished after 20 s).
+WEAK_LAW_MAX_INSTANCES = 10_000
 
 
 def _parse_vars(arg: str | None) -> list[str]:
@@ -233,6 +237,16 @@ def _report_lines(reports, fmt) -> list[str]:
     return lines
 
 
+def _refuse_oversized(suite: str, sr, xsize: int, instances: int,
+                      cap: int) -> None:
+    """Usage error, before any enumeration, for a suite that would
+    check more than ``cap`` instances."""
+    if instances > cap:
+        raise ConvexmodError(
+            f"{suite} over {sr.id} at xsize {xsize} enumerates "
+            f"{instances:,} instances; at most {cap:,} are allowed")
+
+
 def _cmd_laws(args, out) -> int:
     if args.suite == "appendixA" and args.semiring not in (None, "bool"):
         raise ConvexmodError(
@@ -240,18 +254,20 @@ def _cmd_laws(args, out) -> int:
     sr = get_semiring(args.semiring or "qplus")
     seed = args.seed
     if args.suite == "weakdist":
-        reports = check_weak_law(sr, xsize=args.xsize or 2,
+        xsize = args.xsize or 2
+        if sr.enumeration == MODE_EXHAUSTIVE:
+            _refuse_oversized(args.suite, sr, xsize,
+                              weak_law_instance_count(xsize),
+                              WEAK_LAW_MAX_INSTANCES)
+        reports = check_weak_law(sr, xsize=xsize,
                                  trials=args.trials, seed=seed,
                                  value_bound=args.value_bound)
     elif args.suite == "pentagon":
         xsize = args.xsize or 2
         if sr.enumeration == MODE_EXHAUSTIVE:
-            instances = pentagon_instance_count(sr, xsize)
-            if instances > PENTAGON_MAX_INSTANCES:
-                raise ConvexmodError(
-                    f"pentagon over {sr.id} at xsize {xsize} enumerates "
-                    f"{instances:,} instances; at most "
-                    f"{PENTAGON_MAX_INSTANCES:,} are allowed")
+            _refuse_oversized(args.suite, sr, xsize,
+                              pentagon_instance_count(sr, xsize),
+                              PENTAGON_MAX_INSTANCES)
         reports = check_pentagon_law(sr, xsize=xsize,
                                      trials=args.trials, seed=seed)
     elif args.suite == "naturality":

@@ -35,9 +35,18 @@ qplus and bool the surviving generators are exactly the extreme
 points, and the canonical form is unique, which makes structural
 equality of canonical sets coincide with set equality.
 
-A ConvexSet hashes once, at construction, from its semiring id and its
+A ConvexSet hashes on first use, from its semiring id and its
 generator tuple, whose FinSupp members contribute their cached
-hashes.  ``_skey`` only orders and compares, as in ``freemod``.
+hashes, and keeps the result.  ``_skey`` only orders and compares, as
+in ``freemod``.
+
+``cs_scale`` by a nonzero scalar keeps the generator order and the
+``canonical`` flag without re-sorting or re-canonicalizing.  Scaling
+by a nonzero lambda is injective and strictly monotone on each
+carrier's nonzero values and leaves the keys alone, so it keeps the
+``_skey`` order and distinctness of the generators; and it is a
+bijection of the semimodule that preserves weighted sums with weights
+summing to 1, so it maps extreme points to extreme points.
 """
 
 from __future__ import annotations
@@ -88,7 +97,6 @@ class ConvexSet:
         object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "_skey", (
             3, semiring.id, tuple(g._skey for g in generators)))
-        object.__setattr__(self, "_hash", hash((semiring.id, generators)))
 
     def __setattr__(self, name: str, value: Any):
         raise AttributeError("ConvexSet is immutable")
@@ -107,7 +115,12 @@ class ConvexSet:
         return self._skey < other._skey
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.semiring.id, self.generators))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(g) for g in self.generators)
@@ -323,15 +336,15 @@ def cs_empty(sr: Semiring) -> ConvexSet:
 
 
 def cs_scale(lam: Scalar, A: ConvexSet) -> ConvexSet:
-    """lambda * A elementwise for lambda != 0; {epsilon} for lambda = 0,
-    including 0 * empty = {epsilon}."""
+    """lambda * A elementwise for lambda != 0, in A's generator order
+    and with A's ``canonical`` flag (see the module docstring);
+    {epsilon} for lambda = 0, including 0 * empty = {epsilon}."""
     sr = A.semiring
     lam = sr.validate(lam)
     if sr.is_zero(lam):
         return cs_zero(sr)
-    scaled = convex_set(sr, (fs_scale(lam, g) for g in A.generators),
-                        canonical=A.canonical)
-    return scaled
+    return ConvexSet(sr, tuple([fs_scale(lam, g) for g in A.generators]),
+                     A.canonical, _trusted=True)
 
 
 def cs_add(A: ConvexSet, B: ConvexSet) -> ConvexSet:

@@ -404,6 +404,17 @@ def _eta_S_violation(sr: Semiring, A: tuple) -> dict | None:
     return None
 
 
+def weak_law_instance_count(xsize: int) -> int:
+    """How many instances the bool weak-law suite checks at ``xsize``,
+    summed over its four diagrams, without enumerating.  Both triangles
+    check the S = 2^xsize subsets; each rectangle checks 1 + L + C(L, 2)
+    weightings of the L = 1 + S + C(S, 2) level-one weightings or
+    families over those subsets."""
+    s = 2 ** xsize
+    level1 = 1 + s + math.comb(s, 2)
+    return 2 * s + 2 * (1 + level1 + math.comb(level1, 2))
+
+
 def check_weak_law(sr: Semiring, xsize: int = 2, trials: int = 50,
                    seed: int = 0, value_bound: int = 2) -> list[LawReport]:
     """Evaluate the weak-law diagrams for one semiring.
@@ -745,7 +756,8 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
         return [_law_report(
             "pentagon:free", sr, MODE_BOUNDED, Phis,
             lambda Phi: pentagon_check("free", Phi).counterexample,
-            detail=f"{len(Phis)} families over {len(carrier)} carrier sets",
+            detail=f"{len(Phis)} weightings of {len(families)} families "
+                   f"over {len(carrier)} carrier sets",
             meta={"expected": PASS, "instances": len(Phis)},
             fail_meta={"expected": PASS})]
 

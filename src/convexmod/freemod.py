@@ -13,12 +13,17 @@ higher modules nest values, a weighting over symbol sets, over inner
 FinSupp values (the classical S(S X) layer), or over convex sets,
 without duplicating this module.
 
-Each value hashes once, at construction, from its semiring id and its
-entries; a nested FinSupp or ConvexSet key contributes its own cached
-hash, so hashing never descends to the scalars of inner values.  The
-precomputed ``_skey`` only orders and compares: it decides ``==``,
+Each value hashes on first use, from its semiring id and its entries,
+and keeps the result; a nested FinSupp or ConvexSet key contributes
+its own cached hash, so hashing never descends to the scalars of inner
+values, and a value that never enters a set or a dict never hashes.
+The precomputed ``_skey`` only orders and compares: it decides ``==``,
 ``<`` and every sorted order.  Dedup dicts and sets are keyed by the
 values themselves, never by ``_skey``.
+
+``fs_scale`` by a nonzero scalar skips ``finsupp``: none of the three
+semirings has zero divisors, so no scaled entry becomes zero, and the
+keys do not change, so the entries stay sorted and distinct.
 
 The monad structure lives here too:
 
@@ -87,7 +92,6 @@ class FinSupp:
         object.__setattr__(self, "_skey", (
             2, semiring.id,
             tuple((sort_key(k), v) for k, v in entries)))
-        object.__setattr__(self, "_hash", hash((semiring.id, entries)))
 
     def __setattr__(self, name: str, value: Any):
         raise AttributeError("FinSupp is immutable")
@@ -120,7 +124,12 @@ class FinSupp:
         return self._skey < other._skey
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.semiring.id, self.entries))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         if not self.entries:
@@ -235,12 +244,16 @@ def fs_add(a: FinSupp, b: FinSupp) -> FinSupp:
 
 
 def fs_scale(lam: Scalar, phi: FinSupp) -> FinSupp:
-    """Pointwise scalar multiple; scaling by zero gives the zero function."""
+    """Pointwise scalar multiple; scaling by zero gives the zero function.
+
+    A nonzero lambda maps the entries in order: with no zero divisors
+    no product is zero, and the keys, hence their order, are kept."""
     sr = phi.semiring
     lam = sr.validate(lam)
     if sr.is_zero(lam):
         return fs_zero(sr)
-    return finsupp(sr, ((k, sr.mul(lam, v)) for k, v in phi.entries))
+    return FinSupp(sr, tuple([(k, sr.mul(lam, v)) for k, v in phi.entries]),
+                   _trusted=True)
 
 
 def fs_from_json(sr: Semiring, data: Mapping[str, Any]) -> FinSupp:

@@ -221,13 +221,11 @@ class _QplusSemiring(Semiring):
         return a / b
 
     def validate(self, a: Scalar) -> Fraction:
-        if isinstance(a, bool):
-            raise ConvexmodError(f"invalid qplus scalar: {a!r}")
-        if isinstance(a, int):
-            a = Fraction(a)
         if not isinstance(a, Fraction):
-            raise ConvexmodError(f"invalid qplus scalar: {a!r}")
-        if a < 0:
+            if isinstance(a, bool) or not isinstance(a, int):
+                raise ConvexmodError(f"invalid qplus scalar: {a!r}")
+            a = Fraction(a)
+        if a.numerator < 0:
             raise ConvexmodError(f"qplus scalar must be non-negative: {a}")
         return a
 

@@ -37,6 +37,11 @@ tautology:
   Minkowski sum: the hull of every weighted sum that picks one
   generator per key, built in one go.  The package folds the scaled
   keys pairwise with ``cs_add`` in ``composite.alpha``.
+* ``fs_scale_by_finsupp`` and ``cs_scale_by_convex_set`` are the
+  package's former scaling routes: every scaled pair goes back through
+  the validating ``finsupp`` (validate, merge, drop zeros, sort), and
+  the scaled generators back through ``convex_set`` (dedup, sort).  The
+  package maps entries and generators in order instead.
 """
 
 from __future__ import annotations
@@ -45,9 +50,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from convexmod.convex import ConvexSet, hull_canonicalize
+from convexmod.convex import ConvexSet, convex_set, cs_zero, hull_canonicalize
 from convexmod.errors import ConvexmodError, SemiringMismatchError
-from convexmod.freemod import fs_add, fs_scale, fs_zero
+from convexmod.freemod import FinSupp, finsupp, fs_add, fs_scale, fs_zero
 from convexmod.semiring import Scalar, Semiring
 
 
@@ -321,3 +326,25 @@ def weighted_generator_hull(sr: Semiring,
             acc = fs_add(acc, fs_scale(w, g))
         members.append(acc)
     return hull_canonicalize(members, sr)
+
+
+def fs_scale_by_finsupp(lam: Scalar, phi: FinSupp) -> FinSupp:
+    """lambda * phi rebuilt through ``finsupp`` from the scaled pairs;
+    the zero function for lambda = 0."""
+    sr = phi.semiring
+    lam = sr.validate(lam)
+    if sr.is_zero(lam):
+        return fs_zero(sr)
+    return finsupp(sr, [(k, sr.mul(lam, v)) for k, v in phi.entries])
+
+
+def cs_scale_by_convex_set(lam: Scalar, A: ConvexSet) -> ConvexSet:
+    """lambda * A rebuilt through ``convex_set`` from the scaled
+    generators, keeping A's ``canonical`` flag; {epsilon} for
+    lambda = 0."""
+    sr = A.semiring
+    lam = sr.validate(lam)
+    if sr.is_zero(lam):
+        return cs_zero(sr)
+    return convex_set(sr, [fs_scale_by_finsupp(lam, g) for g in A.generators],
+                      canonical=A.canonical)

@@ -271,6 +271,21 @@ class TestLaws:
         assert code == 2 and out == ""
         assert f"{count} instances" in err
 
+    @pytest.mark.parametrize("xsize, cap, count", [
+        ("4", None, "18,940"),
+        ("3", 1423, "1,424")])
+    def test_oversized_bool_weakdist_rejected(self, capsys, monkeypatch,
+                                              xsize, cap, count):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("weakdist instances were enumerated")
+        monkeypatch.setattr("convexmod.distlaw.weightings_over", refuse)
+        if cap is not None:
+            monkeypatch.setattr("convexmod.cli.WEAK_LAW_MAX_INSTANCES", cap)
+        code, out, err = run(capsys, "laws", "--suite", "weakdist",
+                             "--semiring", "bool", "--xsize", xsize)
+        assert code == 2 and out == ""
+        assert f"{count} instances" in err
+
     def test_zero_trials_rejected(self, capsys):
         code, _, err = run(capsys, "laws", "--suite", "pentagon",
                            "--trials", "0")

@@ -38,7 +38,9 @@ from oracles import (
     bool_member_by_subsets,
     bool_member_by_supports,
     canonical_by_fixpoint,
+    cs_scale_by_convex_set,
     feasible_by_fraction_simplex,
+    fs_scale_by_finsupp,
     qplus_member_by_elimination,
 )
 
@@ -311,6 +313,110 @@ class TestHashContract:
         outer_b = hull_canonicalize([fb], QPLUS)
         assert outer_a == outer_b and hash(outer_a) == hash(outer_b)
         assert len({A, B}) == 1 and len({outer_a, outer_b}) == 1
+
+
+# Scalars per semiring, zero included; bool also takes Python bools.
+SCALARS = {
+    "bool": st.sampled_from([0, 1, False, True]),
+    "qplus": st.one_of(st.integers(0, 3),
+                       st.fractions(min_value=0, max_value=4,
+                                    max_denominator=4)),
+    "nat": st.integers(0, 4),
+}
+
+
+@st.composite
+def nested_values(draw, sr, depth=1):
+    """A FinSupp over ``sr`` keyed by symbols and, above depth 0, by
+    FinSupp and ConvexSet values and tuples holding them."""
+    keys = st.sampled_from(SYMS)
+    if depth > 0:
+        inner = nested_values(sr, depth - 1)
+        keys = st.one_of(keys, inner, nested_sets(sr, depth - 1),
+                         st.tuples(inner, st.sampled_from(SYMS)))
+    return finsupp(sr, draw(st.lists(st.tuples(keys, SCALARS[sr.id]),
+                                     max_size=3)))
+
+
+@st.composite
+def nested_sets(draw, sr, depth=1):
+    """A canonical or plain (possibly redundant) ConvexSet, maybe
+    empty, of ``nested_values`` generators."""
+    gens = draw(st.lists(nested_values(sr, depth), max_size=3))
+    if draw(st.booleans()):
+        return hull_canonicalize(gens, sr)
+    return convex_set(sr, gens)
+
+
+def assert_same_set(got, want):
+    assert got.generators == want.generators
+    assert [g.entries for g in got.generators] == \
+        [g.entries for g in want.generators]
+    assert got.canonical == want.canonical
+    assert hash(got) == hash(want) == hash((want.semiring.id,
+                                            want.generators))
+
+
+class TestScaleAgainstOracle:
+    """``fs_scale`` and ``cs_scale`` map entries and generators in
+    order, with no re-validation and no re-sort; rebuilding through
+    ``finsupp`` and ``convex_set`` gives the identical values, flags
+    and hashes."""
+
+    @pytest.mark.parametrize("sr", [BOOL, QPLUS, NAT],
+                             ids=["bool", "qplus", "nat"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_fs_scale(self, sr, data):
+        lam = data.draw(SCALARS[sr.id])
+        phi = data.draw(nested_values(sr))
+        got, want = fs_scale(lam, phi), fs_scale_by_finsupp(lam, phi)
+        assert got.entries == want.entries and got == want
+        assert hash(got) == hash(want) == hash((sr.id, want.entries))
+
+    @pytest.mark.parametrize("sr", [BOOL, QPLUS, NAT],
+                             ids=["bool", "qplus", "nat"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_cs_scale(self, sr, data):
+        lam = data.draw(SCALARS[sr.id])
+        A = data.draw(nested_sets(sr))
+        assert_same_set(cs_scale(lam, A), cs_scale_by_convex_set(lam, A))
+
+    @pytest.mark.parametrize("sr, lams", [
+        (BOOL, [0, 1, True]),
+        (QPLUS, [0, F(0), 1, F(3, 2)]),
+        (NAT, [0, 1, 3])], ids=["bool", "qplus", "nat"])
+    def test_zero_empty_redundant_and_nested(self, sr, lams):
+        one = sr.one
+        x, y = finsupp(sr, [("x", one)]), finsupp(sr, [("y", one)])
+        xy = fs_add(x, y)
+        inner = convex_set(sr, [xy, x, y, xy])
+        nested = finsupp(sr, [(inner, one), ((x, "u"), one), (xy, one)])
+        sets = [cs_empty(sr), cs_zero(sr), convex_set(sr, []),
+                convex_set(sr, [xy, x, y]), hull_canonicalize([x, y], sr),
+                convex_set(sr, [nested, x]),
+                hull_canonicalize([nested, fs_unit(sr, inner)], sr)]
+        assert not sets[3].canonical
+        for lam in lams:
+            for A in sets:
+                assert_same_set(cs_scale(lam, A),
+                                cs_scale_by_convex_set(lam, A))
+            got = fs_scale(lam, nested)
+            want = fs_scale_by_finsupp(lam, nested)
+            assert got.entries == want.entries
+            assert hash(got) == hash(want)
+
+    def test_values_hash_on_first_use(self):
+        phi = qsupp([("x", F(1, 2))])
+        assert not hasattr(phi, "_hash")
+        assert hash(phi) == hash(("qplus", (("x", F(1, 2)),)))
+        assert phi._hash == hash(phi)
+        # convex_set hashes its generators to dedup them, not the set.
+        A = convex_set(QPLUS, [phi])
+        assert not hasattr(A, "_hash")
+        assert hash(A) == hash(("qplus", (phi,)))
+        assert A._hash == hash(A)
 
 
 class TestEquality:

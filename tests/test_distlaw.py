@@ -34,6 +34,7 @@ from convexmod.distlaw import (
     trivialE_extend,
     trivial_law,
     trivial_lifting_fixed_points,
+    weak_law_instance_count,
 )
 from convexmod.errors import ConvexmodError, NotSemifieldError
 from convexmod.freemod import finsupp, fs_map, fs_unit, fs_zero
@@ -249,6 +250,25 @@ class TestWeakLawSuites:
         reports = check_weak_law(NAT, xsize=2)
         r = {r.name: r for r in reports}["eta_S_triangle"]
         assert r.passed and r.meta["expected"] == "pass"
+
+    @pytest.mark.parametrize("xsize", [1, 2])
+    def test_bool_instance_count_matches_the_reports(self, xsize):
+        reports = {r.name: r for r in check_weak_law(BOOL, xsize=xsize)}
+        # The failed eta_S report carries no count: it checks the
+        # 2^xsize subsets.
+        checked = 2 ** xsize + sum(
+            reports[name].meta["instances"]
+            for name in ("eta_P_triangle", "mu_S_rectangle",
+                         "mu_P_rectangle"))
+        assert weak_law_instance_count(xsize) == checked
+
+    @pytest.mark.parametrize("xsize, instances", [
+        # 8 + 704 + 704 + 8, the counts the xsize 3 reports carry.
+        (3, 1_424),
+        # 16 + 2 * (1 + L + C(L, 2)) + 16 over L = 1 + 16 + C(16, 2) = 137.
+        (4, 18_940)])
+    def test_bool_instance_count(self, xsize, instances):
+        assert weak_law_instance_count(xsize) == instances
 
     def test_qplus_suite_deterministic_under_seed(self):
         a = [r.to_json_dict() for r in check_weak_law(QPLUS, seed=7)]

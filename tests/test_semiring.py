@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexmod.errors import (
+    ConvexmodError,
     NoDecisionProcedureError,
     NotInvertibleError,
     NotRefinementInstanceError,
@@ -193,6 +194,21 @@ class TestScalarIO:
     def test_negative_rational_rejected(self):
         with pytest.raises(Exception):
             QPLUS.parse_scalar("-1/2")
+
+    @pytest.mark.parametrize("value", [Fraction(0), Fraction(5, 3),
+                                       Fraction(7)])
+    def test_nonnegative_qplus_fraction_returned_as_is(self, value):
+        assert QPLUS.validate(value) is value
+
+    @pytest.mark.parametrize("value, message", [
+        (Fraction(-1, 2), "qplus scalar must be non-negative: -1/2"),
+        (-2, "qplus scalar must be non-negative: -2"),
+        (True, "invalid qplus scalar: True"),
+        (0.5, "invalid qplus scalar: 0.5")])
+    def test_invalid_qplus_scalar_message(self, value, message):
+        with pytest.raises(ConvexmodError) as exc:
+            QPLUS.validate(value)
+        assert str(exc.value) == message
 
     def test_unknown_semiring_rejected(self):
         with pytest.raises(Exception):

@@ -288,12 +288,29 @@ def _cmd_laws(args, out) -> int:
     return EXIT_OK if met else EXIT_CHECK_FAILED
 
 
-def _load_phi(path: str, sr):
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
+def _read_json(path: str | None):
+    """The JSON document in the file at ``path``, or on stdin for None.
+    Every way the input can fail to be one is a usage error."""
+    name = "stdin" if path is None else path
+    try:
+        if path is None:
+            return json.load(sys.stdin)
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConvexmodError(f"no such file: {exc.filename}") from None
+    except OSError as exc:
+        raise ConvexmodError(f"cannot read {name}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ConvexmodError(f"bad JSON: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConvexmodError(f"{name} is not UTF-8 text") from None
+    except RecursionError:
+        raise ConvexmodError(f"bad JSON: {name} nests too deeply") from None
+
+
+def _load_phi(path: str, sr):
+    data = _read_json(None if path == "-" else path)
     weights = data.get("weights") if isinstance(data, dict) else None
     if not isinstance(weights, list):
         raise ConvexmodError("weighting JSON needs a 'weights' array")
@@ -367,8 +384,7 @@ def _cmd_delta(args, out) -> int:
 
 def _cmd_render(args, out) -> int:
     if args.set_json:
-        with open(args.set_json, encoding="utf-8") as fh:
-            A = cs_from_json(json.load(fh))
+        A = cs_from_json(_read_json(args.set_json))
         sr = A.semiring
         variables = _parse_vars(args.vars) or sorted(
             {x for g in A.generators for x in g.support()})
@@ -475,12 +491,6 @@ def main(argv=None) -> int:
         return args.func(args, sys.stdout)
     except ParseError as exc:
         _diagnose(args, str(exc), kind="parse")
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        _diagnose(args, f"no such file: {exc.filename}")
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        _diagnose(args, f"bad JSON: {exc}")
         return EXIT_USAGE
     except ConvexmodError as exc:
         _diagnose(args, str(exc))

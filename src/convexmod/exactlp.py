@@ -7,18 +7,7 @@ is the caller's business, this module only sees columns and a target
 of equal dimension.
 
 The system is read once into Python ints (times the lcm L of its
-denominators) and presolved, for any sign pattern:
-
-* A row with target 0 and no negative entry is a forcing row: every
-  column with a positive entry there must take weight 0.  The forcing
-  rows and the columns they force leave the system; every kept column
-  is 0 on the forcing rows, so nothing else changes.
-* A remaining row with a nonzero target where no kept column has an
-  entry of the target's sign is infeasible on its own; no pivoting is
-  needed.  Over qplus this is "the target uses a coordinate that no
-  surviving generator reaches".
-
-The algorithm on what remains is the textbook phase-1: one artificial
+denominators) and solved by the textbook phase-1: one artificial
 variable per row, minimize their sum, pivot with Bland's anti-cycling
 rule (smallest eligible entering index; smallest ratio, then smallest
 basic index, on leaving).  Bland's rule guarantees termination.
@@ -38,29 +27,15 @@ iff that sum exceeds 0 (real) or D (artificial).  So every entering
 and leaving choice, and every witness, is the one the textbook tableau
 gives.
 
-The presolved system decides feasibility.  When it is feasible, phase
-1 runs again on the whole system for the witness: a forced column can
-enter the whole system's basis on a degenerate pivot (a ratio-0 tie
-that Bland's rule breaks towards an earlier row) and lead to another
-vertex, so padding the presolved witness with zeros would not always
-give the textbook witness.  Feasible systems are the rare answer in
-redundancy tests, so this costs little.
-
 Both answers carry evidence checked before they are returned.  A
 witness ``B_i / D`` is re-substituted into the system as handed in,
 multiplied through by D: D > 0, every B_i >= 0 and sum_j B_j a_j = D b.
 That is integer arithmetic when the entries are integers, as the qplus
 route hands them in; ``Fraction`` weights are built only for the
 returned witness.  A "no" comes with a Farkas certificate y: the
-phase-1 dual read off the artificial columns, or the unit vector of a
-row infeasible on its own, signed by its target.  A certificate of the
-presolved system is lifted to the whole one by -N on the forcing rows,
-where N is the least integer >= y.a_j / s_j over the forced columns j
-(s_j > 0 the sum of a_j over the forcing rows); that leaves y.b and
-y.a_j of the kept columns as they were and makes y.a_j <= 0 on the
-forced ones.  The lifted y is checked in integers against the whole
-scaled system: y.a_j <= 0 for every column and y.b > 0.  A failed
-check is an ``InternalError``.
+phase-1 dual read off the artificial columns, checked in integers
+against the scaled system: y.a_j <= 0 for every column and y.b > 0.  A
+failed check is an ``InternalError``.
 """
 
 from __future__ import annotations
@@ -119,39 +94,18 @@ def feasible(sys_: FeasibilitySystem) -> list[Fraction] | None:
 
     The witness satisfies the equations exactly and is non-negative,
     both asserted by re-substitution; None is returned only after a
-    Farkas certificate has been checked against the whole system.
+    Farkas certificate has been checked against the system.
     """
     if not sys_.target:
         return [Fraction(0)] * len(sys_.columns)
     columns, target = _integral(sys_)
-    solution, certificate = _solve(columns, target)
+    solution, certificate = _phase1(columns, target)
     if solution is None:
         _check_certificate(columns, target, certificate)
         return None
     values, denominator = solution
     _assert_witness(sys_, values, denominator)
     return [Fraction(v, denominator) for v in values]
-
-
-def _solve(columns: list[list[int]], target: list[int]):
-    """Presolve, then phase 1; the answer is for the whole system.
-
-    Returns ``((values, D), None)`` with one value per column, or
-    ``(None, y)`` with one certificate entry per row.
-    """
-    forcing, rows, kept, y = _presolve(columns, target)
-    if y is None:
-        if not forcing:
-            return _phase1(columns, target)
-        solution, y = _phase1(
-            [[columns[j][i] for i in rows] for j in kept],
-            [target[i] for i in rows])
-        if solution is not None:
-            # A forced column can enter the whole system's basis on a
-            # degenerate pivot and steer Bland's rule to another
-            # vertex, so the witness comes from the whole system.
-            return _phase1(columns, target)
-    return None, _lift_certificate(columns, forcing, rows, y)
 
 
 def _integral(sys_: FeasibilitySystem
@@ -168,49 +122,6 @@ def _integral(sys_: FeasibilitySystem
                for col in sys_.columns]
     target = [v.numerator * (scale // v.denominator) for v in sys_.target]
     return columns, target
-
-
-def _presolve(columns: list[list[int]], target: list[int]):
-    """Drop forcing rows and the columns they force; spot a row that is
-    infeasible on its own.
-
-    Returns ``(forcing, rows, kept, y)``: the forcing row indices, the
-    other row indices, the kept column indices, and the reduced Farkas
-    certificate (over ``rows``) of an infeasible row, or None.
-    """
-    m = len(target)
-    forcing = [i for i in range(m)
-               if not target[i] and all(col[i] >= 0 for col in columns)]
-    # Entries on forcing rows are >= 0, so nonzero means forced.
-    kept = [j for j, col in enumerate(columns)
-            if not any(col[i] for i in forcing)]
-    rows = [i for i in range(m) if i not in forcing]
-    for k, i in enumerate(rows):
-        t = target[i]
-        if t and all(columns[j][i] * t <= 0 for j in kept):
-            y = [0] * len(rows)
-            y[k] = 1 if t > 0 else -1
-            return forcing, rows, kept, y
-    return forcing, rows, kept, None
-
-
-def _lift_certificate(columns: list[list[int]], forcing: list[int],
-                      rows: list[int], y_rows: list[int]) -> list[int]:
-    """A certificate of the presolved system, extended to every row:
-    ``y_rows`` on ``rows``, -N on the forcing rows, N the least integer
-    making y.a_j <= 0 on every forced column."""
-    y = [0] * (len(forcing) + len(rows))
-    for i, v in zip(rows, y_rows):
-        y[i] = v
-    n = 0
-    for col in columns:
-        # s > 0 exactly on the forced columns.
-        s = sum(col[i] for i in forcing)
-        if s:
-            n = max(n, -(-sum(y[i] * col[i] for i in rows) // s))
-    for i in forcing:
-        y[i] = -n
-    return y
 
 
 def _phase1(columns: list[list[int]], target: list[int]):

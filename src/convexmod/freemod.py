@@ -111,10 +111,6 @@ class FinSupp:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def total(self) -> Scalar:
-        """The sum of all values (used for convex-combination checks)."""
-        return self.semiring.sum(v for _, v in self.entries)
-
     # -- equality / ordering ----------------------------------------------
 
     def __eq__(self, other: Any) -> bool:

@@ -511,6 +511,44 @@ class TestRender:
         assert err == "error: ConvexSet JSON must be an object\n"
 
 
+class TestFileInput:
+    """``delta --phi`` and ``render --set-json`` read their file alike:
+    input that is no JSON document is a one-line usage error."""
+
+    @pytest.fixture(params=["not_utf8", "directory", "deeply_nested"])
+    def bad_input(self, request, tmp_path):
+        p = tmp_path / "input.json"
+        if request.param == "not_utf8":
+            p.write_bytes(b'{"weights": "\xff\xfe"}')
+        elif request.param == "directory":
+            p.mkdir()
+        else:
+            p.write_text("[" * 200_000, encoding="utf-8")
+        return request.param, str(p)
+
+    @pytest.mark.parametrize("flag", [("delta", "--phi"),
+                                      ("render", "--set-json")],
+                             ids=["delta", "render"])
+    def test_usage_error(self, capsys, bad_input, flag):
+        kind, path = bad_input
+        code, out, err = run(capsys, *flag, path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert {"not_utf8": "not UTF-8 text",
+                "directory": "cannot read",
+                "deeply_nested": "nests too deeply"}[kind] in err
+
+    def test_json_diagnostic(self, capsys, tmp_path):
+        code, _, err = run(capsys, "render", "--format", "json",
+                           "--set-json", str(tmp_path))
+        assert code == 2
+        assert json.loads(err) == {
+            "error": f"cannot read {tmp_path}: Is a directory",
+            "kind": "usage"}
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -15,7 +15,6 @@ from convexmod.exactlp import (
     _check_certificate,
     _integral,
     _phase1,
-    _solve,
     feasible,
     make_system,
 )
@@ -37,21 +36,6 @@ def farkas_certificate(sys_):
     columns, target = _integral(sys_)
     solution, y = _phase1(columns, target)
     assert solution is None
-    _check_certificate(columns, target, y)
-    for col in sys_.columns:
-        assert sum(yk * v for yk, v in zip(y, col)) <= 0
-    assert sum(yk * v for yk, v in zip(y, sys_.target)) > 0
-    return y
-
-
-def lifted_certificate(sys_):
-    """The certificate ``feasible`` checks behind a None: read off the
-    presolved system and lifted to every row; then re-checked here over
-    Fractions against the system as handed in."""
-    columns, target = _integral(sys_)
-    solution, y = _solve(columns, target)
-    assert solution is None
-    assert len(y) == len(sys_.target)
     _check_certificate(columns, target, y)
     for col in sys_.columns:
         assert sum(yk * v for yk, v in zip(y, col)) <= 0
@@ -126,12 +110,11 @@ class TestContracts:
 
     def test_tampered_lift_raises(self):
         # Row 0 forces column 0 to weight 0; row 1 is then infeasible on
-        # its own.  The lift puts -5 on row 0, the least value that
-        # covers column 0's y.a_j = 5 over its forcing-row sum 1.
+        # its own.  A certificate with 1 on row 1 must put at most -5 on
+        # row 0 to cover column 0's entry 5 there.
         sys_ = make_system([(1, 5, 1), (0, 0, 1)], (0, 3, 1))
         columns, target = _integral(sys_)
-        y = lifted_certificate(sys_)
-        assert y == [-5, 1, 0]
+        farkas_certificate(sys_)
         for forcing_entry in (0, -4):
             with pytest.raises(InternalError, match="column 0"):
                 _check_certificate(columns, target, [forcing_entry, 1, 0])
@@ -236,11 +219,12 @@ positive = st.fractions(min_value=F(1, 6), max_value=4, max_denominator=6)
 
 
 @st.composite
-def presolved_systems(draw):
-    """Systems the presolve acts on: like ``systems``, but each row is
-    left free, planted as a forcing row (target 0, every entry >= 0,
-    zeros common) or, more rarely, planted as infeasible on its own
-    (nonzero target, no entry of its sign)."""
+def planted_row_systems(draw):
+    """Like ``systems``, but each row is left free, planted as a
+    forcing row (target 0, every entry >= 0, zeros common: a column
+    with a positive entry there must take weight 0) or, more rarely,
+    planted as infeasible on its own (nonzero target, no entry of its
+    sign)."""
     rows = draw(st.integers(1, 5))
     width = draw(st.integers(0, 7))
     hull = draw(st.booleans())
@@ -266,20 +250,23 @@ def presolved_systems(draw):
 
 
 class TestPresolveAgreement:
+    """Systems with planted forcing rows and rows infeasible on their
+    own, against the fraction-simplex oracle."""
+
     def test_forced_column_entering_first(self):
-        # Row 2 forces column 1, yet on the whole system column 1 is
-        # Bland's first entering choice, and the path ends at another
-        # vertex than the presolved system's [0, 0, 1/11, 3/11].
+        # Row 2 forces column 1, yet column 1 is Bland's first entering
+        # choice; the path ends at another vertex than the system
+        # without row 2 and column 1 would give, [0, 0, 1/11, 3/11].
         sys_ = make_system([(3, 3, 0), (-3, 1, 2), (-2, 3, 0),
                             (-3, -1, 0)], (-1, 0, 0))
         witness = [F(1, 6), F(0), F(0), F(1, 2)]
         assert feasible(sys_) == feasible_by_fraction_simplex(sys_) == witness
 
     @settings(max_examples=150)
-    @given(presolved_systems())
+    @given(planted_row_systems())
     def test_identical_witness_or_none(self, sys_):
         verdict = feasible(sys_)
         reference = feasible_by_fraction_simplex(sys_)
         assert verdict == reference
         if verdict is None:
-            lifted_certificate(sys_)
+            farkas_certificate(sys_)

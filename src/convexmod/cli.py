@@ -40,6 +40,7 @@ from .distlaw import (
     check_naturality,
     check_pentagon_law,
     check_weak_law,
+    composition_count,
     delta_bruteforce,
     delta_hull,
     pentagon_instance_count,
@@ -50,7 +51,7 @@ from .distlaw import (
     weightings_over,
 )
 from .errors import ConvexmodError, InternalError, ParseError
-from .report import MODE_EXHAUSTIVE, FAIL, PASS, LawReport
+from .report import MODE_BOUNDED, MODE_EXHAUSTIVE, FAIL, PASS, LawReport
 from .semiring import HULL_EXACT_LP, get_semiring
 from .terms import (
     eval_term,
@@ -72,8 +73,17 @@ APPENDIX_A_MAX_XSIZE = 4
 # and 28,158,761 at xsize 3 (hours).
 PENTAGON_MAX_INSTANCES = 100_000
 # weakdist over bool checks 1,424 instances at xsize 3 (about a second)
-# and 18,940 at xsize 4, with larger sets (unfinished after 20 s).
+# and 18,940 at xsize 4, with larger sets (unfinished after 20 s).  Over
+# nat it counts the value bound too: 2,435 at the defaults (xsize 2,
+# bound 2), 753,997 at bound 30.
 WEAK_LAW_MAX_INSTANCES = 10_000
+# delta over nat folds the compositions of each set's weight: 840
+# combinations for three two-element sets weighted 5, 9 and 13, about
+# 4.2e10 for one weight of 1000 on five symbols.
+DELTA_MAX_COMPOSITIONS = 100_000
+# A count beyond 10^30 is reported as a bound, not computed in full.
+_SHOWN_COUNT_DIGITS = 30
+_SHOWN_COUNT_MAX = 10 ** _SHOWN_COUNT_DIGITS
 
 
 def _parse_vars(arg: str | None) -> list[str]:
@@ -92,8 +102,8 @@ def _parse_vars(arg: str | None) -> list[str]:
 
 
 def _fmt_gen(g, sr) -> str:
-    inner = ", ".join(f"{k}: {sr.format_scalar(v)}" for k, v in g.items())
-    return "{" + inner + "}"
+    fmt = sr.format_scalar
+    return "{" + ", ".join([f"{k}: {fmt(v)}" for k, v in g.entries]) + "}"
 
 
 def _describe_set(A: ConvexSet, variables: list[str]) -> dict:
@@ -237,14 +247,15 @@ def _report_lines(reports, fmt) -> list[str]:
     return lines
 
 
-def _refuse_oversized(suite: str, sr, xsize: int, instances: int,
-                      cap: int) -> None:
-    """Usage error, before any enumeration, for a suite that would
-    check more than ``cap`` instances."""
-    if instances > cap:
+def _refuse_oversized(what: str, count: int, cap: int,
+                      unit: str = "instances") -> None:
+    """Usage error, before any enumeration, for a run that would walk
+    more than ``cap`` instances."""
+    if count > cap:
+        shown = (f"{count:,}" if count <= _SHOWN_COUNT_MAX
+                 else f"more than 10^{_SHOWN_COUNT_DIGITS}")
         raise ConvexmodError(
-            f"{suite} over {sr.id} at xsize {xsize} enumerates "
-            f"{instances:,} instances; at most {cap:,} are allowed")
+            f"{what} enumerates {shown} {unit}; at most {cap:,} are allowed")
 
 
 def _cmd_laws(args, out) -> int:
@@ -256,16 +267,22 @@ def _cmd_laws(args, out) -> int:
     if args.suite == "weakdist":
         xsize = args.xsize or 2
         if sr.enumeration == MODE_EXHAUSTIVE:
-            _refuse_oversized(args.suite, sr, xsize,
+            _refuse_oversized(f"weakdist over {sr.id} at xsize {xsize}",
                               weak_law_instance_count(xsize),
                               WEAK_LAW_MAX_INSTANCES)
+        elif sr.enumeration == MODE_BOUNDED:
+            _refuse_oversized(
+                f"weakdist over {sr.id} at xsize {xsize} and value bound "
+                f"{args.value_bound}",
+                weak_law_instance_count(xsize, sr, args.value_bound),
+                WEAK_LAW_MAX_INSTANCES)
         reports = check_weak_law(sr, xsize=xsize,
                                  trials=args.trials, seed=seed,
                                  value_bound=args.value_bound)
     elif args.suite == "pentagon":
         xsize = args.xsize or 2
         if sr.enumeration == MODE_EXHAUSTIVE:
-            _refuse_oversized(args.suite, sr, xsize,
+            _refuse_oversized(f"pentagon over {sr.id} at xsize {xsize}",
                               pentagon_instance_count(sr, xsize),
                               PENTAGON_MAX_INSTANCES)
         reports = check_pentagon_law(sr, xsize=xsize,
@@ -305,6 +322,10 @@ def _read_json(path: str | None):
         raise ConvexmodError(f"bad JSON: {exc}") from None
     except UnicodeDecodeError:
         raise ConvexmodError(f"{name} is not UTF-8 text") from None
+    except ValueError:  # an int literal past the int-string limit
+        raise ConvexmodError(
+            f"bad JSON: {name} has a number longer than "
+            f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise ConvexmodError(f"bad JSON: {name} nests too deeply") from None
 
@@ -333,6 +354,10 @@ def _cmd_delta(args, out) -> int:
     sr = get_semiring(args.semiring)
     Phi = _load_phi(args.phi, sr)
     if not sr.is_semifield:
+        _refuse_oversized(
+            f"delta over {sr.id}",
+            composition_count(Phi, limit=_SHOWN_COUNT_MAX),
+            DELTA_MAX_COMPOSITIONS, unit="combinations of compositions")
         gens = delta_bruteforce(Phi)
         hull = None
     else:

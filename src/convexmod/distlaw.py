@@ -4,13 +4,14 @@ The law sends a weighting of sets Phi (a finitely supported map from
 finite sets to nonzero scalars) to a set of weightings of elements.
 Two independent routes compute it:
 
-* ``delta_bruteforce`` follows the defining equations directly: it
-  enumerates every membership weighting psi on pairs (A, x) with x in A
-  whose per-set sums reproduce Phi, and collects the element weightings
-  phi(x) = sum over A containing x of psi(A, x).  This is exact for
-  bool (psi ranges over subsets of pairs) and for nat (psi values range
-  over compositions of each weight), but impossible for qplus, where
-  the psi space is a continuum.
+* ``delta_bruteforce`` follows the defining equations directly: its
+  outputs are the element weightings phi(x) = sum over A containing x
+  of psi(A, x), for every membership weighting psi on pairs (A, x)
+  with x in A whose per-set sums reproduce Phi.  This is exact for
+  bool (psi ranges over subsets of pairs) and for nat (psi restricted
+  to one set is a composition of its weight, so the outputs are the
+  Minkowski sum of the sets' composition sets, folded set by set), but
+  impossible for qplus, where the psi space is a continuum.
 
 * ``delta_hull`` uses the closed form available over positive
   semifields (bool, qplus): the law is the convex closure of the
@@ -40,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,16 +180,45 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(out)
 
 
+def composition_count(Phi: SetWeighting, limit: int | None = None) -> int:
+    """How many combinations of per-set compositions define delta over
+    nat: the product over the supported sets A of
+    C(Phi(A) + |A| - 1, |A| - 1), computed without enumerating.  It
+    bounds both the work of ``delta_bruteforce`` and its output.  With
+    a ``limit`` the product stops at its first partial value above it,
+    so the cost stays bounded however large the weights are; a result
+    above the limit then only says that the count is above it too."""
+    count = 1
+    for A, weight in Phi.items():
+        factor = 1
+        for j in range(1, len(A)):
+            factor = factor * (weight + j) // j  # C(weight + j, j)
+            if limit is not None and count * factor > limit:
+                return count * factor
+        count *= factor
+    return count
+
+
 def delta_bruteforce(Phi: SetWeighting) -> list[FinSupp]:
-    """Definitional route: enumerate every membership weighting whose
-    per-set sums give Phi and collect the induced element weightings.
-    Only bool and nat admit the enumeration.
+    """Definitional route: the element weightings induced by every
+    membership weighting whose per-set sums give Phi, without repeats
+    and in ``sort_key`` order.  Only bool and nat admit the
+    enumeration.
 
     Over bool the defining enumeration (one nonempty subset per
     supported set, then their union) collapses to a filter: the outputs
     are exactly the subsets of the union that meet every supported set,
     because intersecting such a subset with each set recovers a valid
     choice of slices.  That keeps the walk polynomial in the output.
+
+    Over nat a membership weighting restricted to one set A is a
+    composition of Phi(A) over A's elements, and the output is the sum
+    of those slices.  The sums are folded set by set as integer vectors
+    over the sorted union, in a set, so partial sums that coincide,
+    as they do when sets share elements, are kept once.  Each vector's
+    nonzero (index, value) pairs sort as its weighting's sort key does,
+    because the index follows ``sort_key`` on the union; every distinct
+    sum becomes one FinSupp, built already canonical.
     """
     sr = Phi.semiring
     if sr.enumeration is None:
@@ -197,27 +228,34 @@ def delta_bruteforce(Phi: SetWeighting) -> list[FinSupp]:
         return []
     if not keys:
         return [fs_zero(sr)]
-    seen: set[FinSupp] = set()
+    union = set_key(x for A in keys for x in A)
     if sr.enumeration == MODE_EXHAUSTIVE:
         # The only nonzero scalar is one, so weightings are subsets.
-        union = set_key(x for A in keys for x in A)
+        seen: set[FinSupp] = set()
         key_sets = [frozenset(A) for A in keys]
         for r in range(1, len(union) + 1):
             for sub in itertools.combinations(union, r):
                 picked = frozenset(sub)
                 if all(picked & A for A in key_sets):
                     seen.add(finsupp(sr, [(x, 1) for x in sub]))
-    else:
-        per_set = []
-        for A in keys:
-            options = []
-            for comp in weak_compositions(Phi.value(A), len(A)):
-                options.append([(x, c) for x, c in zip(A, comp) if c > 0])
-            per_set.append(options)
-        for slices in itertools.product(*per_set):
-            entries = [pair for slice_ in slices for pair in slice_]
-            seen.add(finsupp(sr, entries))
-    return sorted_unique(seen)
+        return sorted_unique(seen)
+    index = {x: i for i, x in enumerate(union)}
+    sums = {(0,) * len(union)}
+    for A, weight in Phi.items():
+        at = [index[x] for x in A]
+        slices = []
+        for comp in weak_compositions(weight, len(A)):
+            slice_ = [0] * len(union)
+            for i, c in zip(at, comp):
+                slice_[i] = c
+            slices.append(slice_)
+        sums = {tuple(map(operator.add, total, slice_))
+                for total in sums for slice_ in slices}
+    supports = sorted(tuple([(i, v) for i, v in enumerate(total) if v])
+                      for total in sums)
+    return [FinSupp(sr, tuple([(union[i], v) for i, v in pairs]),
+                    _trusted=True)
+            for pairs in supports]
 
 
 def delta_witness_check(Phi: SetWeighting, phi: FinSupp,
@@ -404,15 +442,30 @@ def _eta_S_violation(sr: Semiring, A: tuple) -> dict | None:
     return None
 
 
-def weak_law_instance_count(xsize: int) -> int:
-    """How many instances the bool weak-law suite checks at ``xsize``,
-    summed over its four diagrams, without enumerating.  Both triangles
-    check the S = 2^xsize subsets; each rectangle checks 1 + L + C(L, 2)
-    weightings of the L = 1 + S + C(S, 2) level-one weightings or
-    families over those subsets."""
+def weak_law_instance_count(xsize: int, sr: Semiring = BOOL,
+                            value_bound: int = 2) -> int:
+    """How many instances the weak-law suite checks at ``xsize`` over
+    an enumerating semiring, summed over its four diagrams, without
+    enumerating.  With S = 2^xsize subsets and v nonzero scalars (one
+    over bool; ``value_bound`` over nat), the unit triangle on the
+    weighting side checks (1 + v)^xsize weightings and the one on the
+    set side the S subsets; each rectangle checks 1 + P v + C(P, 2) v^2
+    weightings of a pool of P level-one weightings or families, of
+    which there are 1 + S v + C(S, 2) v^2 and 1 + S + C(S, 2).  A
+    bounded enumeration keeps the first 40 and 15 of them."""
+    bounded = sr.enumeration == MODE_BOUNDED
+    v = max(value_bound, 0) if bounded else len(sr.carrier(None)) - 1
     s = 2 ** xsize
-    level1 = 1 + s + math.comb(s, 2)
-    return 2 * s + 2 * (1 + level1 + math.comb(level1, 2))
+
+    def pairs_at_most(pool: int) -> int:
+        return 1 + pool * v + math.comb(pool, 2) * v * v
+
+    level1 = pairs_at_most(s)
+    families = 1 + s + math.comb(s, 2)
+    if bounded:
+        level1, families = min(level1, 40), min(families, 15)
+    return ((1 + v) ** xsize + pairs_at_most(level1)
+            + pairs_at_most(families) + s)
 
 
 def check_weak_law(sr: Semiring, xsize: int = 2, trials: int = 50,

@@ -17,9 +17,10 @@ Each value hashes on first use, from its semiring id and its entries,
 and keeps the result; a nested FinSupp or ConvexSet key contributes
 its own cached hash, so hashing never descends to the scalars of inner
 values, and a value that never enters a set or a dict never hashes.
-The precomputed ``_skey`` only orders and compares: it decides ``==``,
-``<`` and every sorted order.  Dedup dicts and sets are keyed by the
-values themselves, never by ``_skey``.
+The key-to-scalar dict behind ``value`` is likewise built on the first
+lookup.  The precomputed ``_skey`` only orders and compares: it
+decides ``==``, ``<`` and every sorted order.  Dedup dicts and sets are
+keyed by the values themselves, never by ``_skey``.
 
 ``fs_scale`` by a nonzero scalar skips ``finsupp``: none of the three
 semirings has zero divisors, so no scaled entry becomes zero, and the
@@ -38,7 +39,8 @@ together with the pointwise semimodule operations ``fs_add``,
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from typing import Any
 
 from .errors import ConvexmodError, SemiringMismatchError, UnmappedSymbolError
 from .semiring import Scalar, Semiring
@@ -88,10 +90,12 @@ class FinSupp:
                 "construct FinSupp via finsupp()/fs_unit()/fs_zero()")
         object.__setattr__(self, "semiring", semiring)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_lookup", dict(entries))
+        # Symbol keys inline their sort key (0, k); other keys ask
+        # sort_key.
         object.__setattr__(self, "_skey", (
             2, semiring.id,
-            tuple((sort_key(k), v) for k, v in entries)))
+            tuple([((0, k) if type(k) is str else sort_key(k), v)
+                   for k, v in entries])))
 
     def __setattr__(self, name: str, value: Any):
         raise AttributeError("FinSupp is immutable")
@@ -100,7 +104,12 @@ class FinSupp:
 
     def value(self, key: Key) -> Scalar:
         """The scalar at ``key`` (the semiring zero off the support)."""
-        return self._lookup.get(key, self.semiring.zero)
+        try:
+            lookup = self._lookup
+        except AttributeError:
+            lookup = dict(self.entries)
+            object.__setattr__(self, "_lookup", lookup)
+        return lookup.get(key, self.semiring.zero)
 
     def support(self) -> tuple[Key, ...]:
         return tuple(k for k, _ in self.entries)

@@ -29,6 +29,8 @@ package ever compares against a tolerance.
 from __future__ import annotations
 
 import itertools
+import re
+import sys
 from fractions import Fraction
 from typing import Any, Iterable, Iterator
 
@@ -56,6 +58,24 @@ HULL_JOIN_COVER = "join_cover"  # closure under binary joins of supports
 HULL_LOOKUP = "lookup"          # every subset is convex: literal lookup
 
 PROPERTY_TAGS = ("positive", "semifield", "refinable", "A", "B", "C", "D", "E")
+
+# ``Fraction`` reads "1e5000" by building 10**5000, before any check.
+_EXPONENT = re.compile(r"[eE][-+]?\d")
+
+
+def _digit_limit_error() -> ConvexmodError:
+    return ConvexmodError("numerator or denominator longer than "
+                          f"{sys.get_int_max_str_digits()} digits")
+
+
+def check_digit_runs(text: str) -> None:
+    """Reject a scalar literal with a run of digits longer than
+    ``sys.get_int_max_str_digits()`` allows (0: no limit), before
+    ``int`` or ``Fraction`` refuses to read it."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit and any(
+            len(run) > limit for run in re.findall(r"\d+", text)):
+        raise _digit_limit_error()
 
 
 class Semiring:
@@ -231,12 +251,23 @@ class _QplusSemiring(Semiring):
 
     def parse_scalar(self, text: str) -> Fraction:
         t = text.strip()
+        if _EXPONENT.search(t):
+            raise ConvexmodError(
+                f"exponent notation is not accepted: {text!r}")
+        check_digit_runs(t)
         try:
             value = Fraction(t)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConvexmodError(f"invalid rational literal: {text!r}") from exc
         if value < 0:
             raise ConvexmodError(f"rational must be non-negative: {text!r}")
+        # A decimal joins both digit runs into its numerator and puts
+        # a power of ten in its denominator; at most 3 * limit bits
+        # always fit.
+        limit = sys.get_int_max_str_digits()
+        big = max(value.numerator, value.denominator)
+        if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+            raise _digit_limit_error()
         return value
 
     def format_scalar(self, a: Fraction) -> str:
@@ -295,7 +326,12 @@ class _NatSemiring(Semiring):
         t = text.strip()
         if not t.isdigit():
             raise ConvexmodError(f"invalid natural literal: {text!r}")
-        return int(t)
+        check_digit_runs(t)
+        try:
+            return int(t)
+        except ValueError:  # digits int() does not read, such as "²"
+            raise ConvexmodError(
+                f"invalid natural literal: {text!r}") from None
 
     def scalar_to_json(self, a: int) -> int:
         return a

@@ -55,7 +55,7 @@ from .errors import (
     UnmappedSymbolError,
 )
 from .freemod import fs_unit
-from .semiring import HULL_EXACT_LP, Scalar, Semiring
+from .semiring import HULL_EXACT_LP, Scalar, Semiring, check_digit_runs
 
 
 class Term:
@@ -137,6 +137,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 def _parse_scalar(sr: Semiring, text: str, at: int) -> Scalar:
     """The literal ``p`` or ``p/q`` as a scalar of the semiring; whole
     values reach ``sr.validate`` as ints."""
+    try:
+        check_digit_runs(text)
+    except ConvexmodError as exc:
+        raise ParseError(str(exc), at) from None
     try:
         value = Fraction(text)
         return sr.validate(

@@ -24,6 +24,11 @@ tautology:
   raw definition: one nonempty subset per supported set, product over
   sets, union per product.  The package filters subsets of the union
   instead.
+* ``nat_law_by_slice_products`` is the package's former nat route to
+  the weak law: one composition of each set's weight per supported
+  set, the product over sets, and one validated ``finsupp`` per
+  product, deduplicated and sorted at the end.  The package folds the
+  per-set compositions into a set of integer sums instead.
 * ``fs_equal_extensional`` compares two finitely supported functions
   by evaluating both on the union of their supports.  The package
   compares canonical entry tuples.
@@ -52,7 +57,9 @@ from typing import Sequence
 
 from convexmod.convex import ConvexSet, convex_set, cs_zero, hull_canonicalize
 from convexmod.errors import ConvexmodError, SemiringMismatchError
-from convexmod.freemod import FinSupp, finsupp, fs_add, fs_scale, fs_zero
+from convexmod.distlaw import weak_compositions
+from convexmod.freemod import (FinSupp, finsupp, fs_add, fs_scale, fs_zero,
+                               sorted_unique)
 from convexmod.semiring import Scalar, Semiring
 
 
@@ -75,6 +82,29 @@ def bool_law_by_slice_products(key_sets: Sequence[Sequence[str]]
     for slices in product(*slice_options):
         out.add(frozenset().union(*slices))
     return out
+
+
+def nat_law_by_slice_products(Phi: FinSupp) -> list[FinSupp]:
+    """Definitional enumeration of the nat law on a set weighting: every
+    combination of one composition of Phi(A) over A per supported set A,
+    each made a weighting through ``finsupp``, distinct and in
+    ``sort_key`` order."""
+    sr = Phi.semiring
+    keys = list(Phi.support())
+    if any(len(A) == 0 for A in keys):
+        return []
+    if not keys:
+        return [fs_zero(sr)]
+    per_set = []
+    for A in keys:
+        options = []
+        for comp in weak_compositions(Phi.value(A), len(A)):
+            options.append([(x, c) for x, c in zip(A, comp) if c > 0])
+        per_set.append(options)
+    seen = set()
+    for slices in product(*per_set):
+        seen.add(finsupp(sr, [pair for slice_ in slices for pair in slice_]))
+    return sorted_unique(seen)
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):

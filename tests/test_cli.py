@@ -149,6 +149,22 @@ class TestEval:
         assert d["kind"] == "parse"
         assert "bad scalar for qplus: 1/0" in d["error"]
 
+    @pytest.mark.parametrize("semiring", ["qplus", "nat", "bool"])
+    @pytest.mark.parametrize("literal", ["1" * 5000, "1/" + "7" * 4301],
+                             ids=["numerator", "denominator"])
+    def test_literal_past_the_digit_limit_is_parse_error(
+            self, capsys, semiring, literal):
+        code, out, err = run(capsys, "eval", "--semiring", semiring,
+                             "--vars", "x", f"x | {literal}.x")
+        assert code == 2 and out == ""
+        assert err == ("error: numerator or denominator longer than 4300 "
+                       "digits (at position 4)\n")
+
+    def test_literal_at_the_digit_limit_evaluates(self, capsys):
+        code, out, _ = run(capsys, "eval", "--vars", "x",
+                           "1/" + "1" * 4300 + ".x")
+        assert code == 0 and out.startswith("generators: {x: 1/111")
+
 
     @pytest.mark.parametrize("term,code,line", [
         ("(" * 2000 + "x" + ")" * 2000, 2,
@@ -285,6 +301,30 @@ class TestLaws:
                              "--semiring", "bool", "--xsize", xsize)
         assert code == 2 and out == ""
         assert f"{count} instances" in err
+
+    @pytest.mark.parametrize("xsize, bound, cap, count", [
+        ("2", "30", None, "753,997"),
+        ("6", "3", None, "12,292"),
+        ("2", "2", 2434, "2,435")])
+    def test_oversized_nat_weakdist_rejected(self, capsys, monkeypatch,
+                                             xsize, bound, cap, count):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("weakdist instances were enumerated")
+        monkeypatch.setattr("convexmod.distlaw.weightings_over", refuse)
+        if cap is not None:
+            monkeypatch.setattr("convexmod.cli.WEAK_LAW_MAX_INSTANCES", cap)
+        code, out, err = run(capsys, "laws", "--suite", "weakdist",
+                             "--semiring", "nat", "--xsize", xsize,
+                             "--value-bound", bound)
+        assert code == 2 and out == ""
+        assert f"value bound {bound} enumerates {count} instances" in err
+
+    def test_nat_weakdist_at_the_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr("convexmod.cli.WEAK_LAW_MAX_INSTANCES", 1_202)
+        code, out, _ = run(capsys, "laws", "--suite", "weakdist",
+                           "--semiring", "nat", "--xsize", "1",
+                           "--value-bound", "3")
+        assert code == 0 and len(out.splitlines()) == 4
 
     def test_zero_trials_rejected(self, capsys):
         code, _, err = run(capsys, "laws", "--suite", "pentagon",
@@ -426,6 +466,77 @@ class TestDelta:
         gens = json.loads(out)["generators"]
         # weak compositions of 2 over two symbols, canonical order
         assert gens == [{"x": 1, "y": 1}, {"x": 2}, {"y": 2}]
+
+    @pytest.mark.parametrize("weights, cap, count", [
+        ([(["x", "y", "z", "u", "v"], 1000)], None, "42,084,793,751"),
+        ([(["x", "y"], 5), (["x", "z"], 9), (["a", "b"], 13)], 839, "840"),
+        ([(["x", "y", "z"], "1" + "0" * 4000), (["a", "b"], 1)], None,
+         "more than 10^30"),
+    ], ids=["one_large_weight", "lowered_cap", "weight_near_digit_limit"])
+    def test_oversized_nat_rejected(self, capsys, monkeypatch, tmp_path,
+                                    weights, cap, count):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("compositions were enumerated")
+        monkeypatch.setattr("convexmod.cli.delta_bruteforce", refuse)
+        monkeypatch.setattr("convexmod.distlaw.weak_compositions", refuse)
+        if cap is not None:
+            monkeypatch.setattr("convexmod.cli.DELTA_MAX_COMPOSITIONS", cap)
+        p = tmp_path / "phi.json"
+        p.write_text(json.dumps({"weights": [
+            {"set": A, "value": v} for A, v in weights]}), encoding="utf-8")
+        code, out, err = run(capsys, "delta", "--semiring", "nat",
+                             "--phi", str(p))
+        assert code == 2 and out == ""
+        assert err == (f"error: delta over nat enumerates {count} "
+                       "combinations of compositions; at most "
+                       f"{cap or 100_000:,} are allowed\n")
+
+    def test_nat_at_the_cap_runs(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("convexmod.cli.DELTA_MAX_COMPOSITIONS", 840)
+        p = tmp_path / "phi.json"
+        p.write_text(json.dumps(EXAMPLE_PHI), encoding="utf-8")
+        code, out, _ = run(capsys, "delta", "--semiring", "nat",
+                           "--phi", str(p))
+        assert code == 0 and len(out.splitlines()) == 840
+
+    @pytest.mark.parametrize("semiring, value, message", [
+        ("qplus", "1e5000", "exponent notation is not accepted: '1e5000'"),
+        ("qplus", "1e10000000", "exponent notation is not accepted"),
+        ("qplus", "2.5E-3", "exponent notation is not accepted"),
+        ("qplus", "1" * 5000, "longer than 4300 digits"),
+        ("qplus", "1/" + "3" * 4301, "longer than 4300 digits"),
+        ("qplus", "1" * 4000 + "." + "1" * 4000, "longer than 4300 digits"),
+        ("qplus", "0." + "0" * 4299 + "1", "longer than 4300 digits"),
+        ("nat", "1" * 5000, "longer than 4300 digits"),
+        ("nat", "\u00b2", "invalid natural literal"),
+    ], ids=["exponent", "huge_exponent", "negative_exponent",
+            "long_integer", "long_denominator", "long_decimal",
+            "decimal_denominator", "nat_long", "nat_superscript"])
+    def test_oversized_literal_rejected(self, capsys, tmp_path, semiring,
+                                        value, message):
+        p = tmp_path / "phi.json"
+        p.write_text(json.dumps({"weights": [
+            {"set": ["x"], "value": value}]}), encoding="utf-8")
+        code, out, err = run(capsys, "delta", "--semiring", semiring,
+                             "--phi", str(p))
+        assert code == 2 and out == ""
+        assert message in err and len(err) < 200
+
+    def test_decimal_within_the_limit_accepted(self, capsys, tmp_path):
+        p = tmp_path / "phi.json"
+        p.write_text(json.dumps({"weights": [
+            {"set": ["x"], "value": "0.25"}]}), encoding="utf-8")
+        code, out, _ = run(capsys, "delta", "--phi", str(p))
+        assert (code, out) == (0, "{x: 1/4}\n")
+
+    def test_json_integer_past_the_limit(self, capsys, tmp_path):
+        p = tmp_path / "phi.json"
+        p.write_text('{"weights": [{"set": ["x"], "value": %s}]}'
+                     % ("7" * 5000), encoding="utf-8")
+        code, out, err = run(capsys, "delta", "--semiring", "nat",
+                             "--phi", str(p))
+        assert code == 2 and out == ""
+        assert "has a number longer than 4300 digits" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "delta", "--phi", "/nonexistent.json")

@@ -20,6 +20,7 @@ from convexmod.distlaw import (
     check_pentagon_law,
     check_weak_law,
     choice_set,
+    composition_count,
     delta_bruteforce,
     delta_hull,
     delta_witness_check,
@@ -40,6 +41,7 @@ from convexmod.errors import ConvexmodError, NotSemifieldError
 from convexmod.freemod import finsupp, fs_map, fs_unit, fs_zero
 from convexmod.report import FAIL, PASS, LawReport
 from convexmod.semiring import BOOL, NAT, QPLUS
+from oracles import nat_law_by_slice_products
 
 
 def w(sr, *pairs):
@@ -178,6 +180,80 @@ class TestDeltaBruteforce:
                 assert closure == delta_bruteforce(Phi)
 
 
+# Set elements of every key kind: symbols, ints, tuples and FinSupp
+# values, so that a fold over the union's index must reproduce
+# sort_key order across kinds.
+MIXED_ELEMENTS = ("x", "y", "z", 0, 7, ("p",), ("p", 1),
+                  fs_unit(NAT, "x"), w(NAT, ("x", 1), ("y", 2)))
+nat_set_weightings = st.lists(
+    st.tuples(st.lists(st.sampled_from(MIXED_ELEMENTS), max_size=3),
+              st.integers(0, 3)),
+    max_size=4).map(lambda items: set_weighting(NAT, items))
+
+
+class TestNatFold:
+    """The nat route folds per-set compositions; the oracle multiplies
+    them out as the definition reads."""
+
+    @given(nat_set_weightings)
+    def test_matches_slice_product_oracle(self, Phi):
+        assert delta_bruteforce(Phi) == nat_law_by_slice_products(Phi)
+
+    @pytest.mark.parametrize("items", [
+        [],
+        [((), 2)],
+        [(("x", "y"), 1), ((), 3)],
+        [(("x", "y"), 3), (("y", "z"), 4), (("x", "z"), 2),
+         (("x", "y", "z"), 2)],
+        [((0, ("p",), "x"), 2), ((fs_unit(NAT, "x"), "x"), 2)],
+    ], ids=["zero", "empty_set", "empty_set_among_others", "overlapping",
+            "mixed_kinds"])
+    def test_fixed_cases_match_the_oracle(self, items):
+        Phi = set_weighting(NAT, items)
+        assert delta_bruteforce(Phi) == nat_law_by_slice_products(Phi)
+
+    def test_overlapping_sets_keep_each_sum_once(self):
+        # 4 * 5 * 3 * 6 combinations of compositions give 59 sums
+        Phi = set_weighting(NAT, [(("x", "y"), 3), (("y", "z"), 4),
+                                  (("x", "z"), 2), (("x", "y", "z"), 2)])
+        got = delta_bruteforce(Phi)
+        assert composition_count(Phi) == 360
+        assert len(got) == len(set(got)) == 59
+        assert all(p.value("x") + p.value("y") + p.value("z") == 11
+                   for p in got)
+
+    def test_outputs_are_canonical(self):
+        Phi = set_weighting(NAT, THREE_SETS)
+        for phi in delta_bruteforce(Phi):
+            assert phi.entries == finsupp(NAT, list(phi.items())).entries
+
+
+class TestCompositionCount:
+    def test_disjoint_sets_count_the_outputs(self):
+        Phi = set_weighting(NAT, THREE_SETS)
+        assert composition_count(Phi) == 6 * 10 * 14
+        assert composition_count(Phi) == len(delta_bruteforce(Phi))
+
+    def test_one_weight_on_five_symbols(self):
+        Phi = set_weighting(NAT, [(("x", "y", "z", "u", "v"), 1000)])
+        assert composition_count(Phi) == 42_084_793_751
+
+    def test_singletons_and_the_zero_weighting_count_one(self):
+        assert composition_count(fs_zero(NAT)) == 1
+        assert composition_count(
+            set_weighting(NAT, [(("x",), 9), (("y",), 4)])) == 1
+
+    def test_limit_stops_at_the_first_partial_product_above_it(self):
+        # C(10^1000 + 39, 39) has about 39,000 digits
+        Phi = set_weighting(NAT, [(tuple(f"s{i}" for i in range(40)),
+                                   10 ** 1000)])
+        got = composition_count(Phi, limit=10 ** 6)
+        assert 10 ** 6 < got < 10 ** 1200
+        small = set_weighting(NAT, THREE_SETS)
+        assert composition_count(small, limit=840) == 840
+        assert composition_count(small, limit=839) > 839
+
+
 class TestWitnessCheck:
     def setup_method(self):
         self.Phi = set_weighting(QPLUS, THREE_SETS)
@@ -269,6 +345,25 @@ class TestWeakLawSuites:
         (4, 18_940)])
     def test_bool_instance_count(self, xsize, instances):
         assert weak_law_instance_count(xsize) == instances
+
+    @pytest.mark.parametrize("xsize, value_bound", [
+        (1, 1), (1, 3), (2, 1), (2, 2), (3, 1)])
+    def test_nat_instance_count_matches_the_reports(self, xsize,
+                                                    value_bound):
+        reports = check_weak_law(NAT, xsize=xsize, value_bound=value_bound)
+        assert all(r.passed for r in reports)
+        assert weak_law_instance_count(xsize, NAT, value_bound) == sum(
+            r.meta["instances"] for r in reports)
+
+    @pytest.mark.parametrize("xsize, value_bound, instances", [
+        # 31^2 + (1 + 40 * 30 + C(40, 2) * 30^2) + (1 + 11 * 30
+        # + C(11, 2) * 30^2) + 4: the mu_S pool keeps the first 40 of
+        # 5,521 level-one weightings, the mu_P pool all 11 families
+        (2, 30, 961 + 703_201 + 49_831 + 4),
+        (2, 2, 2_435),
+        (4, 2, 3_749)])
+    def test_nat_instance_count(self, xsize, value_bound, instances):
+        assert weak_law_instance_count(xsize, NAT, value_bound) == instances
 
     def test_qplus_suite_deterministic_under_seed(self):
         a = [r.to_json_dict() for r in check_weak_law(QPLUS, seed=7)]

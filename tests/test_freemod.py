@@ -97,6 +97,37 @@ def _routes(items, rng):
             qsupp(halves))
 
 
+class TestLazyLookup:
+    def test_built_on_first_value_call(self):
+        phi = finsupp(NAT, [("y", 2), ("x", 3)])
+        assert not hasattr(phi, "_lookup")
+        assert phi.value("x") == 3
+        assert phi._lookup == {"x": 3, "y": 2}
+        table = phi._lookup
+        assert phi.value("z") == 0
+        assert phi._lookup is table
+
+    def test_other_routes_leave_it_unbuilt(self):
+        phi = finsupp(QPLUS, [("x", Fraction(1, 2)), ("y", 1)])
+        scaled = fs_scale(2, phi)
+        mapped = fs_map({"x": "z", "y": "z"}, phi)
+        assert scaled == finsupp(QPLUS, [("x", 1), ("y", 2)])
+        assert mapped.entries == (("z", Fraction(3, 2)),)
+        assert len({phi, scaled, mapped}) == 3
+        assert sorted([scaled, mapped, phi])[0] == phi
+        for value in (phi, scaled, mapped):
+            assert not hasattr(value, "_lookup")
+
+    @given(qentries, st.sampled_from(SYMS))
+    def test_value_agrees_with_entries(self, items, key):
+        phi = qsupp(items)
+        assert phi.value(key) == dict(phi.entries).get(key, 0)
+
+    def test_zero_function(self):
+        assert fs_zero(NAT).value("x") == 0
+        assert fs_zero(BOOL).value(("x",)) == 0
+
+
 class TestHashContract:
     """Equal values hash equally, however they were built: a FinSupp
     hashes its entries once, with nested keys contributing their own

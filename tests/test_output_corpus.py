@@ -45,6 +45,15 @@ FILES = {
         {"set": ["x"], "value": "1"}]}),
     "phi_empty_set.json": json.dumps({"weights": [
         {"set": [], "value": "1"}]}),
+    "phi_overlapping.json": json.dumps({"weights": [
+        {"set": ["x", "y"], "value": "3"},
+        {"set": ["y", "z"], "value": "4"},
+        {"set": ["x", "z"], "value": "2"},
+        {"set": ["x", "y", "z"], "value": "2"}]}),
+    "phi_oversized.json": json.dumps({"weights": [
+        {"set": ["x", "y", "z", "u", "v"], "value": "1000"}]}),
+    "phi_exponent.json": json.dumps({"weights": [
+        {"set": ["x"], "value": "1e5000"}]}),
     "phi_no_weights.json": json.dumps({"sets": []}),
     "phi_array.json": json.dumps([["x"]]),
     "phi_set_string.json": json.dumps({"weights": [
@@ -100,7 +109,8 @@ DELTA_PHIS = ("phi_two_sets.json", "phi_weighted.json",
               "phi_empty_set.json")
 DELTA_ERRORS = ("phi_no_weights.json", "phi_array.json",
                 "phi_set_string.json", "phi_set_number.json",
-                "phi_missing_value.json", "bad.json", "no_such_file.json")
+                "phi_missing_value.json", "bad.json", "no_such_file.json",
+                "phi_exponent.json")
 
 
 def _build_corpus() -> list[tuple[str, list[str]]]:
@@ -126,6 +136,11 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
             add(f"delta-{sr}-{fmt}-compare", "delta", "--semiring", sr,
                 "--format", fmt, "--phi", "phi_two_sets.json",
                 "--compare-bruteforce")
+        # sets that share symbols: nat's enumeration folds their
+        # compositions into one set of sums
+        for fmt in FORMATS if sr == "nat" else ():
+            add(f"delta-nat-{fmt}-phi_overlapping", "delta", "--semiring",
+                "nat", "--format", fmt, "--phi", "phi_overlapping.json")
     for fmt in FORMATS:
         for name in ("set_segment", "set_bool", "set_array"):
             add(f"render-json-{fmt}-{name}", "render", "--format", fmt,
@@ -168,6 +183,10 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
         "0")
     add("error-value-bound", "laws", "--suite", "weakdist", "--semiring",
         "nat", "--value-bound", "0")
+    add("error-weakdist-nat-oversized", "laws", "--suite", "weakdist",
+        "--semiring", "nat", "--value-bound", "30")
+    add("error-delta-nat-oversized", "delta", "--semiring", "nat", "--phi",
+        "phi_oversized.json")
     add("error-appendixA-xsize", "laws", "--suite", "appendixA",
         "--xsize", "5")
     add("error-duplicate-vars", "eval", "--vars", "x,y,x", "x")

@@ -119,6 +119,12 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="bad scalar"):
             parse("1/2.x", NAT)
 
+    def test_literal_past_the_digit_limit_rejected(self, monkeypatch):
+        monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 10)
+        with pytest.raises(ParseError, match="longer than 10 digits"):
+            parse("12345678901.x", QPLUS)
+        assert parse("1234567890.x", NAT) == Scale(1234567890, Var("x"))
+
     def test_whole_fraction_allowed_over_nat(self):
         assert parse("4/2.x", NAT) == Scale(2, Var("x"))
 

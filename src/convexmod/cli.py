@@ -19,7 +19,9 @@ Subcommands:
               ConvexSet JSON file.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 internal
-error (a broken invariant of the package, never the input's fault).
+error (a broken invariant of the package, never the input's fault),
+141 (128 + SIGPIPE, as a shell reports it) when the reader closed
+stdout early; that run ends quietly, with no traceback.
 With ``--format json`` diagnostics go to stderr as one JSON object.
 Identical (argv, CONVEXMOD_SEED) runs produce byte-identical output.
 """
@@ -64,6 +66,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 SUITES = ("weakdist", "pentagon", "naturality", "appendixA")
 # appendixA checks all 2^(2^xsize) families of subsets: 65,536 at
@@ -81,6 +84,10 @@ WEAK_LAW_MAX_INSTANCES = 10_000
 # combinations for three two-element sets weighted 5, 9 and 13, about
 # 4.2e10 for one weight of 1000 on five symbols.
 DELTA_MAX_COMPOSITIONS = 100_000
+# delta --compare-bruteforce over bool walks every subset of the n
+# symbols: 16,384 at n = 14 (about a second), 65,536 at n = 16 (about
+# 5 s).
+DELTA_MAX_SUBSETS = 2 ** 16
 # A count beyond 10^30 is reported as a bound, not computed in full.
 _SHOWN_COUNT_DIGITS = 30
 _SHOWN_COUNT_MAX = 10 ** _SHOWN_COUNT_DIGITS
@@ -370,8 +377,11 @@ def _cmd_delta(args, out) -> int:
             raise ConvexmodError(
                 "--compare-bruteforce needs the bool semiring, where both "
                 "routes are enumerable")
-        brute = delta_bruteforce(Phi)
         symbols = sorted({x for A in Phi.support() for x in A})
+        _refuse_oversized(f"delta --compare-bruteforce over {sr.id} on "
+                          f"{len(symbols)} symbols", 2 ** len(symbols),
+                          DELTA_MAX_SUBSETS, unit="subsets")
+        brute = delta_bruteforce(Phi)
         closure = [psi for psi in weightings_over(sr, symbols, len(symbols),
                                                   None)
                    if member(hull, psi)]
@@ -513,7 +523,13 @@ def main(argv=None) -> int:
         _diagnose(args, f"xsize must be between 1 and {len(SYMBOL_POOL)}")
         return EXIT_USAGE
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        # Inside the try, so a reader that closed stdout is met here.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _detach_stdout()
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         _diagnose(args, str(exc), kind="parse")
         return EXIT_USAGE
@@ -523,6 +539,20 @@ def main(argv=None) -> int:
     except InternalError as exc:
         _diagnose(args, str(exc), kind="internal")
         return EXIT_INTERNAL
+
+
+def _detach_stdout() -> None:
+    """Point file descriptor 1 at devnull, so the interpreter's flush
+    at exit meets no closed pipe (the SIGPIPE recipe in the ``signal``
+    module documentation).  A stdout with no descriptor is left as it
+    is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _diagnose(args, message: str, kind: str = "usage"):

@@ -16,24 +16,39 @@ Membership runs the algorithm named by the semiring's ``hull_membership``:
 * lookup (nat) - every subset is already convex (two weights summing
   to 1 force one of them to be 0), so membership is literal lookup.
 
-Canonicalization deletes every generator that lies in the hull of the
-others, in one pass in sorted order: deleting a redundant generator
-leaves the hull unchanged and only shrinks the hull of the others, so
-a generator kept once is never redundant later and no second sweep is
-needed.  Every route runs the same loop over generator indices; over
-qplus the integer LP columns (sorted union support plus the row of
-ones, scaled by the lcm of every denominator) are built once per call.
-Each redundancy test first looks for a coordinate on which the tested
-generator is strictly above, or strictly below, every other one: the
-weights of a hull member sum to 1, so each of its coordinates lies
-between the others' least and greatest value there, and such a
-coordinate is a separating functional that answers "no" without an
-LP.  Columns share one positive scale, so comparing the integers
-compares the rationals.  Every other test, and so every "yes", hands
-the subset of columns to ``feasible``.  Over
-qplus and bool the surviving generators are exactly the extreme
-points, and the canonical form is unique, which makes structural
-equality of canonical sets coincide with set equality.
+Canonicalization keeps exactly the extreme points, in sorted order.
+At most two distinct generators are all extreme: the hull of one point
+is that point.  Over bool one pass in sorted order deletes every
+generator lying in the hull of the others: deleting a redundant
+generator leaves the hull unchanged and only shrinks the hull of the
+others, so a generator kept once is never redundant later.
+
+Over qplus the pass is output-sensitive (Clarkson, "More
+output-sensitive geometric algorithms", FOCS 1994).  The generators
+become integer LP columns, built once per call from their entries:
+values on the sorted union support plus the row of ones, all scaled by
+the lcm of every denominator, so comparing the integers compares the
+rationals.  A list E of extreme points found so far starts with the
+lexicographically greatest column, and every other generator is tested
+against hull(E) only.  Inside hull(E), which lies in the hull of the
+input, it is not extreme and is dropped.  Outside, it comes with a
+functional y separating it from hull(E): a signed unit coordinate when
+it is strictly above, or strictly below, every column of E on one row
+(the weights of a hull member sum to 1, so its coordinates lie between
+the least and greatest value there), else the LP's checked Farkas
+certificate.  The input columns that maximize y span a face of the
+input's hull, and the lexicographically greatest of them is extreme in
+that face, hence in the hull: a convex combination of points that are
+lexicographically at most p, one of them strictly less, is strictly
+less than p.  Its value under y exceeds every value on E, so it is
+new; it joins E and the same generator is tested again.  Each test
+drops a generator or finds an extreme point, so n generators with h
+extreme points take at most n + h tests with at most h columns each,
+where testing every generator against all the others takes n tests
+with up to n - 1.  Only the tests the coordinates do not settle, and
+so every "yes", go to ``feasible``.  Over qplus and bool the canonical
+form is unique, which makes structural equality of canonical sets
+coincide with set equality.
 
 A ConvexSet hashes on first use, from its semiring id and its
 generator tuple, whose FinSupp members contribute their cached
@@ -52,6 +67,7 @@ summing to 1, so it maps extreme points to extreme points.
 from __future__ import annotations
 
 from math import lcm
+from operator import mul
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import ConvexmodError, SemiringMismatchError
@@ -199,32 +215,78 @@ def _hull_test(sr: Semiring, gens: Sequence[FinSupp]
 def _member_exact_lp(gens: Sequence[FinSupp]
                      ) -> Callable[[Sequence[int], int], bool]:
     columns = _homogenized_columns(gens)
-
-    def test(rest: Sequence[int], i: int) -> bool:
-        target = columns[i]
-        others = tuple(columns[j] for j in rest)
-        # Hull members lie between the generators' least and greatest
-        # value on every coordinate: a target strictly outside that
-        # range on one row is not a member, with no LP.
-        for t, row in zip(target, zip(*others)):
-            if t > max(row) or t < min(row):
-                return False
-        return feasible(FeasibilitySystem(others, target)) is not None
-
-    return test
+    return lambda rest, i: _separation(
+        [columns[j] for j in rest], columns[i]) is None
 
 
 def _homogenized_columns(gens: Sequence[FinSupp]) -> list[tuple[int, ...]]:
-    """One integer LP column per generator: its values on the sorted
-    union support, then 1 for the homogenizing row (weights sum to 1),
-    all times the lcm of every denominator.  Scaling every column and
-    the target by one positive factor keeps the solutions."""
+    """One integer LP column per generator, read from its entries: its
+    values on the sorted union support, then 1 for the homogenizing
+    row (weights sum to 1), all times the lcm of every denominator.
+    Scaling every column and the target by one positive factor keeps
+    the solutions."""
     keys = _union_support(gens)
-    values = [[g.value(k) for k in keys] for g in gens]
-    scale = lcm(*(v.denominator for col in values for v in col))
-    return [tuple([v.numerator * (scale // v.denominator) for v in col]
-                  + [scale])
-            for col in values]
+    row = {k: r for r, k in enumerate(keys)}
+    scale = lcm(*(v.denominator for g in gens for _, v in g.entries))
+    columns = []
+    for g in gens:
+        col = [0] * len(keys) + [scale]
+        for k, v in g.entries:
+            col[row[k]] = v.numerator * (scale // v.denominator)
+        columns.append(tuple(col))
+    return columns
+
+
+def _separation(others: Sequence[tuple[int, ...]], target: tuple[int, ...]
+                ) -> list[int] | None:
+    """None when ``target`` lies in the hull of the nonempty column
+    list ``others``, else a functional y with y.target > y.c for every
+    c in ``others``.
+
+    Hull members lie between the columns' least and greatest value on
+    every coordinate, so a target strictly above (below) that range on
+    one row is separated by the unit (negated unit) functional of that
+    row, with no LP.  Otherwise the LP decides, and a "no" carries its
+    checked Farkas certificate: y.c <= 0 < y.target."""
+    for r, (t, row) in enumerate(zip(target, zip(*others))):
+        above = t > max(row)
+        if above or t < min(row):
+            y = [0] * len(target)
+            y[r] = 1 if above else -1
+            return y
+    y: list[int] = []
+    if feasible(FeasibilitySystem(tuple(others), target),
+                certificate=y) is None:
+        return y
+    return None
+
+
+def _extreme_indices(columns: Sequence[tuple[int, ...]]) -> list[int]:
+    """The indices, ascending, of the extreme points among at least two
+    distinct homogenized columns (Clarkson's output-sensitive
+    redundancy removal; see the module docstring)."""
+    n = len(columns)
+    extreme = [max(range(n), key=columns.__getitem__)]
+    found = set(extreme)
+    for i in range(n):
+        if i in found:
+            continue
+        target = columns[i]
+        while True:
+            y = _separation([columns[j] for j in extreme], target)
+            if y is None:
+                break
+            # Columns dropped so far lie in hull(extreme), below
+            # y.target like the extreme ones, so the maximizer is
+            # undecided: among i..n-1.
+            best = max((j for j in range(i, n) if j not in found),
+                       key=lambda j: (sum(map(mul, y, columns[j])),
+                                      columns[j]))
+            extreme.append(best)
+            found.add(best)
+            if best == i:
+                break
+    return sorted(extreme)
 
 
 def _member_join_cover(gens: Sequence[FinSupp]
@@ -248,13 +310,9 @@ def _member_join_cover(gens: Sequence[FinSupp]
 
 def hull_canonicalize(generators: Iterable[FinSupp],
                       sr: Semiring | None = None) -> ConvexSet:
-    """Canonical ConvexSet: deduplicate, then one pass in sorted order
-    that deletes each generator lying in the hull of the others still
-    present.
-
-    One pass reaches the fixpoint.  Deleting a redundant generator
-    leaves the hull unchanged and only shrinks the hull of the others,
-    so a generator kept once is still outside that hull at the end.
+    """Canonical ConvexSet: the distinct generators that are extreme
+    points, in sorted order (see the module docstring for the qplus
+    and bool routes).
 
     ``sr`` is only needed for an empty generator list, where the
     semiring cannot be inferred.
@@ -268,17 +326,19 @@ def hull_canonicalize(generators: Iterable[FinSupp],
     if sr is None:
         sr = gens[0].semiring
     base = _sorted_generators(sr, gens)
-    if sr.every_subset_convex or len(base) == 1:
-        # Property A or a single point: the canonical form is the
-        # sorted dedup.
+    if sr.every_subset_convex or len(base) <= 2:
+        # Property A, or at most two distinct points, each outside the
+        # hull of the other (that point itself): the canonical form is
+        # the sorted dedup.
         return ConvexSet(sr, base, True, _trusted=True)
-
-    test = _hull_test(sr, base)
-    kept = list(range(len(base)))
-    for i in range(len(base)):
-        rest = [j for j in kept if j != i]
-        if rest and test(rest, i):
-            kept.remove(i)
+    if sr.hull_membership == HULL_EXACT_LP:
+        kept = _extreme_indices(_homogenized_columns(base))
+    else:
+        test = _hull_test(sr, base)
+        kept = list(range(len(base)))
+        for i in range(len(base)):
+            if test([j for j in kept if j != i], i):
+                kept.remove(i)
     return ConvexSet(sr, tuple(base[j] for j in kept), True, _trusted=True)
 
 

@@ -89,19 +89,26 @@ def make_system(columns: Sequence[Sequence[Fraction | int]],
     return FeasibilitySystem(columns=cols, target=tgt)
 
 
-def feasible(sys_: FeasibilitySystem) -> list[Fraction] | None:
+def feasible(sys_: FeasibilitySystem,
+             certificate: list[int] | None = None) -> list[Fraction] | None:
     """Solve the system; a witness list (one weight per column) or None.
 
     The witness satisfies the equations exactly and is non-negative,
     both asserted by re-substitution; None is returned only after a
-    Farkas certificate has been checked against the system.
+    Farkas certificate has been checked against the system.  A caller
+    that passes a list as ``certificate`` receives that checked
+    certificate in it on a "no": integers y with y.a_j <= 0 for every
+    column and y.b > 0 (a positive scaling of the system keeps both
+    signs, so it holds for the system as handed in).
     """
     if not sys_.target:
         return [Fraction(0)] * len(sys_.columns)
     columns, target = _integral(sys_)
-    solution, certificate = _phase1(columns, target)
+    solution, y = _phase1(columns, target)
     if solution is None:
-        _check_certificate(columns, target, certificate)
+        _check_certificate(columns, target, y)
+        if certificate is not None:
+            certificate[:] = y
         return None
     values, denominator = solution
     _assert_witness(sys_, values, denominator)

@@ -271,10 +271,15 @@ class _QplusSemiring(Semiring):
         return value
 
     def format_scalar(self, a: Fraction) -> str:
-        return str(a)  # Fraction prints p/q, or p when q == 1
+        try:
+            return str(a)  # Fraction prints p/q, or p when q == 1
+        except ValueError:  # past the int-string limit
+            raise ConvexmodError(
+                "a result's numerator or denominator is longer than "
+                f"{sys.get_int_max_str_digits()} digits; it cannot be "
+                "printed") from None
 
-    def scalar_to_json(self, a: Fraction) -> str:
-        return str(a)
+    scalar_to_json = format_scalar
 
     def scalar_from_json(self, value: Any) -> Fraction:
         if isinstance(value, bool):

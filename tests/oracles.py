@@ -36,8 +36,10 @@ tautology:
   sweeps the sorted generators, deleting each one in the hull of the
   others, until a whole sweep deletes nothing, with membership decided
   by the oracles above (``qplus_member_by_elimination``,
-  ``bool_member_by_supports``).  The package makes one pass and tests
-  membership on index lists.
+  ``qplus_member_by_fraction_simplex`` for many generators,
+  ``bool_member_by_supports``).  Over qplus the package tests each
+  generator against the extreme points found so far; over bool it
+  makes one pass.
 * ``weighted_generator_hull`` is the package's former second weighted
   Minkowski sum: the hull of every weighted sum that picks one
   generator per key, built in one go.  The package folds the scaled
@@ -58,6 +60,7 @@ from typing import Sequence
 from convexmod.convex import ConvexSet, convex_set, cs_zero, hull_canonicalize
 from convexmod.errors import ConvexmodError, SemiringMismatchError
 from convexmod.distlaw import weak_compositions
+from convexmod.exactlp import FeasibilitySystem
 from convexmod.freemod import (FinSupp, finsupp, fs_add, fs_scale, fs_zero,
                                sorted_unique)
 from convexmod.semiring import Scalar, Semiring
@@ -310,6 +313,18 @@ def qplus_member_by_elimination(gens, phi) -> bool:
     columns = [[g.value(k) for k in keys] + [Fraction(1)] for g in gens]
     target = [phi.value(k) for k in keys] + [Fraction(1)]
     return feasible_by_elimination(columns, target) is not None
+
+
+def qplus_member_by_fraction_simplex(gens, phi) -> bool:
+    """Hull membership over qplus for symbol-keyed values: the
+    homogenized system solved by the Fraction simplex, which stays
+    fast for many generators."""
+    keys = sorted({k for g in list(gens) + [phi] for k in g.support()})
+    columns = [[g.value(k) for k in keys] + [Fraction(1)] for g in gens]
+    target = [phi.value(k) for k in keys] + [Fraction(1)]
+    return feasible_by_fraction_simplex(
+        FeasibilitySystem(tuple(map(tuple, columns)), tuple(target))
+    ) is not None
 
 
 def bool_member_by_supports(gens, phi) -> bool:

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output shapes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -160,6 +161,19 @@ class TestEval:
         assert err == ("error: numerator or denominator longer than 4300 "
                        "digits (at position 4)\n")
 
+    @pytest.mark.parametrize("fmt, err", [
+        ("text", "error: a result's numerator or denominator is longer "
+                 "than 4300 digits; it cannot be printed\n"),
+        ("json", '{"error": "a result\'s numerator or denominator is '
+                 'longer than 4300 digits; it cannot be printed", '
+                 '"kind": "usage"}\n')])
+    def test_result_past_the_digit_limit_is_usage_error(self, capsys, fmt,
+                                                         err):
+        # Every literal is short; 2^-15000 has 4,516 digits.
+        term = "1/2." * 15000 + "x"
+        assert run(capsys, "eval", "--vars", "x", "--format", fmt,
+                   term) == (2, "", err)
+
     def test_literal_at_the_digit_limit_evaluates(self, capsys):
         code, out, _ = run(capsys, "eval", "--vars", "x",
                            "1/" + "1" * 4300 + ".x")
@@ -183,7 +197,7 @@ class TestEval:
     ])
     def test_internal_error_exits_three(self, capsys, monkeypatch, fmt,
                                         expected):
-        def broken(system):
+        def broken(system, certificate=None):
             raise InternalError("lp broke")
 
         monkeypatch.setattr("convexmod.convex.feasible", broken)
@@ -491,6 +505,39 @@ class TestDelta:
                        "combinations of compositions; at most "
                        f"{cap or 100_000:,} are allowed\n")
 
+    @pytest.mark.parametrize("symbols, cap, count", [
+        (17, None, "131,072"), (40, None, "1,099,511,627,776"),
+        (3, 7, "8")], ids=["seventeen", "forty", "lowered_cap"])
+    def test_oversized_bool_compare_rejected(self, capsys, monkeypatch,
+                                             tmp_path, symbols, cap, count):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("subsets were enumerated")
+        monkeypatch.setattr("convexmod.cli.delta_bruteforce", refuse)
+        monkeypatch.setattr("convexmod.cli.weightings_over", refuse)
+        if cap is not None:
+            monkeypatch.setattr("convexmod.cli.DELTA_MAX_SUBSETS", cap)
+        p = tmp_path / "phi.json"
+        p.write_text(json.dumps({"weights": [
+            {"set": [f"s{i}" for i in range(symbols)], "value": "1"}]}),
+            encoding="utf-8")
+        code, out, err = run(capsys, "delta", "--semiring", "bool",
+                             "--phi", str(p), "--compare-bruteforce")
+        assert code == 2 and out == ""
+        assert err == ("error: delta --compare-bruteforce over bool on "
+                       f"{symbols} symbols enumerates {count} subsets; at "
+                       f"most {cap or 65_536:,} are allowed\n")
+
+    def test_bool_compare_at_the_cap_runs(self, capsys, monkeypatch,
+                                          tmp_path):
+        monkeypatch.setattr("convexmod.cli.DELTA_MAX_SUBSETS", 8)
+        p = tmp_path / "phi.json"
+        p.write_text(json.dumps({"weights": [
+            {"set": ["x", "y"], "value": "1"},
+            {"set": ["y", "z"], "value": "1"}]}), encoding="utf-8")
+        code, out, _ = run(capsys, "delta", "--semiring", "bool",
+                           "--phi", str(p), "--compare-bruteforce")
+        assert code == 0 and "agree" in out
+
     def test_nat_at_the_cap_runs(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr("convexmod.cli.DELTA_MAX_COMPOSITIONS", 840)
         p = tmp_path / "phi.json"
@@ -747,6 +794,37 @@ class TestDeterminism:
         b = subprocess.run(cmd, capture_output=True, cwd=PKG_ROOT, env=env2)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the run quietly, with
+    exit code 141 (128 + SIGPIPE) instead of a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--vars", "x", "x|2.x"],
+        ["laws", "--suite", "weakdist", "--semiring", "bool", "--xsize",
+         "3", "--format", "json"]], ids=["eval", "laws"])
+    def test_closed_pipe(self, argv):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "convexmod", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=PKG_ROOT,
+            env=subprocess_env())
+        proc.stdout.close()  # the only read end: every write fails
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+    def test_in_process(self, capsys, monkeypatch):
+        class Closed(io.StringIO):  # no file descriptor, like capsys
+            def write(self, _text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", Closed())
+        assert main(["eq", "--vars", "x", "x", "x"]) == 141
+        assert capsys.readouterr().err == ""
 
 
 class TestConsoleEntry:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from oracles import (
     feasible_by_fraction_simplex,
     fs_scale_by_finsupp,
     qplus_member_by_elimination,
+    qplus_member_by_fraction_simplex,
 )
 
 F = Fraction
@@ -211,9 +213,9 @@ class TestCanonicalization:
 
 
 def _counting_feasible(calls):
-    def counted(system):
+    def counted(system, certificate=None):
         calls.append(system)
-        return feasible(system)
+        return feasible(system, certificate)
     return counted
 
 
@@ -269,6 +271,81 @@ class TestCoordinateSeparation:
         segment = hull_canonicalize([simplex[2], simplex[3], mid])
         assert segment.generators == (simplex[2], simplex[3])
         assert calls
+
+
+@st.composite
+def wide_padded_generators(draw):
+    """Up to 8 points in 1-4 coordinates, padded with up to 52 convex
+    combinations of them (some on edges and faces, most inside), and
+    shuffled."""
+    syms = SYMS[:draw(st.integers(1, 4))]
+    # Few values, so points tie on coordinates and lie on faces.
+    coord = st.one_of(st.sampled_from([F(0), F(1, 2), F(1), F(2)]),
+                      st.fractions(min_value=0, max_value=3,
+                                   max_denominator=3))
+    points = draw(st.lists(st.lists(coord, min_size=len(syms),
+                                    max_size=len(syms)),
+                           min_size=1, max_size=8))
+    gens = [qsupp(list(zip(syms, p))) for p in points]
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    padded = list(gens)
+    for _ in range(draw(st.integers(0, 52))):
+        picks = rng.choices(gens, k=rng.randint(1, 3))
+        weights = [F(rng.randint(1, 4)) for _ in picks]
+        combo = fs_zero(QPLUS)
+        for w, g in zip(weights, picks):
+            combo = fs_add(combo, fs_scale(w / sum(weights), g))
+        padded.append(combo)
+    rng.shuffle(padded)
+    return padded
+
+
+def _assert_output_sensitive(gens, calls, extreme):
+    """At most n + h LP solves, each with at most h columns, for n
+    distinct generators with h extreme points."""
+    n, h = len(set(gens)), len(extreme)
+    assert len(calls) <= n + h
+    assert all(len(system.columns) <= h for system in calls)
+
+
+class TestOutputSensitive:
+    """Over qplus each generator is tested against the extreme points
+    found so far, never against all the others."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(wide_padded_generators())
+    def test_matches_fixpoint_on_wide_inputs(self, gens):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convex, "feasible", _counting_feasible(calls))
+            A = hull_canonicalize(gens, QPLUS)
+        assert A.generators == canonical_by_fixpoint(
+            gens, qplus_member_by_fraction_simplex)
+        _assert_output_sensitive(gens, calls, A.generators)
+
+    def test_tie_goes_to_the_lexicographic_maximum(self):
+        # The functional v is maximal on the whole top edge, whose
+        # first generator in sorted order, (1/2, 1/2), is not extreme.
+        trapezoid = [qsupp([("u", 2)]), qsupp([]), qsupp([("v", F(1, 2))]),
+                     qsupp([("u", 1), ("v", F(1, 2))])]
+        edge = qsupp([("u", F(1, 2)), ("v", F(1, 2))])
+        assert (hull_canonicalize(trapezoid + [edge]).generators
+                == tuple(sorted(trapezoid)))
+
+    def test_cube_with_interior_points(self, monkeypatch):
+        corners = [qsupp(list(zip("xyz", c)))
+                   for c in itertools.product([0, 2], repeat=3)]
+        inside = [qsupp(list(zip("xyz", (F(k % 5 + 1, 3), F(k % 4 + 1, 3),
+                                         F(k % 3 + 1, 3)))))
+                  for k in range(30)]
+        gens = inside[:15] + corners + inside[15:]
+        calls = []
+        monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
+        A = hull_canonicalize(gens, QPLUS)
+        assert A.generators == tuple(sorted(corners))
+        # Every interior point needs an LP to be dropped.
+        assert len(calls) >= len(set(inside))
+        _assert_output_sensitive(gens, calls, A.generators)
 
 
 class TestHashContract:

@@ -206,11 +206,19 @@ class TestFractionSimplexAgreement:
     @settings(max_examples=150)
     @given(systems())
     def test_identical_witness_or_none(self, sys_):
-        verdict = feasible(sys_)
+        y = []
+        verdict = feasible(sys_, certificate=y)
         reference = feasible_by_fraction_simplex(sys_)
         assert verdict == reference
         if verdict is None:
-            farkas_certificate(sys_)
+            # The caller receives the certificate the kernel checked;
+            # negated, it fails the check.
+            assert y == farkas_certificate(sys_)
+            columns, target = _integral(sys_)
+            with pytest.raises(InternalError):
+                _check_certificate(columns, target, [-v for v in y])
+        else:
+            assert y == []
 
 
 nonneg = st.one_of(st.just(F(0)),
@@ -270,3 +278,20 @@ class TestPresolveAgreement:
         assert verdict == reference
         if verdict is None:
             farkas_certificate(sys_)
+
+
+class TestReturnedCertificate:
+    """A caller's ``certificate`` list receives, on a "no", the vector
+    ``feasible`` has already checked (``TestFractionSimplexAgreement``
+    covers random systems)."""
+
+    def test_beyond_segment(self):
+        sys_ = make_system(ones_row([(F(0),), (F(2),)]), (F(3), F(1)))
+        y = []
+        assert feasible(sys_, certificate=y) is None
+        assert y == farkas_certificate(sys_) == [1, -2]
+        columns, target = _integral(sys_)
+        # y is 0 on the column (2, 1); raising its first entry makes
+        # that column positive.
+        with pytest.raises(InternalError, match="column 1"):
+            _check_certificate(columns, target, [y[0] + 1, y[1]])

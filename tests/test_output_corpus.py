@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,25 @@ import pytest
 from convexmod.cli import main
 
 PINS = Path(__file__).resolve().parent / "output_digests.json"
+
+
+def _padded_qplus_set() -> dict:
+    """Five extreme points over x, y, z (a simplex's four corners and
+    one point beyond its far face) followed by 60 convex combinations
+    of them, some on edges and faces, most inside."""
+    corners = [{}, {"x": Fraction(2)}, {"y": Fraction(3)},
+               {"z": Fraction(5, 2)},
+               {"x": Fraction(1), "y": Fraction(1), "z": Fraction(1)}]
+    gens = [{k: str(v) for k, v in c.items()} for c in corners]
+    for k in range(60):
+        weights = [(k * (i + 2) + i) % 5 for i in range(5)]
+        weights[k % 5] += 1
+        total = sum(weights)
+        point = {s: sum(w * c.get(s, 0) for w, c in zip(weights, corners))
+                 / total for s in "xyz"}
+        gens.append({s: str(v) for s, v in point.items() if v})
+    return {"semiring": "qplus", "generators": gens}
+
 
 SEMIRINGS = ("qplus", "bool", "nat")
 FORMATS = ("text", "json", "csv")
@@ -52,6 +72,8 @@ FILES = {
         {"set": ["x", "y", "z"], "value": "2"}]}),
     "phi_oversized.json": json.dumps({"weights": [
         {"set": ["x", "y", "z", "u", "v"], "value": "1000"}]}),
+    "phi_many_symbols.json": json.dumps({"weights": [
+        {"set": [f"s{i}" for i in range(17)], "value": "1"}]}),
     "phi_exponent.json": json.dumps({"weights": [
         {"set": ["x"], "value": "1e5000"}]}),
     "phi_no_weights.json": json.dumps({"sets": []}),
@@ -68,6 +90,7 @@ FILES = {
     "set_bool.json": json.dumps({"semiring": "bool", "generators": [
         {"x": "1"}, {"y": "1"}]}),
     "set_array.json": json.dumps([1, 2]),
+    "set_padded.json": json.dumps(_padded_qplus_set()),
 }
 
 # (name, vars, term); scalars other than 0 and 1 are parse errors over
@@ -137,16 +160,21 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
                 "--format", fmt, "--phi", "phi_two_sets.json",
                 "--compare-bruteforce")
         # sets that share symbols: nat's enumeration folds their
-        # compositions into one set of sums
-        for fmt in FORMATS if sr == "nat" else ():
-            add(f"delta-nat-{fmt}-phi_overlapping", "delta", "--semiring",
-                "nat", "--format", fmt, "--phi", "phi_overlapping.json")
+        # compositions into one set of sums; over qplus most of the 24
+        # choices lie inside the hull of the other ones
+        for fmt in FORMATS if sr != "bool" else ():
+            add(f"delta-{sr}-{fmt}-phi_overlapping", "delta", "--semiring",
+                sr, "--format", fmt, "--phi", "phi_overlapping.json")
     for fmt in FORMATS:
         for name in ("set_segment", "set_bool", "set_array"):
             add(f"render-json-{fmt}-{name}", "render", "--format", fmt,
                 "--set-json", f"{name}.json")
         add(f"render-json-{fmt}-vars", "render", "--format", fmt,
             "--vars", "y,x", "--set-json", "set_segment.json")
+    # a qplus set padded with 60 redundant generators
+    for fmt in ("text", "json"):
+        add(f"render-json-{fmt}-set_padded", "render", "--format", fmt,
+            "--set-json", "set_padded.json")
     for fmt in ("text", "json"):
         for phi in DELTA_ERRORS:
             add(f"delta-error-{fmt}-{phi[:-5]}", "delta", "--format", fmt,
@@ -187,6 +215,8 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
         "--semiring", "nat", "--value-bound", "30")
     add("error-delta-nat-oversized", "delta", "--semiring", "nat", "--phi",
         "phi_oversized.json")
+    add("error-delta-bool-compare-oversized", "delta", "--semiring", "bool",
+        "--phi", "phi_many_symbols.json", "--compare-bruteforce")
     add("error-appendixA-xsize", "laws", "--suite", "appendixA",
         "--xsize", "5")
     add("error-duplicate-vars", "eval", "--vars", "x,y,x", "x")

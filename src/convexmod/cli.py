@@ -30,30 +30,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
 
-from .convex import (ConvexSet, cs_compare, cs_equal, cs_from_json,
-                     cs_to_csv, member)
-from .distlaw import (
-    SYMBOL_POOL,
-    Relation,
-    check_naturality,
-    check_pentagon_law,
-    check_weak_law,
-    composition_count,
-    delta_bruteforce,
-    delta_hull,
-    pentagon_instance_count,
-    set_weighting,
-    trivialE_extend,
-    trivial_lifting_fixed_points,
-    weak_law_instance_count,
-    weightings_over,
-)
+from .convex import ConvexSet, cs_compare, cs_equal, cs_from_json, cs_to_csv
+from .distlaw import SUITES, SYMBOL_POOL, run_delta, set_weighting
 from .errors import ConvexmodError, InternalError, ParseError
-from .report import MODE_BOUNDED, MODE_EXHAUSTIVE, FAIL, PASS, LawReport
+from .report import PASS
 from .semiring import HULL_EXACT_LP, get_semiring
 from .terms import (
     eval_term,
@@ -67,30 +52,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141
-
-SUITES = ("weakdist", "pentagon", "naturality", "appendixA")
-# appendixA checks all 2^(2^xsize) families of subsets: 65,536 at
-# xsize 4 (under a second), 2^32 at xsize 5.
-APPENDIX_A_MAX_XSIZE = 4
-# pentagon over bool enumerates 5,672 instances at xsize 2 (seconds)
-# and 28,158,761 at xsize 3 (hours).
-PENTAGON_MAX_INSTANCES = 100_000
-# weakdist over bool checks 1,424 instances at xsize 3 (about a second)
-# and 18,940 at xsize 4, with larger sets (unfinished after 20 s).  Over
-# nat it counts the value bound too: 2,435 at the defaults (xsize 2,
-# bound 2), 753,997 at bound 30.
-WEAK_LAW_MAX_INSTANCES = 10_000
-# delta over nat folds the compositions of each set's weight: 840
-# combinations for three two-element sets weighted 5, 9 and 13, about
-# 4.2e10 for one weight of 1000 on five symbols.
-DELTA_MAX_COMPOSITIONS = 100_000
-# delta --compare-bruteforce over bool walks every subset of the n
-# symbols: 16,384 at n = 14 (about a second), 65,536 at n = 16 (about
-# 5 s).
-DELTA_MAX_SUBSETS = 2 ** 16
-# A count beyond 10^30 is reported as a bound, not computed in full.
-_SHOWN_COUNT_DIGITS = 30
-_SHOWN_COUNT_MAX = 10 ** _SHOWN_COUNT_DIGITS
 
 
 def _parse_vars(arg: str | None) -> list[str]:
@@ -212,25 +173,6 @@ def _cmd_eq(args, out) -> int:
     return EXIT_CHECK_FAILED
 
 
-def _appendix_a_reports(xsize: int) -> list[LawReport]:
-    """The naive forward-image extension: the frozen inclusion pair
-    showing its image depends on more than the input set, and the
-    lifting idempotent whose fixed points are exactly singletons."""
-    R = Relation((0, 1, 2), (0, 1, 2), ((0, 1),))
-    S = Relation((0, 1, 2), (0, 1, 2), ((0, 1), (0, 2)))
-    img_r = trivialE_extend(R)[(0,)]
-    img_s = trivialE_extend(S)[(0,)]
-    ok = (set(R.pairs) < set(S.pairs)
-          and img_r == (1,) and img_s == (1, 2) and img_r != img_s)
-    frozen = LawReport(
-        name="appendixA:forward_image", semiring="bool",
-        status=PASS if ok else FAIL, mode=MODE_EXHAUSTIVE,
-        detail="E(R)({0}) = {1} differs from E(S)({0}) = {1, 2} for R in S",
-        counterexample=None if ok else {"img_r": img_r, "img_s": img_s},
-        meta={"expected": PASS})
-    return [frozen, trivial_lifting_fixed_points(xsize)]
-
-
 def _report_lines(reports, fmt) -> list[str]:
     if fmt == "json":
         return [json.dumps(r.to_json_dict()) for r in reports]
@@ -254,58 +196,18 @@ def _report_lines(reports, fmt) -> list[str]:
     return lines
 
 
-def _refuse_oversized(what: str, count: int, cap: int,
-                      unit: str = "instances") -> None:
-    """Usage error, before any enumeration, for a run that would walk
-    more than ``cap`` instances."""
-    if count > cap:
-        shown = (f"{count:,}" if count <= _SHOWN_COUNT_MAX
-                 else f"more than 10^{_SHOWN_COUNT_DIGITS}")
-        raise ConvexmodError(
-            f"{what} enumerates {shown} {unit}; at most {cap:,} are allowed")
-
-
 def _cmd_laws(args, out) -> int:
     if args.suite == "appendixA" and args.semiring not in (None, "bool"):
         raise ConvexmodError(
             f"appendixA runs over bool only; got --semiring {args.semiring}")
-    sr = get_semiring(args.semiring or "qplus")
-    seed = args.seed
-    if args.suite == "weakdist":
-        xsize = args.xsize or 2
-        if sr.enumeration == MODE_EXHAUSTIVE:
-            _refuse_oversized(f"weakdist over {sr.id} at xsize {xsize}",
-                              weak_law_instance_count(xsize),
-                              WEAK_LAW_MAX_INSTANCES)
-        elif sr.enumeration == MODE_BOUNDED:
-            _refuse_oversized(
-                f"weakdist over {sr.id} at xsize {xsize} and value bound "
-                f"{args.value_bound}",
-                weak_law_instance_count(xsize, sr, args.value_bound),
-                WEAK_LAW_MAX_INSTANCES)
-        reports = check_weak_law(sr, xsize=xsize,
-                                 trials=args.trials, seed=seed,
-                                 value_bound=args.value_bound)
-    elif args.suite == "pentagon":
-        xsize = args.xsize or 2
-        if sr.enumeration == MODE_EXHAUSTIVE:
-            _refuse_oversized(f"pentagon over {sr.id} at xsize {xsize}",
-                              pentagon_instance_count(sr, xsize),
-                              PENTAGON_MAX_INSTANCES)
-        reports = check_pentagon_law(sr, xsize=xsize,
-                                     trials=args.trials, seed=seed)
-    elif args.suite == "naturality":
-        reports = check_naturality(sr, xsize=args.xsize or 3,
-                                   trials=args.trials, seed=seed)
-    elif args.suite == "appendixA":
-        xsize = args.xsize or 3
-        if xsize > APPENDIX_A_MAX_XSIZE:
-            raise ConvexmodError(
-                f"appendixA enumerates 2^(2^xsize) families; xsize must "
-                f"be at most {APPENDIX_A_MAX_XSIZE}")
-        reports = _appendix_a_reports(xsize)
-    else:
-        raise ConvexmodError(f"unknown suite {args.suite!r}")
+    suite = SUITES[args.suite]
+    # Each suite takes the options it names, and its own default xsize.
+    options = {"sr": get_semiring(args.semiring or "qplus"),
+               "xsize": args.xsize, "trials": args.trials, "seed": args.seed,
+               "value_bound": args.value_bound}
+    named = inspect.signature(suite).parameters
+    reports = suite(**{k: v for k, v in options.items()
+                       if k in named and v is not None})
     for line in _report_lines(reports, args.format):
         print(line, file=out)
     met = all(r.status == r.meta.get("expected", PASS) for r in reports)
@@ -359,38 +261,7 @@ def _load_phi(path: str, sr):
 
 def _cmd_delta(args, out) -> int:
     sr = get_semiring(args.semiring)
-    Phi = _load_phi(args.phi, sr)
-    if not sr.is_semifield:
-        _refuse_oversized(
-            f"delta over {sr.id}",
-            composition_count(Phi, limit=_SHOWN_COUNT_MAX),
-            DELTA_MAX_COMPOSITIONS, unit="combinations of compositions")
-        gens = delta_bruteforce(Phi)
-        hull = None
-    else:
-        hull = delta_hull(Phi)
-        gens = list(hull.generators)
-    status = EXIT_OK
-    compare = None
-    if args.compare_bruteforce:
-        if hull is None or sr.enumeration is None:
-            raise ConvexmodError(
-                "--compare-bruteforce needs the bool semiring, where both "
-                "routes are enumerable")
-        symbols = sorted({x for A in Phi.support() for x in A})
-        _refuse_oversized(f"delta --compare-bruteforce over {sr.id} on "
-                          f"{len(symbols)} symbols", 2 ** len(symbols),
-                          DELTA_MAX_SUBSETS, unit="subsets")
-        brute = delta_bruteforce(Phi)
-        closure = [psi for psi in weightings_over(sr, symbols, len(symbols),
-                                                  None)
-                   if member(hull, psi)]
-        same = set(closure) == set(brute)
-        compare = {"bruteforce_count": len(brute),
-                   "closure_count": len(closure),
-                   "agree": same}
-        if not same:
-            status = EXIT_CHECK_FAILED
+    gens, compare = run_delta(_load_phi(args.phi, sr), args.compare_bruteforce)
     if args.format == "json":
         d = {"kind": "generators", "semiring": sr.id,
              "generators": [g.to_json_dict() for g in gens]}
@@ -414,7 +285,8 @@ def _cmd_delta(args, out) -> int:
             print(f"bruteforce comparison: {verdict} "
                   f"({compare['bruteforce_count']} brute, "
                   f"{compare['closure_count']} in hull)", file=out)
-    return status
+    agreed = compare is None or compare["agree"]
+    return EXIT_OK if agreed else EXIT_CHECK_FAILED
 
 
 def _cmd_render(args, out) -> int:
@@ -481,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     # None: each suite takes its own default (qplus, or bool for
     # appendixA, which runs over bool only)
     common(p, semiring=None)
-    p.add_argument("--suite", choices=SUITES, required=True)
+    p.add_argument("--suite", choices=tuple(SUITES), required=True)
     p.add_argument("--xsize", type=int, default=None,
                    help="symbol count (default: suite-specific)")
     p.add_argument("--trials", type=int, default=50)

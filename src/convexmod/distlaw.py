@@ -34,6 +34,11 @@ one-point weak law.  Each suite only draws its instances and states a
 per-instance check; one driver, ``_law_report``, runs the checks and
 builds every report.  A leg that resolves a weighting of convex sets
 calls ``composite.alpha``, the library's one weighted Minkowski sum.
+
+How far an enumeration may grow is one table, ``LIMITS``: every suite
+and every route of ``run_delta`` counts what it would walk, without
+walking it, and refuses through ``_refuse_oversized`` before its first
+instance.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ from .report import (
     MODE_RANDOMIZED,
     PASS,
 )
-from .semiring import BOOL, Scalar, Semiring
+from .semiring import BOOL, HULL_EXACT_LP, HULL_JOIN_COVER, Scalar, Semiring
 
 # Weightings over set-shaped keys reuse the finitely supported map
 # type; the constructors below canonicalize the keys.
@@ -82,6 +87,46 @@ SetWeighting = FinSupp
 MembershipWeighting = FinSupp
 
 SYMBOL_POOL = ("x", "y", "z", "u", "v", "w")
+
+# Every enumeration's limit, as a count of what it walks: the law suites
+# in ``SUITES`` order, then the routes of ``run_delta``.
+LIMITS = {
+    # bool: 1,424 instances at xsize 3 (about a second), 18,940 at xsize
+    # 4 (unfinished after 20 s); nat: 2,435 at the defaults (xsize 2,
+    # value bound 2), 753,997 at value bound 30
+    "weakdist": 10_000,
+    # bool: 5,672 instances at xsize 2 (seconds), 28,158,761 at 3 (hours)
+    "pentagon": 100_000,
+    # 30,976 instances at xsize 4 (2-6 s), 1,553,125 at 5 (unfinished
+    # after 30 s over every semiring)
+    "naturality": 100_000,
+    # 2^(2^xsize) families: 65,536 at xsize 4 (under a second), 2^32 at 5
+    "appendixA": 2 ** 16,
+    # nat: combinations of per-set compositions, 840 for three two-element
+    # sets weighted 5, 9 and 13, about 4.2e10 for 1000 on five symbols
+    "compositions": 100_000,
+    # --compare-bruteforce: the 2^n subsets of n symbols, 16,384 at n = 14
+    # (about a second), 65,536 at 16 (about 5 s)
+    "subsets": 2 ** 16,
+    # choices by hull algorithm, one per set on disjoint sets: the LP
+    # takes 1.5-3.7 s at 256 and 26 s at 625; the join cover 1.3-2.0 s
+    # at 3,125 and 4,096, 20 s at 15,625
+    "choices:" + HULL_EXACT_LP: 256,
+    "choices:" + HULL_JOIN_COVER: 4_096,
+}
+# A count beyond this is shown as a bound, not computed in full.
+_SHOWN_MAX = 10 ** 30
+
+
+def _refuse_oversized(what: str, count: int, limit: int,
+                      unit: str = "instances", message: str = "") -> None:
+    """Usage error, before any enumeration, for a run that would walk
+    ``count`` units, more than its ``limit``; ``message`` replaces the
+    stated count."""
+    if count > limit:
+        shown = f"{count:,}" if count <= _SHOWN_MAX else "more than 10^30"
+        raise ConvexmodError(message or f"{what} enumerates {shown} {unit}; "
+                                        f"at most {limit:,} are allowed")
 
 
 def set_key(elements: Iterable[Any]) -> tuple:
@@ -256,6 +301,48 @@ def delta_bruteforce(Phi: SetWeighting) -> list[FinSupp]:
     return [FinSupp(sr, tuple([(union[i], v) for i, v in pairs]),
                     _trusted=True)
             for pairs in supports]
+
+
+def run_delta(Phi: SetWeighting, compare: bool = False
+              ) -> tuple[list[FinSupp], dict | None]:
+    """The law's generators for a weighting given from outside, by the
+    hull route over a semifield and the brute force otherwise; with
+    ``compare``, also the bool cross-check of the brute force against
+    every weighting of the symbols that lies in the hull.  Each route
+    is refused, by its ``LIMITS`` entry, before it enumerates."""
+    sr = Phi.semiring
+    if not sr.is_semifield:
+        _refuse_oversized(f"delta over {sr.id}",
+                          composition_count(Phi, limit=_SHOWN_MAX),
+                          LIMITS["compositions"],
+                          unit="combinations of compositions")
+    if compare and not (sr.is_semifield and sr.enumeration):
+        raise ConvexmodError(
+            "--compare-bruteforce needs the bool semiring, where both "
+            "routes are enumerable")
+    symbols = sorted({x for A in Phi.support() for x in A})
+    if compare:
+        _refuse_oversized(f"delta --compare-bruteforce over {sr.id} on "
+                          f"{len(symbols)} symbols", 2 ** len(symbols),
+                          LIMITS["subsets"], unit="subsets")
+    if not sr.is_semifield:
+        return delta_bruteforce(Phi), None
+    choices = 1
+    for A in Phi.support():
+        choices *= len(A)
+        if choices > _SHOWN_MAX:
+            break
+    _refuse_oversized(f"delta over {sr.id}", choices,
+                      LIMITS["choices:" + sr.hull_membership], unit="choices")
+    hull = delta_hull(Phi)
+    if not compare:
+        return list(hull.generators), None
+    brute = delta_bruteforce(Phi)
+    closure = [psi for psi in weightings_over(sr, symbols, len(symbols), None)
+               if member(hull, psi)]
+    return list(hull.generators), {"bruteforce_count": len(brute),
+                                   "closure_count": len(closure),
+                                   "agree": set(closure) == set(brute)}
 
 
 def delta_witness_check(Phi: SetWeighting, phi: FinSupp,
@@ -489,6 +576,10 @@ def check_weak_law(sr: Semiring, xsize: int = 2, trials: int = 50,
         # A bounded enumeration also caps the second-level pools; an
         # exhaustive one keeps them whole.
         bounded = mode == MODE_BOUNDED
+        bound = f" and value bound {value_bound}" if bounded else ""
+        _refuse_oversized(f"weakdist over {sr.id} at xsize {xsize}{bound}",
+                          weak_law_instance_count(xsize, sr, value_bound),
+                          LIMITS["weakdist"])
         phis = weightings_over(sr, universe, len(universe), value_bound)
         level1 = weightings_over(sr, sets_pool, 2, value_bound)
         xis = weightings_over(sr, level1[:40] if bounded else level1, 2,
@@ -583,6 +674,13 @@ def check_naturality(sr: Semiring, xsize: int = 3, trials: int = 50,
     choice set is not, and a violating instance must be found by
     search.  The search widens its universe rather than pass silently.
     """
+    # The weight-one families of at most two sets, under every self-map:
+    # the enumerated delta stream, and the choice search's first universe
+    # up to its families of two, for every semiring.
+    sets = 2 ** xsize - 1
+    _refuse_oversized(f"naturality over {sr.id} at xsize {xsize}",
+                      (1 + sets + math.comb(sets, 2)) * xsize ** xsize,
+                      LIMITS["naturality"])
     universe = list(SYMBOL_POOL[:xsize])
     if sr.enumeration is None:
         rng = random.Random(seed)
@@ -802,6 +900,9 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
             "pentagon suite needs a positive semifield (bool or qplus)")
     universe = list(SYMBOL_POOL[:xsize])
     if sr.enumeration is not None:
+        _refuse_oversized(f"pentagon over {sr.id} at xsize {xsize}",
+                          pentagon_instance_count(sr, xsize),
+                          LIMITS["pentagon"])
         carrier = _carrier_sets(sr, universe)
         families = [set_key(F) for r in range(0, 3)
                     for F in itertools.combinations(carrier, r)]
@@ -904,3 +1005,35 @@ def trivial_lifting_fixed_points(xsize: int = 3) -> LawReport:
     return _law_report("trivial_lifting_fixed_points", BOOL, MODE_EXHAUSTIVE,
                        families, _fixed_point_violation,
                        meta={"families": 2 ** len(sets_pool)})
+
+
+def _forward_image_violation(pair: tuple) -> dict | None:
+    R, S = pair
+    img_r, img_s = trivialE_extend(R)[(0,)], trivialE_extend(S)[(0,)]
+    return _unless(set(R.pairs) < set(S.pairs) and img_r == (1,)
+                   and img_s == (1, 2), img_r=img_r, img_s=img_s)
+
+
+def check_appendix_a(xsize: int = 3) -> list[LawReport]:
+    """The naive forward-image extension: the frozen inclusion pair
+    showing its image depends on more than the input set, and the
+    lifting idempotent whose fixed points are exactly singletons."""
+    limit = LIMITS["appendixA"]
+    most = max((x for x in range(len(SYMBOL_POOL) + 1)
+                if 2 ** 2 ** x <= limit), default=0)
+    _refuse_oversized("appendixA", 2 ** 2 ** xsize, limit, message=(
+        f"appendixA enumerates 2^(2^xsize) families; xsize must be at most "
+        f"{most}"))
+    R = Relation((0, 1, 2), (0, 1, 2), ((0, 1),))
+    S = Relation((0, 1, 2), (0, 1, 2), ((0, 1), (0, 2)))
+    detail = "E(R)({0}) = {1} differs from E(S)({0}) = {1, 2} for R in S"
+    frozen = _law_report("appendixA:forward_image", BOOL, MODE_EXHAUSTIVE,
+                         [(R, S)], _forward_image_violation, detail=detail,
+                         meta={"expected": PASS}, fail_detail=detail,
+                         fail_meta={"expected": PASS})
+    return [frozen, trivial_lifting_fixed_points(xsize)]
+
+
+# The law suites by name, in the order the command line lists them.
+SUITES = {"weakdist": check_weak_law, "pentagon": check_pentagon_law,
+          "naturality": check_naturality, "appendixA": check_appendix_a}

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from .errors import ConvexmodError
+
 PASS = "pass"
 FAIL = "fail"
 
@@ -65,7 +67,7 @@ def _plain(value: Any) -> Any:
     if hasattr(value, "to_json_dict"):
         try:
             return value.to_json_dict()
-        except Exception:
+        except ConvexmodError:
             # tuple-keyed weightings have no JSON form; fall back to repr
             return str(value)
     return str(value)

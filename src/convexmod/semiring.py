@@ -373,28 +373,6 @@ def get_semiring(semiring_id: str) -> Semiring:
 
 
 # ---------------------------------------------------------------------------
-# arith
-# ---------------------------------------------------------------------------
-
-def arith(sr: Semiring, op: str, a: Scalar, b: Scalar) -> Scalar:
-    """Apply one semiring operation.  ``op`` is add, mul, or div.
-
-    Division is defined only on semifield instances with nonzero
-    divisor; it raises "not invertible" on a zero divisor and
-    "not a semifield" on nat.
-    """
-    a = sr.validate(a)
-    b = sr.validate(b)
-    if op == "add":
-        return sr.add(a, b)
-    if op == "mul":
-        return sr.mul(a, b)
-    if op == "div":
-        return sr.div(a, b)
-    raise ConvexmodError(f"unknown operation {op!r}; expected add|mul|div")
-
-
-# ---------------------------------------------------------------------------
 # refinement witness
 # ---------------------------------------------------------------------------
 

@@ -235,12 +235,6 @@ def parse(text: str, sr: Semiring) -> Term:
     return _Parser(text, sr).parse()
 
 
-def format_scalar(value: Scalar) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
-
-
 def format_term(t: Term) -> str:
     """Minimal-parenthesis printer; reparsing reproduces the tree.
 
@@ -261,7 +255,7 @@ def format_term(t: Term) -> str:
                 inner = printed.pop()
                 if isinstance(node.body, (Add, Join)):
                     inner = f"({inner})"
-                printed.append(f"{format_scalar(node.scalar)}.{inner}")
+                printed.append(f"{node.scalar}.{inner}")
             else:
                 todo += [(node, True), (node.body, False)]
         elif isinstance(node, (Add, Join)):

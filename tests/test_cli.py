@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from convexmod import distlaw
 from convexmod.cli import main
 from convexmod.errors import InternalError
 
@@ -286,18 +287,32 @@ class TestLaws:
         assert lines[0] == "name,semiring,status,mode,detail"
         assert lines[1].startswith("appendixA:forward_image,bool,pass,")
 
-    @pytest.mark.parametrize("xsize, cap, count", [
-        ("3", None, "28,158,761"),
-        ("2", 5671, "5,672")])
+    # Also naturality, whose count (1 + N + C(N, 2)) x^x over the
+    # N = 2^x - 1 nonempty sets is refused over every semiring.
+    @pytest.mark.parametrize("suite, semiring, xsize, cap, count", [
+        pytest.param("pentagon", "bool", "3", None, "28,158,761",
+                     id="3-None-28,158,761"),
+        pytest.param("pentagon", "bool", "2", 5671, "5,672",
+                     id="2-5671-5,672"),
+        *[pytest.param("naturality", sr, "5", None, "1,553,125",
+                       id=f"naturality-{sr}-5") for sr in ("qplus", "bool",
+                                                           "nat")],
+        pytest.param("naturality", "qplus", "6", None, "94,105,152",
+                     id="naturality-qplus-6"),
+        pytest.param("naturality", "bool", "2", 27, "28",
+                     id="naturality-bool-2-27")])
     def test_oversized_bool_pentagon_rejected(self, capsys, monkeypatch,
-                                              xsize, cap, count):
+                                              suite, semiring, xsize, cap,
+                                              count):
         def refuse(*_args, **_kwargs):
-            raise AssertionError("pentagon instances were checked")
-        monkeypatch.setattr("convexmod.distlaw.pentagon_check", refuse)
+            raise AssertionError(f"{suite} instances were checked")
+        for name in ("pentagon_check", "_weight_one_instances",
+                     "_random_qplus_weighting"):
+            monkeypatch.setattr(f"convexmod.distlaw.{name}", refuse)
         if cap is not None:
-            monkeypatch.setattr("convexmod.cli.PENTAGON_MAX_INSTANCES", cap)
-        code, out, err = run(capsys, "laws", "--suite", "pentagon",
-                             "--semiring", "bool", "--xsize", xsize)
+            monkeypatch.setitem(distlaw.LIMITS, suite, cap)
+        code, out, err = run(capsys, "laws", "--suite", suite,
+                             "--semiring", semiring, "--xsize", xsize)
         assert code == 2 and out == ""
         assert f"{count} instances" in err
 
@@ -310,7 +325,7 @@ class TestLaws:
             raise AssertionError("weakdist instances were enumerated")
         monkeypatch.setattr("convexmod.distlaw.weightings_over", refuse)
         if cap is not None:
-            monkeypatch.setattr("convexmod.cli.WEAK_LAW_MAX_INSTANCES", cap)
+            monkeypatch.setitem(distlaw.LIMITS, "weakdist", cap)
         code, out, err = run(capsys, "laws", "--suite", "weakdist",
                              "--semiring", "bool", "--xsize", xsize)
         assert code == 2 and out == ""
@@ -326,19 +341,27 @@ class TestLaws:
             raise AssertionError("weakdist instances were enumerated")
         monkeypatch.setattr("convexmod.distlaw.weightings_over", refuse)
         if cap is not None:
-            monkeypatch.setattr("convexmod.cli.WEAK_LAW_MAX_INSTANCES", cap)
+            monkeypatch.setitem(distlaw.LIMITS, "weakdist", cap)
         code, out, err = run(capsys, "laws", "--suite", "weakdist",
                              "--semiring", "nat", "--xsize", xsize,
                              "--value-bound", bound)
         assert code == 2 and out == ""
         assert f"value bound {bound} enumerates {count} instances" in err
 
-    def test_nat_weakdist_at_the_cap_runs(self, capsys, monkeypatch):
-        monkeypatch.setattr("convexmod.cli.WEAK_LAW_MAX_INSTANCES", 1_202)
-        code, out, _ = run(capsys, "laws", "--suite", "weakdist",
-                           "--semiring", "nat", "--xsize", "1",
-                           "--value-bound", "3")
-        assert code == 0 and len(out.splitlines()) == 4
+    @pytest.mark.parametrize("suite, semiring, xsize, cap, reports", [
+        ("weakdist", "nat", "1", 1_202, 4),
+        ("naturality", "qplus", "2", 28, 2),
+        ("naturality", "bool", "2", 28, 2),
+        ("naturality", "qplus", "4", 30_976, 2),
+    ], ids=["weakdist-nat", "naturality-qplus-2", "naturality-bool-2",
+            "naturality-qplus-4"])
+    def test_nat_weakdist_at_the_cap_runs(self, capsys, monkeypatch, suite,
+                                          semiring, xsize, cap, reports):
+        monkeypatch.setitem(distlaw.LIMITS, suite, cap)
+        code, out, _ = run(capsys, "laws", "--suite", suite,
+                           "--semiring", semiring, "--xsize", xsize,
+                           "--value-bound", "3", "--format", "json")
+        assert code == 0 and len(out.splitlines()) == reports
 
     def test_zero_trials_rejected(self, capsys):
         code, _, err = run(capsys, "laws", "--suite", "pentagon",
@@ -352,8 +375,8 @@ class TestLaws:
                                          suite, xsize):
         def refuse(*_args, **_kwargs):
             raise AssertionError("suite ran on an out-of-range xsize")
-        for name in ("check_weak_law", "trivial_lifting_fixed_points"):
-            monkeypatch.setattr(f"convexmod.cli.{name}", refuse)
+        for name in ("weakdist", "appendixA"):
+            monkeypatch.setitem(distlaw.SUITES, name, refuse)
         code, out, err = run(capsys, "laws", "--suite", suite,
                              "--xsize", xsize)
         assert code == 2
@@ -373,7 +396,7 @@ class TestLaws:
                                                  xsize, fmt, expected):
         def refuse(*_args, **_kwargs):
             raise AssertionError("appendixA enumerated above its cap")
-        monkeypatch.setattr("convexmod.cli.trivial_lifting_fixed_points",
+        monkeypatch.setattr("convexmod.distlaw.trivial_lifting_fixed_points",
                             refuse)
         code, out, err = run(capsys, "laws", "--suite", "appendixA",
                              "--xsize", xsize, "--format", fmt)
@@ -387,7 +410,7 @@ class TestLaws:
                                                    semiring, fmt):
         def refuse(*_args, **_kwargs):
             raise AssertionError("appendixA ran over a non-bool semiring")
-        monkeypatch.setattr("convexmod.cli.trivial_lifting_fixed_points",
+        monkeypatch.setattr("convexmod.distlaw.trivial_lifting_fixed_points",
                             refuse)
         code, out, err = run(capsys, "laws", "--suite", "appendixA",
                              "--semiring", semiring, "--format", fmt)
@@ -481,29 +504,46 @@ class TestDelta:
         # weak compositions of 2 over two symbols, canonical order
         assert gens == [{"x": 1, "y": 1}, {"x": 2}, {"y": 2}]
 
-    @pytest.mark.parametrize("weights, cap, count", [
-        ([(["x", "y", "z", "u", "v"], 1000)], None, "42,084,793,751"),
-        ([(["x", "y"], 5), (["x", "z"], 9), (["a", "b"], 13)], 839, "840"),
-        ([(["x", "y", "z"], "1" + "0" * 4000), (["a", "b"], 1)], None,
-         "more than 10^30"),
-    ], ids=["one_large_weight", "lowered_cap", "weight_near_digit_limit"])
+    # Over bool and qplus the choice route counts the product of the
+    # set sizes, with a limit per hull algorithm.
+    @pytest.mark.parametrize("semiring, weights, key, cap, count, unit", [
+        ("nat", [(["x", "y", "z", "u", "v"], 1000)], "compositions", None,
+         "42,084,793,751", "combinations of compositions"),
+        ("nat", [(["x", "y"], 5), (["x", "z"], 9), (["a", "b"], 13)],
+         "compositions", 839, "840", "combinations of compositions"),
+        ("nat", [(["x", "y", "z"], "1" + "0" * 4000), (["a", "b"], 1)],
+         "compositions", None, "more than 10^30",
+         "combinations of compositions"),
+        ("qplus", [([f"s{i}{j}" for j in range(5)], 1) for i in range(5)],
+         "choices:exact_lp", None, "3,125", "choices"),
+        ("qplus", [(["x", "y"], 5), (["x", "z"], 9), (["a", "b"], 13)],
+         "choices:exact_lp", 7, "8", "choices"),
+        ("bool", [([f"s{i}{j}" for j in range(4)], 1) for i in range(7)],
+         "choices:join_cover", None, "16,384", "choices"),
+        ("bool", [([f"s{i}{j}" for j in range(2)], 1) for i in range(120)],
+         "choices:join_cover", None, "more than 10^30", "choices"),
+    ], ids=["one_large_weight", "lowered_cap", "weight_near_digit_limit",
+            "qplus_choices", "qplus_lowered_cap", "bool_choices",
+            "bool_choices_past_10^30"])
     def test_oversized_nat_rejected(self, capsys, monkeypatch, tmp_path,
-                                    weights, cap, count):
+                                    semiring, weights, key, cap, count,
+                                    unit):
         def refuse(*_args, **_kwargs):
-            raise AssertionError("compositions were enumerated")
-        monkeypatch.setattr("convexmod.cli.delta_bruteforce", refuse)
-        monkeypatch.setattr("convexmod.distlaw.weak_compositions", refuse)
+            raise AssertionError("compositions or choices were enumerated")
+        for name in ("delta_bruteforce", "weak_compositions", "choice_set",
+                     "delta_hull"):
+            monkeypatch.setattr(f"convexmod.distlaw.{name}", refuse)
         if cap is not None:
-            monkeypatch.setattr("convexmod.cli.DELTA_MAX_COMPOSITIONS", cap)
+            monkeypatch.setitem(distlaw.LIMITS, key, cap)
         p = tmp_path / "phi.json"
         p.write_text(json.dumps({"weights": [
             {"set": A, "value": v} for A, v in weights]}), encoding="utf-8")
-        code, out, err = run(capsys, "delta", "--semiring", "nat",
+        code, out, err = run(capsys, "delta", "--semiring", semiring,
                              "--phi", str(p))
         assert code == 2 and out == ""
-        assert err == (f"error: delta over nat enumerates {count} "
-                       "combinations of compositions; at most "
-                       f"{cap or 100_000:,} are allowed\n")
+        assert err == (f"error: delta over {semiring} enumerates {count} "
+                       f"{unit}; at most {distlaw.LIMITS[key]:,} are "
+                       "allowed\n")
 
     @pytest.mark.parametrize("symbols, cap, count", [
         (17, None, "131,072"), (40, None, "1,099,511,627,776"),
@@ -512,10 +552,10 @@ class TestDelta:
                                              tmp_path, symbols, cap, count):
         def refuse(*_args, **_kwargs):
             raise AssertionError("subsets were enumerated")
-        monkeypatch.setattr("convexmod.cli.delta_bruteforce", refuse)
-        monkeypatch.setattr("convexmod.cli.weightings_over", refuse)
+        for name in ("delta_bruteforce", "weightings_over", "choice_set"):
+            monkeypatch.setattr(f"convexmod.distlaw.{name}", refuse)
         if cap is not None:
-            monkeypatch.setattr("convexmod.cli.DELTA_MAX_SUBSETS", cap)
+            monkeypatch.setitem(distlaw.LIMITS, "subsets", cap)
         p = tmp_path / "phi.json"
         p.write_text(json.dumps({"weights": [
             {"set": [f"s{i}" for i in range(symbols)], "value": "1"}]}),
@@ -529,7 +569,7 @@ class TestDelta:
 
     def test_bool_compare_at_the_cap_runs(self, capsys, monkeypatch,
                                           tmp_path):
-        monkeypatch.setattr("convexmod.cli.DELTA_MAX_SUBSETS", 8)
+        monkeypatch.setitem(distlaw.LIMITS, "subsets", 8)
         p = tmp_path / "phi.json"
         p.write_text(json.dumps({"weights": [
             {"set": ["x", "y"], "value": "1"},
@@ -538,13 +578,26 @@ class TestDelta:
                            "--phi", str(p), "--compare-bruteforce")
         assert code == 0 and "agree" in out
 
-    def test_nat_at_the_cap_runs(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr("convexmod.cli.DELTA_MAX_COMPOSITIONS", 840)
+    @pytest.mark.parametrize("semiring, phi, key, cap, lines", [
+        ("nat", EXAMPLE_PHI, "compositions", 840, 840),
+        ("qplus", EXAMPLE_PHI, "choices:exact_lp", 8, 8),
+        ("bool", {"weights": [{"set": ["x", "y"], "value": "1"},
+                              {"set": ["y", "z"], "value": "1"}]},
+         "choices:join_cover", 4, 4),
+        ("bool", {"weights": [{"set": [f"s{i}{j}" for j in range(5)],
+                               "value": "1"} for i in range(5)]},
+         "choices:join_cover", None, 3_125),
+    ], ids=["compositions", "qplus_choices", "bool_choices",
+            "bool_choices_5x5"])
+    def test_nat_at_the_cap_runs(self, capsys, monkeypatch, tmp_path,
+                                 semiring, phi, key, cap, lines):
+        if cap is not None:
+            monkeypatch.setitem(distlaw.LIMITS, key, cap)
         p = tmp_path / "phi.json"
-        p.write_text(json.dumps(EXAMPLE_PHI), encoding="utf-8")
-        code, out, _ = run(capsys, "delta", "--semiring", "nat",
+        p.write_text(json.dumps(phi), encoding="utf-8")
+        code, out, _ = run(capsys, "delta", "--semiring", semiring,
                            "--phi", str(p))
-        assert code == 0 and len(out.splitlines()) == 840
+        assert code == 0 and len(out.splitlines()) == lines
 
     @pytest.mark.parametrize("semiring, value, message", [
         ("qplus", "1e5000", "exponent notation is not accepted: '1e5000'"),

@@ -37,7 +37,7 @@ from convexmod.distlaw import (
     trivial_lifting_fixed_points,
     weak_law_instance_count,
 )
-from convexmod.errors import ConvexmodError, NotSemifieldError
+from convexmod.errors import ConvexmodError, InternalError, NotSemifieldError
 from convexmod.freemod import finsupp, fs_map, fs_unit, fs_zero
 from convexmod.report import FAIL, PASS, LawReport
 from convexmod.semiring import BOOL, NAT, QPLUS
@@ -382,6 +382,21 @@ class TestNaturality:
         assert {r.name: r.status for r in reports} == {
             "delta_naturality": "pass", "choice_naturality": "fail"}
 
+    @pytest.mark.parametrize("xsize", [1, 2, 3])
+    def test_refused_exactly_above_the_enumerated_stream(self, monkeypatch,
+                                                         xsize):
+        """The count the suite refuses by is the length of the bool
+        delta stream: weight-one families of at most two nonempty sets,
+        under every self-map of the universe."""
+        universe = distlaw.SYMBOL_POOL[:xsize]
+        stream = sum(1 for _ in distlaw._weight_one_instances(
+            BOOL, delta_bruteforce, universe, (0, 1, 2)))
+        monkeypatch.setitem(distlaw.LIMITS, "naturality", stream)
+        assert len(check_naturality(BOOL, xsize=xsize)) == 2
+        monkeypatch.setitem(distlaw.LIMITS, "naturality", stream - 1)
+        with pytest.raises(ConvexmodError, match=f"enumerates {stream:,} "):
+            check_naturality(BOOL, xsize=xsize)
+
     def test_choice_violation_replays(self):
         reports = check_naturality(QPLUS, xsize=3, trials=5, seed=0)
         cx = {r.name: r for r in reports}["choice_naturality"].counterexample
@@ -499,6 +514,23 @@ class TestLawReportDriver:
         assert drawn == [0, 1, 2, 3, 4]
         assert r.status == PASS and r.counterexample is None
         assert (r.detail, r.meta) == ("all held", {"instances": 5})
+
+    def test_only_a_usage_error_falls_back_to_text(self):
+        """A tuple-keyed weighting has no JSON form and is printed; a
+        broken invariant met while serializing propagates."""
+        psi = membership_weighting(BOOL, [((("x", "y"), "x"), 1)])
+
+        class Broken:
+            def to_json_dict(self):
+                raise InternalError("broken invariant")
+
+        r = LawReport(name="demo", semiring="bool", status=PASS,
+                      mode="exhaustive", meta={"psi": psi})
+        assert r.to_json_dict()["meta"] == {"psi": str(psi)}
+        r = LawReport(name="demo", semiring="bool", status=FAIL,
+                      mode="exhaustive", counterexample={"x": Broken()})
+        with pytest.raises(InternalError, match="broken invariant"):
+            r.to_json_dict()
 
 
 def _failing_pentagon(algebra_to_fail):

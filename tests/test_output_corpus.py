@@ -74,6 +74,10 @@ FILES = {
         {"set": ["x", "y", "z", "u", "v"], "value": "1000"}]}),
     "phi_many_symbols.json": json.dumps({"weights": [
         {"set": [f"s{i}" for i in range(17)], "value": "1"}]}),
+    # five disjoint five-symbol sets: 3,125 choices
+    "phi_five_by_five.json": json.dumps({"weights": [
+        {"set": [f"s{i}{j}" for j in range(5)], "value": "1"}
+        for i in range(5)]}),
     "phi_exponent.json": json.dumps({"weights": [
         {"set": ["x"], "value": "1e5000"}]}),
     "phi_no_weights.json": json.dumps({"sets": []}),
@@ -213,10 +217,18 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
         "nat", "--value-bound", "0")
     add("error-weakdist-nat-oversized", "laws", "--suite", "weakdist",
         "--semiring", "nat", "--value-bound", "30")
+    add("error-weakdist-bool-oversized", "laws", "--suite", "weakdist",
+        "--semiring", "bool", "--xsize", "4")
+    add("error-pentagon-bool-oversized", "laws", "--suite", "pentagon",
+        "--semiring", "bool", "--xsize", "3")
     add("error-delta-nat-oversized", "delta", "--semiring", "nat", "--phi",
         "phi_oversized.json")
     add("error-delta-bool-compare-oversized", "delta", "--semiring", "bool",
         "--phi", "phi_many_symbols.json", "--compare-bruteforce")
+    add("error-naturality-oversized", "laws", "--suite", "naturality",
+        "--xsize", "5")
+    add("error-delta-qplus-choices-oversized", "delta", "--semiring", "qplus",
+        "--phi", "phi_five_by_five.json")
     add("error-appendixA-xsize", "laws", "--suite", "appendixA",
         "--xsize", "5")
     add("error-duplicate-vars", "eval", "--vars", "x,y,x", "x")

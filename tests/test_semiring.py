@@ -19,7 +19,6 @@ from convexmod.semiring import (
     NAT,
     QPLUS,
     SEMIRINGS,
-    arith,
     check_property,
     get_semiring,
     refinement_witness,
@@ -30,40 +29,40 @@ nonneg = st.fractions(min_value=0, max_value=8, max_denominator=8)
 
 class TestArith:
     def test_bool_or_is_add(self):
-        assert arith(BOOL, "add", 1, 1) == 1
-        assert arith(BOOL, "add", 0, 0) == 0
-        assert arith(BOOL, "mul", 1, 0) == 0
+        assert BOOL.add(1, 1) == 1
+        assert BOOL.add(0, 0) == 0
+        assert BOOL.mul(1, 0) == 0
 
     def test_qplus_mul_unit(self):
         a = Fraction(7, 3)
-        assert arith(QPLUS, "mul", a, Fraction(1)) == a
+        assert QPLUS.mul(a, Fraction(1)) == a
 
     def test_qplus_division_reduces_to_lowest_terms(self):
-        r = arith(QPLUS, "div", Fraction(2, 5), Fraction(9, 13))
+        r = QPLUS.div(Fraction(2, 5), Fraction(9, 13))
         assert r == Fraction(26, 45)
         assert (r.numerator, r.denominator) == (26, 45)
 
     def test_division_by_zero_rejected(self):
         with pytest.raises(NotInvertibleError, match="not invertible"):
-            arith(QPLUS, "div", Fraction(1), Fraction(0))
+            QPLUS.div(Fraction(1), Fraction(0))
         with pytest.raises(NotInvertibleError, match="not invertible"):
-            arith(BOOL, "div", 1, 0)
+            BOOL.div(1, 0)
 
     def test_nat_division_rejected(self):
         with pytest.raises(NotSemifieldError, match="not a semifield"):
-            arith(NAT, "div", 4, 2)
+            NAT.div(4, 2)
 
     def test_bool_division_total_on_nonzero(self):
-        assert arith(BOOL, "div", 1, 1) == 1
-        assert arith(BOOL, "div", 0, 1) == 0
+        assert BOOL.div(1, 1) == 1
+        assert BOOL.div(0, 1) == 0
 
     @given(nonneg, nonneg)
     def test_qplus_add_commutes(self, a, b):
-        assert arith(QPLUS, "add", a, b) == arith(QPLUS, "add", b, a)
+        assert QPLUS.add(a, b) == QPLUS.add(b, a)
 
     @given(nonneg, nonneg.filter(lambda v: v != 0))
     def test_qplus_div_inverts_mul(self, a, b):
-        assert arith(QPLUS, "mul", arith(QPLUS, "div", a, b), b) == a
+        assert QPLUS.mul(QPLUS.div(a, b), b) == a
 
 
 class TestRefinementWitness:

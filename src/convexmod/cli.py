@@ -7,11 +7,12 @@ Subcommands:
               rendering when the variable count is one or two.
 * ``eq``      decide semantic equality of two terms; on inequality a
               witness generator lying in one side only is printed.
-* ``laws``    run a law suite (weakdist, pentagon, naturality,
-              appendixA) and stream one report per line; the exit
-              status is 0 exactly when every report matches its
-              expected outcome, so a suite built around a known
-              counterexample passes by exhibiting it.
+* ``laws``    run a law suite (``distlaw.SUITES``) and stream one
+              report per line; the exit status is 0 exactly when
+              every report matches its expected outcome, so a suite
+              built around a known counterexample passes by
+              exhibiting it.  An option the run would not read is a
+              usage error.
 * ``delta``   apply the distributive law to a set weighting read from
               JSON; ``--compare-bruteforce`` cross-checks the two
               independent routes over bool.
@@ -30,13 +31,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import os
 import sys
 
 from .convex import ConvexSet, cs_compare, cs_equal, cs_from_json, cs_to_csv
-from .distlaw import SUITES, SYMBOL_POOL, run_delta, set_weighting
+from .distlaw import SUITES, run_delta, run_laws, set_weighting
 from .errors import ConvexmodError, InternalError, ParseError
 from .report import PASS
 from .semiring import HULL_EXACT_LP, get_semiring
@@ -197,17 +197,16 @@ def _report_lines(reports, fmt) -> list[str]:
 
 
 def _cmd_laws(args, out) -> int:
-    if args.suite == "appendixA" and args.semiring not in (None, "bool"):
+    env_seed = os.environ.get("CONVEXMOD_SEED")
+    try:
+        seed_override = None if env_seed is None else int(env_seed)
+    except ValueError:
         raise ConvexmodError(
-            f"appendixA runs over bool only; got --semiring {args.semiring}")
-    suite = SUITES[args.suite]
-    # Each suite takes the options it names, and its own default xsize.
-    options = {"sr": get_semiring(args.semiring or "qplus"),
-               "xsize": args.xsize, "trials": args.trials, "seed": args.seed,
-               "value_bound": args.value_bound}
-    named = inspect.signature(suite).parameters
-    reports = suite(**{k: v for k, v in options.items()
-                       if k in named and v is not None})
+            f"CONVEXMOD_SEED is not an integer: {env_seed!r}") from None
+    given = {name: getattr(args, name)
+             for name in ("xsize", "trials", "seed", "value_bound")
+             if getattr(args, name) is not None}
+    reports = run_laws(args.suite, args.semiring, seed_override, **given)
     for line in _report_lines(reports, args.format):
         print(line, file=out)
     met = all(r.status == r.meta.get("expected", PASS) for r in reports)
@@ -293,10 +292,13 @@ def _cmd_render(args, out) -> int:
     if args.set_json:
         A = cs_from_json(_read_json(args.set_json))
         sr = A.semiring
+        if args.semiring not in (None, sr.id):
+            raise ConvexmodError(f"--semiring {args.semiring} does not match "
+                                 f"the {sr.id} set in {args.set_json}")
         variables = _parse_vars(args.vars) or sorted(
             {x for g in A.generators for x in g.support()})
     elif args.term:
-        sr = get_semiring(args.semiring)
+        sr = get_semiring(args.semiring or "qplus")
         variables = _parse_vars(args.vars)
         if not variables:
             raise ConvexmodError("render needs --vars with a term")
@@ -332,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=semiring)
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="text")
-        p.add_argument("--seed", type=int, default=0,
-                       help="randomized suites replay from this "
-                            "(CONVEXMOD_SEED overrides)")
 
     p = sub.add_parser("eval", help="evaluate a term to a convex set")
     common(p)
@@ -350,14 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eq)
 
     p = sub.add_parser("laws", help="run a law suite")
-    # None: each suite takes its own default (qplus, or bool for
-    # appendixA, which runs over bool only)
+    # None: not given; distlaw.run_laws picks every default and refuses
+    # what the run would not read
     common(p, semiring=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="randomized suites replay from this "
+                        "(CONVEXMOD_SEED overrides)")
     p.add_argument("--suite", choices=tuple(SUITES), required=True)
     p.add_argument("--xsize", type=int, default=None,
                    help="symbol count (default: suite-specific)")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--value-bound", type=int, default=2,
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--value-bound", type=int, default=None,
                    help="scalar bound for bounded nat enumeration")
     p.set_defaults(func=_cmd_laws)
 
@@ -369,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_delta)
 
     p = sub.add_parser("render", help="plot data for a term or set")
-    common(p)
+    common(p, semiring=None)  # a term is read over qplus by default
     p.add_argument("--vars", default=None)
     p.add_argument("--set-json", default=None,
                    help="ConvexSet JSON path instead of a term")
@@ -380,20 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    env_seed = os.environ.get("CONVEXMOD_SEED")
-    if env_seed is not None and hasattr(args, "seed"):
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            _diagnose(args, f"CONVEXMOD_SEED is not an integer: {env_seed!r}")
-            return EXIT_USAGE
-    if getattr(args, "trials", 1) < 1:
-        _diagnose(args, "trials must be at least 1")
-        return EXIT_USAGE
-    xsize = getattr(args, "xsize", None)
-    if xsize is not None and not 1 <= xsize <= len(SYMBOL_POOL):
-        _diagnose(args, f"xsize must be between 1 and {len(SYMBOL_POOL)}")
-        return EXIT_USAGE
     try:
         code = args.func(args, sys.stdout)
         # Inside the try, so a reader that closed stdout is met here.

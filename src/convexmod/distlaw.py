@@ -38,7 +38,9 @@ calls ``composite.alpha``, the library's one weighted Minkowski sum.
 How far an enumeration may grow is one table, ``LIMITS``: every suite
 and every route of ``run_delta`` counts what it would walk, without
 walking it, and refuses through ``_refuse_oversized`` before its first
-instance.
+instance.  Which options a suite run reads is one table too,
+``SUITES``; ``run_laws`` refuses any other, and each suite holds its
+own defaults and checks its own ranges.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ from .report import (
     MODE_RANDOMIZED,
     PASS,
 )
-from .semiring import BOOL, HULL_EXACT_LP, HULL_JOIN_COVER, Scalar, Semiring
+from .semiring import (BOOL, HULL_EXACT_LP, HULL_JOIN_COVER, Scalar, Semiring,
+                       get_semiring)
 
 # Weightings over set-shaped keys reuse the finitely supported map
 # type; the constructors below canonicalize the keys.
@@ -127,6 +130,16 @@ def _refuse_oversized(what: str, count: int, limit: int,
         shown = f"{count:,}" if count <= _SHOWN_MAX else "more than 10^30"
         raise ConvexmodError(message or f"{what} enumerates {shown} {unit}; "
                                         f"at most {limit:,} are allowed")
+
+
+def _check_ranges(xsize: int, trials: int = 1) -> None:
+    """Usage error for a suite option out of its range: ``xsize`` counts
+    symbols of the pool, ``trials`` random instances."""
+    if trials < 1:
+        raise ConvexmodError("trials must be at least 1")
+    if not 1 <= xsize <= len(SYMBOL_POOL):
+        raise ConvexmodError(
+            f"xsize must be between 1 and {len(SYMBOL_POOL)}")
 
 
 def set_key(elements: Iterable[Any]) -> tuple:
@@ -566,6 +579,7 @@ def check_weak_law(sr: Semiring, xsize: int = 2, trials: int = 50,
     unit triangle on the set side is expected to fail except over nat,
     and its report carries meta["expected"] accordingly.
     """
+    _check_ranges(xsize, trials)
     universe = list(SYMBOL_POOL[:xsize])
     sets_pool = _sets_universe(universe)
     families = [set_key(f) for r in range(0, 3)
@@ -674,6 +688,7 @@ def check_naturality(sr: Semiring, xsize: int = 3, trials: int = 50,
     choice set is not, and a violating instance must be found by
     search.  The search widens its universe rather than pass silently.
     """
+    _check_ranges(xsize, trials)
     # The weight-one families of at most two sets, under every self-map:
     # the enumerated delta stream, and the choice search's first universe
     # up to its families of two, for every semiring.
@@ -895,6 +910,7 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
     plus the frozen two-singleton interval instance whose answer is
     the endpoint sum [6, 8].
     """
+    _check_ranges(xsize, trials)
     if not sr.is_semifield:
         raise ConvexmodError(
             "pentagon suite needs a positive semifield (bool or qplus)")
@@ -1014,10 +1030,16 @@ def _forward_image_violation(pair: tuple) -> dict | None:
                    and img_s == (1, 2), img_r=img_r, img_s=img_s)
 
 
-def check_appendix_a(xsize: int = 3) -> list[LawReport]:
-    """The naive forward-image extension: the frozen inclusion pair
-    showing its image depends on more than the input set, and the
-    lifting idempotent whose fixed points are exactly singletons."""
+def check_appendix_a(sr: Semiring = BOOL, xsize: int = 3
+                     ) -> list[LawReport]:
+    """The naive forward-image extension, over bool only: the frozen
+    inclusion pair showing its image depends on more than the input
+    set, and the lifting idempotent whose fixed points are exactly
+    singletons."""
+    _check_ranges(xsize)
+    if sr is not BOOL:
+        raise ConvexmodError(
+            f"appendixA runs over bool only; got --semiring {sr.id}")
     limit = LIMITS["appendixA"]
     most = max((x for x in range(len(SYMBOL_POOL) + 1)
                 if 2 ** 2 ** x <= limit), default=0)
@@ -1034,6 +1056,31 @@ def check_appendix_a(xsize: int = 3) -> list[LawReport]:
     return [frozen, trivial_lifting_fixed_points(xsize)]
 
 
-# The law suites by name, in the order the command line lists them.
-SUITES = {"weakdist": check_weak_law, "pentagon": check_pentagon_law,
-          "naturality": check_naturality, "appendixA": check_appendix_a}
+_RANDOM = {None: ("trials", "seed")}
+# The law suites by name, in the order the command line lists them, each
+# with the options its runs read besides xsize, by the enumeration mode
+# of the semiring: None for seeded random trials.
+SUITES = {"weakdist": (check_weak_law,
+                       {**_RANDOM, MODE_BOUNDED: ("value_bound",)}),
+          "pentagon": (check_pentagon_law, _RANDOM),
+          "naturality": (check_naturality, _RANDOM),
+          "appendixA": (check_appendix_a, {})}
+
+
+def run_laws(name: str, semiring: str | None = None,
+             seed_override: int | None = None, **given) -> list[LawReport]:
+    """The reports of the suite ``name`` over ``semiring`` (bool for
+    appendixA, qplus otherwise), with only the options given; the suite
+    supplies the rest.  A given option that the run would not read is
+    refused.  ``seed_override`` replaces the seed of a randomized run
+    and is ignored by an enumerating one."""
+    suite, by_mode = SUITES[name]
+    sr = get_semiring(semiring or ("bool" if name == "appendixA" else "qplus"))
+    reads = ("xsize", *by_mode.get(sr.enumeration, ()))
+    for option in given:
+        if option not in reads:
+            flag = option.replace("_", "-")
+            raise ConvexmodError(f"{name} over {sr.id} does not read --{flag}")
+    if seed_override is not None and "seed" in reads:
+        given["seed"] = seed_override
+    return suite(sr, **given)

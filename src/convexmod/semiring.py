@@ -101,13 +101,9 @@ class Semiring:
 
     # -- arithmetic -----------------------------------------------------
 
-    @property
-    def zero(self) -> Scalar:
-        raise NotImplementedError
-
-    @property
-    def one(self) -> Scalar:
-        raise NotImplementedError
+    # Each instance sets these as class constants.
+    zero: Scalar
+    one: Scalar
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         raise NotImplementedError
@@ -145,7 +141,12 @@ class Semiring:
         raise NotImplementedError
 
     def scalar_from_json(self, value: Any) -> Scalar:
-        raise NotImplementedError
+        """A JSON int or string literal; a bool or a float is refused."""
+        if isinstance(value, str):
+            return self.parse_scalar(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return self.validate(value)
+        raise ConvexmodError(f"invalid {self.id} scalar in JSON: {value!r}")
 
     # -- finite enumeration (decision procedures) ------------------------
 
@@ -168,14 +169,8 @@ class _BoolSemiring(Semiring):
     # is confirmed exhaustively by check_property.
     declared_properties = frozenset(
         {"positive", "semifield", "refinable", "B", "D", "E"})
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
+    zero = 0
+    one = 1
 
     def add(self, a: int, b: int) -> int:
         return a | b
@@ -207,12 +202,11 @@ class _BoolSemiring(Semiring):
         return bool(a)
 
     def scalar_from_json(self, value: Any) -> int:
-        if isinstance(value, bool):
-            return int(value)
-        if value in (0, 1):
-            return int(value)
+        """``true``, ``false``, 0, 1 or a string literal."""
         if isinstance(value, str):
             return self.parse_scalar(value)
+        if isinstance(value, int) and value in (0, 1):  # bools are ints
+            return int(value)
         raise ConvexmodError(f"invalid bool scalar in JSON: {value!r}")
 
     def carrier(self, bound: int | None) -> list[int]:
@@ -225,7 +219,6 @@ class _QplusSemiring(Semiring):
     hull_membership = HULL_EXACT_LP
     declared_properties = frozenset(
         {"positive", "semifield", "refinable", "B", "E"})
-    # Class constants shadow the base properties; Fraction is immutable.
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -281,15 +274,6 @@ class _QplusSemiring(Semiring):
 
     scalar_to_json = format_scalar
 
-    def scalar_from_json(self, value: Any) -> Fraction:
-        if isinstance(value, bool):
-            raise ConvexmodError(f"invalid qplus scalar in JSON: {value!r}")
-        if isinstance(value, int):
-            return self.validate(Fraction(value))
-        if isinstance(value, str):
-            return self.parse_scalar(value)
-        raise ConvexmodError(f"invalid qplus scalar in JSON: {value!r}")
-
     def carrier(self, bound: int | None) -> list[Fraction]:
         raise NoDecisionProcedureError(
             "no decision procedure: qplus carrier is infinite")
@@ -302,14 +286,8 @@ class _NatSemiring(Semiring):
     hull_membership = HULL_LOOKUP
     declared_properties = frozenset(
         {"positive", "refinable", "A", "B", "C", "D", "E"})
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
+    zero = 0
+    one = 1
 
     def add(self, a: int, b: int) -> int:
         return a + b
@@ -340,15 +318,6 @@ class _NatSemiring(Semiring):
 
     def scalar_to_json(self, a: int) -> int:
         return a
-
-    def scalar_from_json(self, value: Any) -> int:
-        if isinstance(value, bool):
-            raise ConvexmodError(f"invalid nat scalar in JSON: {value!r}")
-        if isinstance(value, int):
-            return self.validate(value)
-        if isinstance(value, str):
-            return self.parse_scalar(value)
-        raise ConvexmodError(f"invalid nat scalar in JSON: {value!r}")
 
     def carrier(self, bound: int | None) -> list[int]:
         if bound is None or bound < 1:
@@ -479,24 +448,20 @@ def _check_D(sr: Semiring, values: list[Scalar]) -> dict | None:
 def _weightings(sr: Semiring, values: list[Scalar], count: int,
                 total: Scalar) -> Iterator[tuple[Scalar, ...]]:
     """All tuples of carrier values of the given length summing to
-    ``total``.  Over nat a running sum above the target cannot recover
-    (addition is monotone), so the search backtracks there; over bool
-    the full product is tiny and filtered directly."""
-    if sr.id == "nat":
-        def rec(prefix: tuple, remaining: int, acc: int):
-            if remaining == 0:
-                if acc == total:
-                    yield prefix
-                return
-            for v in values:
-                if acc + v > total:
-                    break
-                yield from rec(prefix + (v,), remaining - 1, acc + v)
-        yield from rec((), count, 0)
-        return
-    for weights in itertools.product(values, repeat=count):
-        if sr.sum(weights) == total:
-            yield weights
+    ``total``, in product order.  Addition on an enumerated carrier
+    (join over bool, sum over nat) never lowers a running sum, and the
+    values come in ascending order, so the search backtracks at the
+    first value that takes the sum past the target."""
+    def rec(prefix: tuple, remaining: int, acc: Scalar):
+        if remaining == 0:
+            if acc == total:
+                yield prefix
+            return
+        for v in values:
+            if sr.add(acc, v) > total:
+                break
+            yield from rec(prefix + (v,), remaining - 1, sr.add(acc, v))
+    yield from rec((), count, sr.zero)
 
 
 def _check_E(sr: Semiring, values: list[Scalar]) -> dict | None:
@@ -530,12 +495,7 @@ _PROPERTY_CHECKS = {
     "E": _check_E,
 }
 
-# Properties certified for qplus by construction: positivity because a
-# sum of non-negative rationals vanishes only when both do; semifield
-# because nonzero rationals invert; refinable via refinement_witness;
-# B because products of nonzero rationals are nonzero; E because a
-# positive semifield admits the explicit weighting built from the
-# refinement formulas.
+# Properties certified for qplus by construction, each with its argument.
 _QPLUS_BY_THEOREM = {
     "positive": "sum of non-negative rationals is 0 only at (0, 0)",
     "semifield": "every nonzero rational has an exact inverse",
@@ -560,7 +520,7 @@ def check_property(sr: Semiring, prop: str,
         raise NoDecisionProcedureError(
             f"no decision procedure: unknown property {prop!r}")
 
-    if sr.id == "qplus":
+    if sr.enumeration is None:
         if prop == "A":
             half = Fraction(1, 2)
             return LawReport(

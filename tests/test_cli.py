@@ -348,19 +348,20 @@ class TestLaws:
         assert code == 2 and out == ""
         assert f"value bound {bound} enumerates {count} instances" in err
 
-    @pytest.mark.parametrize("suite, semiring, xsize, cap, reports", [
-        ("weakdist", "nat", "1", 1_202, 4),
-        ("naturality", "qplus", "2", 28, 2),
-        ("naturality", "bool", "2", 28, 2),
-        ("naturality", "qplus", "4", 30_976, 2),
+    @pytest.mark.parametrize("suite, semiring, xsize, cap, reports, bound", [
+        ("weakdist", "nat", "1", 1_202, 4, ("--value-bound", "3")),
+        ("naturality", "qplus", "2", 28, 2, ()),
+        ("naturality", "bool", "2", 28, 2, ()),
+        ("naturality", "qplus", "4", 30_976, 2, ()),
     ], ids=["weakdist-nat", "naturality-qplus-2", "naturality-bool-2",
             "naturality-qplus-4"])
     def test_nat_weakdist_at_the_cap_runs(self, capsys, monkeypatch, suite,
-                                          semiring, xsize, cap, reports):
+                                          semiring, xsize, cap, reports,
+                                          bound):
         monkeypatch.setitem(distlaw.LIMITS, suite, cap)
         code, out, _ = run(capsys, "laws", "--suite", suite,
                            "--semiring", semiring, "--xsize", xsize,
-                           "--value-bound", "3", "--format", "json")
+                           *bound, "--format", "json")
         assert code == 0 and len(out.splitlines()) == reports
 
     def test_zero_trials_rejected(self, capsys):
@@ -375,8 +376,9 @@ class TestLaws:
                                          suite, xsize):
         def refuse(*_args, **_kwargs):
             raise AssertionError("suite ran on an out-of-range xsize")
-        for name in ("weakdist", "appendixA"):
-            monkeypatch.setitem(distlaw.SUITES, name, refuse)
+        for name in ("weightings_over", "_random_qplus_weighting",
+                     "_law_report", "trivial_lifting_fixed_points"):
+            monkeypatch.setattr(f"convexmod.distlaw.{name}", refuse)
         code, out, err = run(capsys, "laws", "--suite", suite,
                              "--xsize", xsize)
         assert code == 2
@@ -449,6 +451,41 @@ class TestLaws:
         assert code == 2
         assert out == ""
         assert err == "error: nat enumeration needs a bound > 0\n"
+
+    @pytest.mark.parametrize("option, value", [
+        ("xsize", "2"), ("trials", "3"), ("seed", "4"),
+        ("value_bound", "2")])
+    @pytest.mark.parametrize("semiring", [None, "qplus", "bool", "nat"])
+    @pytest.mark.parametrize("suite", ["weakdist", "pentagon", "naturality",
+                                       "appendixA"])
+    def test_option_is_read_or_refused(self, capsys, monkeypatch, suite,
+                                       semiring, option, value):
+        """A run reads xsize always, trials and seed when it draws random
+        instances (qplus), and the value bound when it enumerates nat
+        weightings up to one (weakdist); it refuses any other option
+        before the suite starts, so no instance is drawn."""
+        monkeypatch.delenv("CONVEXMOD_SEED", raising=False)
+        calls = []
+        _suite, reads = distlaw.SUITES[suite]
+        monkeypatch.setitem(distlaw.SUITES, suite, (
+            lambda sr, **kw: calls.append((sr.id, kw)) or [], reads))
+        sr = semiring or ("bool" if suite == "appendixA" else "qplus")
+        read = (option == "xsize"
+                or option in ("trials", "seed") and sr == "qplus"
+                and suite != "appendixA"
+                or option == "value_bound" and (suite, sr) == ("weakdist",
+                                                               "nat"))
+        flag = "--" + option.replace("_", "-")
+        argv = ["laws", "--suite", suite, flag, value]
+        if semiring:
+            argv += ["--semiring", semiring]
+        code, out, err = run(capsys, *argv)
+        if read:
+            assert (code, err) == (0, "")
+            assert calls == [(sr, {option: int(value)})]
+        else:
+            assert (code, out, calls) == (2, "", [])
+            assert err == f"error: {suite} over {sr} does not read {flag}\n"
 
 
 EXAMPLE_PHI = {"weights": [
@@ -713,6 +750,32 @@ class TestRender:
         assert code == 2
         assert "term or --set-json" in err
 
+    @pytest.mark.parametrize("semiring, code", [
+        ("bool", 0), ("qplus", 2), ("nat", 2)])
+    def test_set_json_semiring_must_match(self, capsys, tmp_path, semiring,
+                                          code):
+        p = tmp_path / "set.json"
+        p.write_text(json.dumps({"semiring": "bool", "generators": [
+            {"x": 1}, {"y": True}]}), encoding="utf-8")
+        got, out, err = run(capsys, "render", "--semiring", semiring,
+                            "--set-json", str(p))
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == (f"error: --semiring {semiring} does not match "
+                           f"the bool set in {p}\n")
+        else:
+            assert out == "generators: {x: 1} {y: 1}\n"
+
+    @pytest.mark.parametrize("value", [1.0, 0.0, 2, "1.0"])
+    def test_bool_set_json_float_rejected(self, capsys, tmp_path, value):
+        p = tmp_path / "set.json"
+        p.write_text(json.dumps({"semiring": "bool", "generators": [
+            {"x": value}]}), encoding="utf-8")
+        code, out, err = run(capsys, "render", "--set-json", str(p))
+        assert (code, out) == (2, "")
+        assert "invalid bool scalar" in err and repr(value) in err
+
     def test_set_json_array_is_usage_error(self, capsys, tmp_path):
         p = tmp_path / "set.json"
         p.write_text(json.dumps([{"x": "2"}]), encoding="utf-8")
@@ -814,6 +877,22 @@ class TestUsage:
         assert code == 2
         assert "CONVEXMOD_SEED" in err
 
+    def test_env_seed_is_read_by_laws_only(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONVEXMOD_SEED", "abc")
+        assert run(capsys, "eval", "--vars", "x", "x") == (
+            0, "generators: {x: 1}\ninterval: [1, 1]\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--seed", "1", "--vars", "x", "x"],
+        ["delta", "--seed", "1", "--phi", "-"],
+        ["render", "--seed", "1", "--vars", "x", "x"]],
+        ids=["eval", "delta", "render"])
+    def test_seed_only_on_laws(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_identical_argv_identical_output(self, capsys):
@@ -825,6 +904,16 @@ class TestDeterminism:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("semiring", ["bool", "nat"])
+    def test_env_seed_leaves_an_enumeration_alone(self, capsys, monkeypatch,
+                                                  semiring):
+        argv = ["laws", "--suite", "weakdist", "--semiring", semiring]
+        monkeypatch.delenv("CONVEXMOD_SEED", raising=False)
+        plain = run(capsys, *argv)
+        monkeypatch.setenv("CONVEXMOD_SEED", "5")
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0
 
     def test_env_seed_overrides_flag(self, capsys, monkeypatch):
         base = ["laws", "--suite", "pentagon", "--trials", "8",

@@ -16,6 +16,7 @@ from convexmod.distlaw import (
     Relation,
     _law_report,
     barr_extend,
+    check_appendix_a,
     check_naturality,
     check_pentagon_law,
     check_weak_law,
@@ -30,6 +31,7 @@ from convexmod.distlaw import (
     membership_weighting,
     pentagon_check,
     pentagon_instance_count,
+    run_laws,
     set_key,
     set_weighting,
     trivialE_extend,
@@ -593,6 +595,50 @@ class TestPentagonSuite:
     def test_nat_rejected(self):
         with pytest.raises(ConvexmodError, match="positive semifield"):
             check_pentagon_law(NAT)
+
+
+class TestSuiteOptions:
+    """Each suite checks its own option ranges before it draws or
+    enumerates anything; ``run_laws`` refuses the options a run would
+    not read."""
+
+    @pytest.mark.parametrize("suite", [check_weak_law, check_pentagon_law,
+                                       check_naturality])
+    def test_zero_trials_rejected(self, suite):
+        with pytest.raises(ConvexmodError,
+                           match="^trials must be at least 1$"):
+            suite(QPLUS, trials=0)
+
+    @pytest.mark.parametrize("xsize", [0, 7])
+    @pytest.mark.parametrize("suite, sr", [
+        (check_weak_law, QPLUS), (check_weak_law, BOOL),
+        (check_weak_law, NAT), (check_pentagon_law, QPLUS),
+        (check_pentagon_law, BOOL), (check_naturality, QPLUS),
+        (check_naturality, NAT), (check_appendix_a, BOOL)])
+    def test_xsize_out_of_range_rejected(self, suite, sr, xsize):
+        with pytest.raises(ConvexmodError,
+                           match="^xsize must be between 1 and 6$"):
+            suite(sr, xsize=xsize)
+
+    @pytest.mark.parametrize("sr", [QPLUS, NAT])
+    def test_appendix_a_over_bool_only(self, sr):
+        with pytest.raises(ConvexmodError, match=(
+                f"^appendixA runs over bool only; got --semiring {sr.id}$")):
+            check_appendix_a(sr)
+
+    def test_run_laws_refuses_an_unread_option(self):
+        with pytest.raises(ConvexmodError, match=(
+                "^weakdist over bool does not read --trials$")):
+            run_laws("weakdist", "bool", trials=1)
+
+    def test_seed_override_replaces_a_random_seed_only(self):
+        def dump(reports):
+            return [r.to_json_dict() for r in reports]
+        assert dump(run_laws("pentagon", seed_override=3, trials=2,
+                             seed=0)) == dump(check_pentagon_law(
+                                 QPLUS, trials=2, seed=3))
+        assert dump(run_laws("appendixA", seed_override=3, xsize=2)) == \
+            dump(check_appendix_a(BOOL, xsize=2))
 
 
 class TestBarrExtension:

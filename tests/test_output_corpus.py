@@ -80,6 +80,8 @@ FILES = {
         for i in range(5)]}),
     "phi_exponent.json": json.dumps({"weights": [
         {"set": ["x"], "value": "1e5000"}]}),
+    "phi_bool_float.json": json.dumps({"weights": [
+        {"set": ["x", "y"], "value": 1.0}]}),
     "phi_no_weights.json": json.dumps({"sets": []}),
     "phi_array.json": json.dumps([["x"]]),
     "phi_set_string.json": json.dumps({"weights": [
@@ -184,15 +186,17 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
             add(f"delta-error-{fmt}-{phi[:-5]}", "delta", "--format", fmt,
                 "--phi", phi)
 
-    # law suites: every suite x semiring x format, sizes kept small
+    # law suites: every suite x semiring x format, sizes kept small;
+    # only qplus runs draw random trials
     sizes = {("weakdist", "bool"): "2", ("weakdist", "nat"): "1",
              ("pentagon", "bool"): "1"}
     for suite in ("weakdist", "naturality", "pentagon"):
         for sr in SEMIRINGS:
+            trials = ("--trials", "6") if sr == "qplus" else ()
             for fmt in FORMATS:
                 add(f"laws-{suite}-{sr}-{fmt}", "laws", "--suite", suite,
                     "--semiring", sr, "--format", fmt, "--xsize",
-                    sizes.get((suite, sr), "2"), "--trials", "6")
+                    sizes.get((suite, sr), "2"), *trials)
     for fmt in FORMATS:
         add(f"laws-appendixA-{fmt}", "laws", "--suite", "appendixA",
             "--format", fmt)
@@ -245,6 +249,23 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
         "--semiring", "qplus")
     add("error-appendixA-nat-json", "laws", "--suite", "appendixA",
         "--semiring", "nat", "--format", "json")
+    # options a run would not read: enumerations draw no random trials,
+    # and only weakdist over nat has a value bound
+    add("error-weakdist-bool-trials", "laws", "--suite", "weakdist",
+        "--semiring", "bool", "--xsize", "1", "--trials", "1")
+    add("error-pentagon-bool-trials-json", "laws", "--suite", "pentagon",
+        "--semiring", "bool", "--trials", "6", "--format", "json")
+    add("error-weakdist-nat-seed", "laws", "--suite", "weakdist",
+        "--semiring", "nat", "--seed", "99")
+    add("error-weakdist-qplus-value-bound", "laws", "--suite", "weakdist",
+        "--value-bound", "3")
+    add("error-naturality-nat-value-bound", "laws", "--suite",
+        "naturality", "--semiring", "nat", "--value-bound", "3")
+    add("error-eval-seed", "eval", "--vars", "x", "x", "--seed", "1")
+    add("error-delta-bool-float", "delta", "--semiring", "bool", "--phi",
+        "phi_bool_float.json")
+    add("error-render-semiring-mismatch", "render", "--semiring", "nat",
+        "--set-json", "set_bool.json")
     return out
 
 
@@ -309,8 +330,19 @@ def _write_pins() -> None:
                 pinned[name] = run_entry(argv)
         finally:
             os.chdir(here)
+    before = (json.loads(PINS.read_text(encoding="utf-8"))
+              if PINS.exists() else {})
     PINS.write_text(json.dumps(pinned, indent=1) + "\n", encoding="utf-8")
     print(f"pinned {len(pinned)} entries in {PINS}")
+    digest = ("exit", "stdout", "stderr")
+    for name, pin in pinned.items():
+        if name not in before:
+            print(f"new: {name}")
+        elif [pin[k] for k in digest] != [before[name].get(k) for k in digest]:
+            print(f"moved: {name}")
+    for name in before:
+        if name not in pinned:
+            print(f"dropped: {name}")
 
 
 if __name__ == "__main__":

@@ -48,16 +48,11 @@ from .errors import ConvexmodError, NotSemifieldError, SemiringMismatchError
 from .freemod import FinSupp, finsupp, fs_map, fs_unit
 from .semiring import Scalar, Semiring
 
-# A family weighting assigns nonzero scalars to finitely many convex
-# sets; it is the inner layer of the doubled construction.
-ConvexFamilyWeighting = FinSupp
-
-
 def family_weighting(sr: Semiring,
-                     items: Iterable[tuple[ConvexSet, Scalar]]
-                     ) -> ConvexFamilyWeighting:
-    """Weighting over convex-set keys.  Keys are canonicalized first so
-    that extensionally equal sets merge their weights."""
+                     items: Iterable[tuple[ConvexSet, Scalar]]) -> FinSupp:
+    """Weighting over convex-set keys, the inner layer of the doubled
+    construction.  Keys are canonicalized first so that extensionally
+    equal sets merge their weights."""
     entries = []
     for A, v in items:
         if not isinstance(A, ConvexSet):
@@ -69,7 +64,7 @@ def family_weighting(sr: Semiring,
     return finsupp(sr, entries)
 
 
-def alpha(Phi: ConvexFamilyWeighting) -> ConvexSet:
+def alpha(Phi: FinSupp) -> ConvexSet:
     """Resolve a weighting of convex sets to one convex set: the
     Minkowski sum of the scaled keys, the one weighted Minkowski sum
     of the library (the diagram checks of ``distlaw`` call it too).

@@ -18,12 +18,12 @@ Membership runs the algorithm named by the semiring's ``hull_membership``:
 
 Canonicalization keeps exactly the extreme points, in sorted order.
 At most two distinct generators are all extreme: the hull of one point
-is that point.  Over bool one pass in sorted order deletes every
-generator lying in the hull of the others: deleting a redundant
-generator leaves the hull unchanged and only shrinks the hull of the
-others, so a generator kept once is never redundant later.
+is that point.  Over bool distinct generators have distinct supports,
+so the generators below a generator are those whose supports lie
+strictly inside its own, and it is extreme iff they do not join back
+to it: the same join-cover test as membership, against all the others.
 
-Over qplus the pass is output-sensitive (Clarkson, "More
+Over qplus canonicalization is output-sensitive (Clarkson, "More
 output-sensitive geometric algorithms", FOCS 1994).  The generators
 become integer LP columns, built once per call from their entries:
 values on the sorted union support plus the row of ones, all scaled by
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from math import lcm
 from operator import mul
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ConvexmodError, SemiringMismatchError
 from .exactlp import FeasibilitySystem, feasible
@@ -83,6 +83,7 @@ from .freemod import (
 from .semiring import (
     HULL_EXACT_LP,
     HULL_JOIN_COVER,
+    HULL_LOOKUP,
     Scalar,
     Semiring,
     get_semiring,
@@ -166,10 +167,9 @@ def _sorted_generators(sr: Semiring, generators: Iterable[FinSupp]
     return gens
 
 
-def convex_set(sr: Semiring, generators: Iterable[FinSupp],
-               canonical: bool = False) -> ConvexSet:
+def convex_set(sr: Semiring, generators: Iterable[FinSupp]) -> ConvexSet:
     """Sorted, duplicate-free ConvexSet; no redundancy removal."""
-    return ConvexSet(sr, _sorted_generators(sr, generators), canonical,
+    return ConvexSet(sr, _sorted_generators(sr, generators), False,
                      _trusted=True)
 
 
@@ -188,35 +188,23 @@ def cs_from_json(data: Mapping[str, Any]) -> ConvexSet:
 # ---------------------------------------------------------------------------
 
 def member(A: ConvexSet, phi: FinSupp) -> bool:
-    """Exact test phi in hull(A.generators)."""
+    """Exact test phi in hull(A.generators), by the semiring's
+    ``hull_membership`` algorithm."""
     sr = A.semiring
     if phi.semiring.id != sr.id:
         raise SemiringMismatchError(
             f"membership of a {phi.semiring.id} value in a {sr.id} set")
     if not A.generators:
         return False
-    k = len(A.generators)
-    return _hull_test(sr, A.generators + (phi,))(range(k), k)
-
-
-def _hull_test(sr: Semiring, gens: Sequence[FinSupp]
-               ) -> Callable[[Sequence[int], int], bool]:
-    """The semiring's membership test over one generator list:
-    ``test(rest, i)`` decides gens[i] in hull(gens[j] for j in rest),
-    for a nonempty index list ``rest``."""
     if sr.hull_membership == HULL_EXACT_LP:
-        return _member_exact_lp(gens)
+        *others, target = _homogenized_columns(A.generators + (phi,))
+        return _separation(others, target) is None
     if sr.hull_membership == HULL_JOIN_COVER:
-        return _member_join_cover(gens)
+        support = frozenset(phi.support())
+        supports = (frozenset(g.support()) for g in A.generators)
+        return _join_covered(support, [s for s in supports if s <= support])
     # HULL_LOOKUP: every subset is convex, the hull adds nothing.
-    return lambda rest, i: any(gens[j] == gens[i] for j in rest)
-
-
-def _member_exact_lp(gens: Sequence[FinSupp]
-                     ) -> Callable[[Sequence[int], int], bool]:
-    columns = _homogenized_columns(gens)
-    return lambda rest, i: _separation(
-        [columns[j] for j in rest], columns[i]) is None
+    return phi in A.generators
 
 
 def _homogenized_columns(gens: Sequence[FinSupp]) -> list[tuple[int, ...]]:
@@ -289,19 +277,11 @@ def _extreme_indices(columns: Sequence[tuple[int, ...]]) -> list[int]:
     return sorted(extreme)
 
 
-def _member_join_cover(gens: Sequence[FinSupp]
-                       ) -> Callable[[Sequence[int], int], bool]:
-    supports = [frozenset(g.support()) for g in gens]
-
-    def test(rest: Sequence[int], i: int) -> bool:
-        # Convex closure over bool is closure under binary joins, so
-        # phi is in the hull iff the generators dominated by phi cover
-        # it exactly.
-        phi = supports[i]
-        below = [supports[j] for j in rest if supports[j] <= phi]
-        return bool(below) and frozenset().union(*below) == phi
-
-    return test
+def _join_covered(support: frozenset, below: Sequence[frozenset]) -> bool:
+    """Convex closure over bool is closure under binary joins, so a
+    value with this support is in the hull iff the supports ``below``
+    it, those of the generators it dominates, cover it exactly."""
+    return bool(below) and frozenset().union(*below) == support
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +306,17 @@ def hull_canonicalize(generators: Iterable[FinSupp],
     if sr is None:
         sr = gens[0].semiring
     base = _sorted_generators(sr, gens)
-    if sr.every_subset_convex or len(base) <= 2:
-        # Property A, or at most two distinct points, each outside the
-        # hull of the other (that point itself): the canonical form is
-        # the sorted dedup.
+    if sr.hull_membership == HULL_LOOKUP or len(base) <= 2:
+        # Every subset convex, or at most two distinct points, each
+        # outside the hull of the other (that point itself): the
+        # canonical form is the sorted dedup.
         return ConvexSet(sr, base, True, _trusted=True)
     if sr.hull_membership == HULL_EXACT_LP:
         kept = _extreme_indices(_homogenized_columns(base))
     else:
-        test = _hull_test(sr, base)
-        kept = list(range(len(base)))
-        for i in range(len(base)):
-            if test([j for j in kept if j != i], i):
-                kept.remove(i)
+        supports = [frozenset(g.support()) for g in base]
+        kept = [i for i, s in enumerate(supports)
+                if not _join_covered(s, [t for t in supports if t < s])]
     return ConvexSet(sr, tuple(base[j] for j in kept), True, _trusted=True)
 
 

@@ -84,11 +84,6 @@ from .report import (
 from .semiring import (BOOL, HULL_EXACT_LP, HULL_JOIN_COVER, Scalar, Semiring,
                        get_semiring)
 
-# Weightings over set-shaped keys reuse the finitely supported map
-# type; the constructors below canonicalize the keys.
-SetWeighting = FinSupp
-MembershipWeighting = FinSupp
-
 SYMBOL_POOL = ("x", "y", "z", "u", "v", "w")
 
 # Every enumeration's limit, as a count of what it walks: the law suites
@@ -148,7 +143,7 @@ def set_key(elements: Iterable[Any]) -> tuple:
 
 
 def set_weighting(sr: Semiring, items: Iterable[tuple[Iterable[Any], Scalar]]
-                  ) -> SetWeighting:
+                  ) -> FinSupp:
     """Weighting of finite sets: entries (set, scalar), keys canonical."""
     return finsupp(sr, [(set_key(A), v) for A, v in items])
 
@@ -156,7 +151,7 @@ def set_weighting(sr: Semiring, items: Iterable[tuple[Iterable[Any], Scalar]]
 def membership_weighting(
         sr: Semiring,
         items: Iterable[tuple[tuple[Iterable[Any], Any], Scalar]]
-) -> MembershipWeighting:
+) -> FinSupp:
     """Weighting of (set, element) pairs; every element must belong to
     its set."""
     entries = []
@@ -196,7 +191,7 @@ class Relation:
 # the two routes to the law
 # ---------------------------------------------------------------------------
 
-def choice_set(Phi: SetWeighting) -> list[FinSupp]:
+def choice_set(Phi: FinSupp) -> list[FinSupp]:
     """All weightings obtained by choosing one element per supported
     set and pushing the weights forward (weights of sets that share the
     chosen element add up).  Empty support yields the zero weighting;
@@ -212,7 +207,7 @@ def choice_set(Phi: SetWeighting) -> list[FinSupp]:
         for picks in itertools.product(*keys))
 
 
-def delta_hull(Phi: SetWeighting) -> ConvexSet:
+def delta_hull(Phi: FinSupp) -> ConvexSet:
     """The law over a positive semifield: convex closure of the choice
     set.  nat is rejected because the closed form is provably wrong
     there (its hulls are identity, yet the law is strictly larger)."""
@@ -238,7 +233,7 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(out)
 
 
-def composition_count(Phi: SetWeighting, limit: int | None = None) -> int:
+def composition_count(Phi: FinSupp, limit: int | None = None) -> int:
     """How many combinations of per-set compositions define delta over
     nat: the product over the supported sets A of
     C(Phi(A) + |A| - 1, |A| - 1), computed without enumerating.  It
@@ -257,7 +252,7 @@ def composition_count(Phi: SetWeighting, limit: int | None = None) -> int:
     return count
 
 
-def delta_bruteforce(Phi: SetWeighting) -> list[FinSupp]:
+def delta_bruteforce(Phi: FinSupp) -> list[FinSupp]:
     """Definitional route: the element weightings induced by every
     membership weighting whose per-set sums give Phi, without repeats
     and in ``sort_key`` order.  Only bool and nat admit the
@@ -316,7 +311,7 @@ def delta_bruteforce(Phi: SetWeighting) -> list[FinSupp]:
             for pairs in supports]
 
 
-def run_delta(Phi: SetWeighting, compare: bool = False
+def run_delta(Phi: FinSupp, compare: bool = False
               ) -> tuple[list[FinSupp], dict | None]:
     """The law's generators for a weighting given from outside, by the
     hull route over a semifield and the brute force otherwise; with
@@ -358,8 +353,8 @@ def run_delta(Phi: SetWeighting, compare: bool = False
                                    "agree": set(closure) == set(brute)}
 
 
-def delta_witness_check(Phi: SetWeighting, phi: FinSupp,
-                        psi: MembershipWeighting) -> bool:
+def delta_witness_check(Phi: FinSupp, phi: FinSupp,
+                        psi: FinSupp) -> bool:
     """Exact check of the two defining sum conditions: per-set sums of
     psi reproduce Phi, per-element sums reproduce phi."""
     sr = Phi.semiring
@@ -639,7 +634,7 @@ def check_weak_law(sr: Semiring, xsize: int = 2, trials: int = 50,
 # naturality
 # ---------------------------------------------------------------------------
 
-def _map_set_weighting(f: Mapping, Phi: SetWeighting) -> SetWeighting:
+def _map_set_weighting(f: Mapping, Phi: FinSupp) -> FinSupp:
     """Image of a set weighting under a symbol map: keys are mapped
     elementwise (images may collide and merge), weights of colliding
     keys add."""
@@ -809,7 +804,7 @@ def _interval_weighted_sum(phi: FinSupp) -> Interval:
     return acc
 
 
-def pentagon_check(algebra: str, Phi: SetWeighting) -> LawReport:
+def pentagon_check(algebra: str, Phi: FinSupp) -> LawReport:
     """Coherence pentagon for one composite-algebra instance: applying
     the join inside the weighting and then the algebra's weighted sum
     equals applying the law, then the weighted sum on every choice, and
@@ -890,25 +885,17 @@ def _random_interval_families(rng: random.Random, sr: Semiring,
         yield finsupp(sr, keys)
 
 
-def pentagon_instance_count(sr: Semiring, xsize: int) -> int:
-    """How many weightings the bool pentagon suite checks at ``xsize``,
-    without enumerating them: 1 + F + C(F, 2) weightings over
-    F = 1 + C + C(C, 2) families of the C carrier sets."""
-    c = len(_carrier_sets(sr, list(SYMBOL_POOL[:xsize])))
-    f = 1 + c + math.comb(c, 2)
-    return 1 + f + math.comb(f, 2)
-
-
 def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
                        seed: int = 0) -> list[LawReport]:
     """Pentagon suite over one semiring.
 
     bool: bounded-exhaustive families (every convex set over the
     symbols, families of at most two sets, weightings of support at
-    most two), ``pentagon_instance_count`` of them.  qplus: seeded
-    random families for the free algebra and the interval algebra,
-    plus the frozen two-singleton interval instance whose answer is
-    the endpoint sum [6, 8].
+    most two): 1 + F + C(F, 2) weightings over F = 1 + C + C(C, 2)
+    families of the C carrier sets, counted before the walk.  qplus:
+    seeded random families for the free algebra and the interval
+    algebra, plus the frozen two-singleton interval instance whose
+    answer is the endpoint sum [6, 8].
     """
     _check_ranges(xsize, trials)
     if not sr.is_semifield:
@@ -916,10 +903,10 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
             "pentagon suite needs a positive semifield (bool or qplus)")
     universe = list(SYMBOL_POOL[:xsize])
     if sr.enumeration is not None:
-        _refuse_oversized(f"pentagon over {sr.id} at xsize {xsize}",
-                          pentagon_instance_count(sr, xsize),
-                          LIMITS["pentagon"])
         carrier = _carrier_sets(sr, universe)
+        f = 1 + len(carrier) + math.comb(len(carrier), 2)
+        _refuse_oversized(f"pentagon over {sr.id} at xsize {xsize}",
+                          1 + f + math.comb(f, 2), LIMITS["pentagon"])
         families = [set_key(F) for r in range(0, 3)
                     for F in itertools.combinations(carrier, r)]
         Phis = weightings_over(sr, families, 2, None)

@@ -16,10 +16,10 @@ a free semimodule convex, the regime in which the distributive law is
 strong rather than weak.
 
 Every decision elsewhere in the package that depends on the semiring
-reads one of four facts from the handle instead of its id:
-``is_semifield``, ``enumeration`` (how ``carrier`` lists the scalars),
-``hull_membership`` (which algorithm decides hull membership) and
-``every_subset_convex``.
+reads one of three facts from the handle instead of its id:
+``is_semifield``, ``enumeration`` (how ``carrier`` lists the scalars)
+and ``hull_membership`` (which algorithm decides hull membership;
+``HULL_LOOKUP`` is property A, every subset already convex).
 
 Scalars are plain Python values: ints 0/1 for bool, ``fractions.Fraction``
 for qplus, ints for nat.  All arithmetic is exact; nothing in this
@@ -92,12 +92,6 @@ class Semiring:
     # values up to a bound, None when there is no finite carrier.
     enumeration: str | None = None
     hull_membership: str = ""
-
-    @property
-    def every_subset_convex(self) -> bool:
-        """Property A: sums to one force a zero summand, so a convex
-        combination picks a single generator and hulls add nothing."""
-        return "A" in self.declared_properties
 
     # -- arithmetic -----------------------------------------------------
 

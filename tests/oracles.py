@@ -47,8 +47,8 @@ tautology:
 * ``fs_scale_by_finsupp`` and ``cs_scale_by_convex_set`` are the
   package's former scaling routes: every scaled pair goes back through
   the validating ``finsupp`` (validate, merge, drop zeros, sort), and
-  the scaled generators back through ``convex_set`` (dedup, sort).  The
-  package maps entries and generators in order instead.
+  the scaled generators back through a dedup and sort.  The package
+  maps entries and generators in order instead.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from convexmod.convex import ConvexSet, convex_set, cs_zero, hull_canonicalize
+from convexmod.convex import ConvexSet, cs_zero, hull_canonicalize
 from convexmod.errors import ConvexmodError, SemiringMismatchError
 from convexmod.distlaw import weak_compositions
 from convexmod.exactlp import FeasibilitySystem
@@ -384,12 +384,13 @@ def fs_scale_by_finsupp(lam: Scalar, phi: FinSupp) -> FinSupp:
 
 
 def cs_scale_by_convex_set(lam: Scalar, A: ConvexSet) -> ConvexSet:
-    """lambda * A rebuilt through ``convex_set`` from the scaled
-    generators, keeping A's ``canonical`` flag; {epsilon} for
-    lambda = 0."""
+    """lambda * A rebuilt from the scaled generators, deduplicated and
+    sorted as ``convex_set`` does, keeping A's ``canonical`` flag;
+    {epsilon} for lambda = 0."""
     sr = A.semiring
     lam = sr.validate(lam)
     if sr.is_zero(lam):
         return cs_zero(sr)
-    return convex_set(sr, [fs_scale_by_finsupp(lam, g) for g in A.generators],
-                      canonical=A.canonical)
+    scaled = [fs_scale_by_finsupp(lam, g) for g in A.generators]
+    return ConvexSet(sr, tuple(sorted_unique(scaled)), A.canonical,
+                     _trusted=True)

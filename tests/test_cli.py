@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output shapes, determinism."""
 
+import glob
 import io
 import json
 import os
@@ -978,3 +979,19 @@ class TestConsoleEntry:
             env=subprocess_env())
         assert out.returncode == 0
         assert out.stdout == "equal\n"
+
+
+DEMOS = sorted(glob.glob(os.path.join(PKG_ROOT, "demos", "*.py")))
+
+
+class TestDemos:
+    """Every demo script runs on the public API and prints something."""
+
+    @pytest.mark.parametrize("path", DEMOS, ids=[
+        os.path.basename(p) for p in DEMOS])
+    def test_runs(self, path):
+        out = subprocess.run([sys.executable, path], capture_output=True,
+                             text=True, cwd=PKG_ROOT, env=subprocess_env(),
+                             timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout

@@ -70,6 +70,9 @@ small_bset = st.lists(finsupp_b, max_size=3).map(
 tied_q = st.lists(st.tuples(st.sampled_from(["x", "y", "z"]),
                             st.sampled_from([F(0), F(1, 2), F(1), F(2)])),
                   max_size=3).map(qsupp)
+finsupp_n = st.lists(st.tuples(st.sampled_from(SYMS), st.integers(0, 3)),
+                     max_size=3).map(lambda items: finsupp(NAT, items))
+FINSUPP = {"qplus": finsupp_q, "bool": finsupp_b, "nat": finsupp_n}
 ORACLE_MEMBER = {"qplus": qplus_member_by_elimination,
                  "bool": bool_member_by_supports}
 
@@ -203,13 +206,22 @@ class TestCanonicalization:
         reference = canonical_by_fixpoint(gens, ORACLE_MEMBER[sr.id])
         assert hull_canonicalize(gens, sr).generators == reference
 
-    @given(st.lists(finsupp_q, max_size=4))
-    def test_no_canonical_generator_redundant(self, gens):
-        A = hull_canonicalize(gens, QPLUS)
+    @pytest.mark.parametrize("sr", [QPLUS, BOOL, NAT],
+                             ids=["qplus", "bool", "nat"])
+    @given(data=st.data())
+    def test_no_canonical_generator_redundant(self, sr, data):
+        """Canonicalization and membership share no code: each
+        canonical generator lies outside the hull of the others, and
+        each dropped generator lies inside the canonical hull."""
+        gens = data.draw(st.lists(FINSUPP[sr.id], max_size=4))
+        A = hull_canonicalize(gens, sr)
         for i, g in enumerate(A.generators):
             rest = A.generators[:i] + A.generators[i + 1:]
             if rest:
-                assert not member(convex_set(QPLUS, rest), g)
+                assert not member(convex_set(sr, rest), g)
+        for g in gens:
+            if g not in A.generators:
+                assert member(A, g)
 
 
 def _counting_feasible(calls):
@@ -241,7 +253,7 @@ class TestCoordinateSeparation:
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(convex, "feasible", _counting_feasible(calls))
-            test = convex._member_exact_lp(gens)
+            columns = convex._homogenized_columns(gens)
             for i in range(len(gens)):
                 others = [j for j in range(len(gens)) if j != i]
                 if not others:
@@ -249,7 +261,8 @@ class TestCoordinateSeparation:
                 rest = data.draw(st.lists(st.sampled_from(others),
                                           min_size=1, unique=True))
                 before = len(calls)
-                answer = test(rest, i)
+                answer = convex._separation(
+                    [columns[j] for j in rest], columns[i]) is None
                 if len(calls) == before:
                     assert not answer
                     assert feasible_by_fraction_simplex(

@@ -30,7 +30,6 @@ from convexmod.distlaw import (
     iv_sup,
     membership_weighting,
     pentagon_check,
-    pentagon_instance_count,
     run_laws,
     set_key,
     set_weighting,
@@ -574,8 +573,21 @@ class TestPentagonSuite:
         (2, 5672),
         # 1 + F + C(F, 2) over F = 1 + 122 + C(122, 2) = 7,504 families.
         (3, 28_158_761)])
-    def test_bool_instance_count(self, xsize, instances):
-        assert pentagon_instance_count(BOOL, xsize) == instances
+    def test_bool_instance_count(self, monkeypatch, xsize, instances):
+        """The count the suite refuses by is the number of weightings it
+        walks; the check of each weighting is stubbed out here."""
+        if instances <= distlaw.LIMITS["pentagon"]:
+            monkeypatch.setattr(distlaw, "pentagon_check", lambda a, Phi: (
+                LawReport(name=f"pentagon:{a}", semiring="bool",
+                          status=PASS, mode="exhaustive")))
+            [report] = check_pentagon_law(BOOL, xsize=xsize)
+            assert report.meta["instances"] == instances
+        monkeypatch.setitem(distlaw.LIMITS, "pentagon", instances - 1)
+        with pytest.raises(ConvexmodError) as exc:
+            check_pentagon_law(BOOL, xsize=xsize)
+        assert str(exc.value) == (
+            f"pentagon over bool at xsize {xsize} enumerates "
+            f"{instances:,} instances; at most {instances - 1:,} are allowed")
 
     def test_qplus_randomized_passes_with_sum_rule(self):
         reports = check_pentagon_law(QPLUS, trials=30, seed=4)

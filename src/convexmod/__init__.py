@@ -24,8 +24,6 @@ from .composite import (
 )
 from .convex import (
     ConvexSet,
-    canonicalize,
-    convex_set,
     cs_add,
     cs_compare,
     cs_empty,

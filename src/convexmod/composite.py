@@ -20,6 +20,10 @@ weightings over output symbols.  Composition resolves the middle layer
 with ``alpha`` generator by generator; the everywhere-empty arrow is
 the bottom of the pointwise join order.
 
+Every ConvexSet is canonical, so family weightings and arrow tables
+take convex sets as they are: ``==``, ``hash`` and dict keys are set
+equality.
+
 One caveat, pinned by tests rather than hidden: composition is only
 left strict on arrows whose sets never contain the zero weighting.  If
 f(x) contains the zero weighting, then composing the bottom arrow
@@ -34,7 +38,6 @@ from typing import Any, Iterable, Mapping
 
 from .convex import (
     ConvexSet,
-    canonicalize,
     cs_add,
     cs_empty,
     cs_from_json,
@@ -51,8 +54,8 @@ from .semiring import Scalar, Semiring
 def family_weighting(sr: Semiring,
                      items: Iterable[tuple[ConvexSet, Scalar]]) -> FinSupp:
     """Weighting over convex-set keys, the inner layer of the doubled
-    construction.  Keys are canonicalized first so that extensionally
-    equal sets merge their weights."""
+    construction.  Every ConvexSet is canonical, so extensionally equal
+    sets are one key and merge their weights."""
     entries = []
     for A, v in items:
         if not isinstance(A, ConvexSet):
@@ -60,7 +63,7 @@ def family_weighting(sr: Semiring,
         if A.semiring.id != sr.id:
             raise SemiringMismatchError(
                 f"family key over {A.semiring.id} in a {sr.id} weighting")
-        entries.append((canonicalize(A), v))
+        entries.append((A, v))
     return finsupp(sr, entries)
 
 
@@ -74,10 +77,9 @@ def alpha(Phi: FinSupp) -> ConvexSet:
     The fold starts from the first scaled key instead of {epsilon}.
     Over a positive semifield, scaling by a nonzero lambda is a
     bijection that preserves weighted sums with weights summing to 1,
-    so lambda * A of a canonical A keeps exactly its extreme points:
-    it is canonical already, and ``canonicalize`` only does work on a
-    key that was not canonical to begin with.  Every later key goes
-    through ``cs_add``, which re-canonicalizes the sum."""
+    so lambda * A keeps exactly the extreme points of A: it is
+    canonical already.  Every later key goes through ``cs_add``, which
+    re-canonicalizes the sum."""
     sr = Phi.semiring
     if not sr.is_semifield:
         raise NotSemifieldError(
@@ -85,7 +87,7 @@ def alpha(Phi: FinSupp) -> ConvexSet:
     if Phi.is_zero():
         return cs_zero(sr)
     (A0, v0), *rest = Phi.entries
-    acc = canonicalize(cs_scale(v0, A0))
+    acc = cs_scale(v0, A0)
     for A, v in rest:
         acc = cs_add(acc, cs_scale(v, A))
     return acc
@@ -142,9 +144,7 @@ class KleisliArrow:
                     raise ConvexmodError(
                         f"arrow value at {x!r} mentions {stray[0]!r}, "
                         "not an output symbol")
-        object.__setattr__(
-            self, "table",
-            {x: canonicalize(A) for x, A in self.table.items()})
+        object.__setattr__(self, "table", dict(self.table))
 
     @property
     def semiring(self) -> Semiring:

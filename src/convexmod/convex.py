@@ -46,22 +46,25 @@ drops a generator or finds an extreme point, so n generators with h
 extreme points take at most n + h tests with at most h columns each,
 where testing every generator against all the others takes n tests
 with up to n - 1.  Only the tests the coordinates do not settle, and
-so every "yes", go to ``feasible``.  Over qplus and bool the canonical
-form is unique, which makes structural equality of canonical sets
-coincide with set equality.
+so every "yes", go to ``feasible``.
+
+Every ConvexSet is canonical: ``hull_canonicalize`` builds it, or an
+operation that keeps the canonical form (``cs_zero``, ``cs_empty``,
+``cs_scale``).  The canonical form is unique, so ``==``, ``hash`` and
+dict keys on ConvexSet values are set equality.
 
 A ConvexSet hashes on first use, from its semiring id and its
 generator tuple, whose FinSupp members contribute their cached
 hashes, and keeps the result.  ``_skey`` only orders and compares, as
 in ``freemod``.
 
-``cs_scale`` by a nonzero scalar keeps the generator order and the
-``canonical`` flag without re-sorting or re-canonicalizing.  Scaling
-by a nonzero lambda is injective and strictly monotone on each
-carrier's nonzero values and leaves the keys alone, so it keeps the
-``_skey`` order and distinctness of the generators; and it is a
-bijection of the semimodule that preserves weighted sums with weights
-summing to 1, so it maps extreme points to extreme points.
+``cs_scale`` by a nonzero scalar keeps the generator order without
+re-sorting or re-canonicalizing.  Scaling by a nonzero lambda is
+injective and strictly monotone on each carrier's nonzero values and
+leaves the keys alone, so it keeps the ``_skey`` order and
+distinctness of the generators; and it is a bijection of the
+semimodule that preserves weighted sums with weights summing to 1, so
+it maps extreme points to extreme points.
 """
 
 from __future__ import annotations
@@ -91,27 +94,22 @@ from .semiring import (
 
 
 class ConvexSet:
-    """Immutable finitely generated convex set.
-
-    Build through ``convex_set`` (plain, possibly redundant generators)
-    or ``hull_canonicalize`` (canonical form).  The ``canonical`` flag
-    records which constructor produced the value.
+    """Immutable finitely generated convex set, in canonical form: its
+    extreme points in sorted order.  Build through
+    ``hull_canonicalize``.
     """
 
-    __slots__ = ("semiring", "generators", "canonical", "_skey", "_hash")
+    __slots__ = ("semiring", "generators", "_skey", "_hash")
 
     semiring: Semiring
     generators: tuple[FinSupp, ...]
-    canonical: bool
 
     def __init__(self, semiring: Semiring, generators: tuple[FinSupp, ...],
-                 canonical: bool, _trusted: bool = False):
+                 _trusted: bool = False):
         if not _trusted:
-            raise ConvexmodError(
-                "construct ConvexSet via convex_set()/hull_canonicalize()")
+            raise ConvexmodError("construct ConvexSet via hull_canonicalize()")
         object.__setattr__(self, "semiring", semiring)
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "_skey", (
             3, semiring.id, tuple(g._skey for g in generators)))
 
@@ -141,8 +139,7 @@ class ConvexSet:
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(g) for g in self.generators)
-        tag = "hull" if self.canonical else "gens"
-        return f"{tag}[{self.semiring.id}]{{{inner}}}"
+        return f"hull[{self.semiring.id}]{{{inner}}}"
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,24 +150,6 @@ class ConvexSet:
 
 def _union_support(gens: Iterable[FinSupp]) -> tuple:
     return tuple(sorted_unique(k for g in gens for k, _ in g.entries))
-
-
-def _sorted_generators(sr: Semiring, generators: Iterable[FinSupp]
-                       ) -> tuple[FinSupp, ...]:
-    """The distinct generators in sorted order, all checked to lie
-    over ``sr``."""
-    gens = tuple(sorted_unique(generators))
-    for g in gens:
-        if g.semiring.id != sr.id:
-            raise SemiringMismatchError(
-                f"generator over {g.semiring.id} in a {sr.id} set")
-    return gens
-
-
-def convex_set(sr: Semiring, generators: Iterable[FinSupp]) -> ConvexSet:
-    """Sorted, duplicate-free ConvexSet; no redundancy removal."""
-    return ConvexSet(sr, _sorted_generators(sr, generators), False,
-                     _trusted=True)
 
 
 def cs_from_json(data: Mapping[str, Any]) -> ConvexSet:
@@ -302,28 +281,26 @@ def hull_canonicalize(generators: Iterable[FinSupp],
         if sr is None:
             raise ConvexmodError(
                 "empty generator list needs an explicit semiring")
-        return ConvexSet(sr, (), True, _trusted=True)
+        return ConvexSet(sr, (), _trusted=True)
     if sr is None:
         sr = gens[0].semiring
-    base = _sorted_generators(sr, gens)
+    base = tuple(sorted_unique(gens))
+    for g in base:
+        if g.semiring.id != sr.id:
+            raise SemiringMismatchError(
+                f"generator over {g.semiring.id} in a {sr.id} set")
     if sr.hull_membership == HULL_LOOKUP or len(base) <= 2:
         # Every subset convex, or at most two distinct points, each
         # outside the hull of the other (that point itself): the
         # canonical form is the sorted dedup.
-        return ConvexSet(sr, base, True, _trusted=True)
+        return ConvexSet(sr, base, _trusted=True)
     if sr.hull_membership == HULL_EXACT_LP:
         kept = _extreme_indices(_homogenized_columns(base))
     else:
         supports = [frozenset(g.support()) for g in base]
         kept = [i for i, s in enumerate(supports)
                 if not _join_covered(s, [t for t in supports if t < s])]
-    return ConvexSet(sr, tuple(base[j] for j in kept), True, _trusted=True)
-
-
-def canonicalize(A: ConvexSet) -> ConvexSet:
-    if A.canonical:
-        return A
-    return hull_canonicalize(A.generators, A.semiring)
+    return ConvexSet(sr, tuple(base[j] for j in kept), _trusted=True)
 
 
 def cs_compare(A: ConvexSet, B: ConvexSet
@@ -343,19 +320,17 @@ def cs_compare(A: ConvexSet, B: ConvexSet
 
 
 def cs_equal(A: ConvexSet, B: ConvexSet) -> bool:
-    """Set equality of hulls: canonical forms are unique, so two
-    canonical sets compare structurally, otherwise ``cs_compare``
-    decides by mutual generator membership."""
-    if A.canonical and B.canonical and A.semiring.id == B.semiring.id:
-        return A.generators == B.generators
-    return cs_compare(A, B) is None
+    """Set equality of hulls over one semiring: canonical forms are
+    unique, so the generators compare structurally."""
+    if A.semiring.id != B.semiring.id:
+        raise SemiringMismatchError(
+            f"comparing sets over {A.semiring.id} and {B.semiring.id}")
+    return A.generators == B.generators
 
 
 def extreme_points(A: ConvexSet) -> tuple[FinSupp, ...]:
     """The canonical generators: elements not properly inside any
-    segment of the set.  Requires a canonical input."""
-    if not A.canonical:
-        raise ConvexmodError("extreme_points needs a canonical ConvexSet")
+    segment of the set."""
     return A.generators
 
 
@@ -365,24 +340,24 @@ def extreme_points(A: ConvexSet) -> tuple[FinSupp, ...]:
 
 def cs_zero(sr: Semiring) -> ConvexSet:
     """The singleton {epsilon}: the additive unit, distinct from empty."""
-    return ConvexSet(sr, (fs_zero(sr),), True, _trusted=True)
+    return ConvexSet(sr, (fs_zero(sr),), _trusted=True)
 
 
 def cs_empty(sr: Semiring) -> ConvexSet:
     """The empty set: the join-semilattice bottom."""
-    return ConvexSet(sr, (), True, _trusted=True)
+    return ConvexSet(sr, (), _trusted=True)
 
 
 def cs_scale(lam: Scalar, A: ConvexSet) -> ConvexSet:
     """lambda * A elementwise for lambda != 0, in A's generator order
-    and with A's ``canonical`` flag (see the module docstring);
-    {epsilon} for lambda = 0, including 0 * empty = {epsilon}."""
+    (see the module docstring); {epsilon} for lambda = 0, including
+    0 * empty = {epsilon}."""
     sr = A.semiring
     lam = sr.validate(lam)
     if sr.is_zero(lam):
         return cs_zero(sr)
     return ConvexSet(sr, tuple([fs_scale(lam, g) for g in A.generators]),
-                     A.canonical, _trusted=True)
+                     _trusted=True)
 
 
 def cs_add(A: ConvexSet, B: ConvexSet) -> ConvexSet:

@@ -57,7 +57,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from .composite import alpha
 from .convex import (
     ConvexSet,
-    convex_set,
     cs_equal,
     cs_join_all,
     hull_canonicalize,
@@ -87,7 +86,8 @@ from .semiring import (BOOL, HULL_EXACT_LP, HULL_JOIN_COVER, Scalar, Semiring,
 SYMBOL_POOL = ("x", "y", "z", "u", "v", "w")
 
 # Every enumeration's limit, as a count of what it walks: the law suites
-# in ``SUITES`` order, then the routes of ``run_delta``.
+# in ``SUITES`` order and their random trials, then the routes of
+# ``run_delta``.
 LIMITS = {
     # bool: 1,424 instances at xsize 3 (about a second), 18,940 at xsize
     # 4 (unfinished after 20 s); nat: 2,435 at the defaults (xsize 2,
@@ -100,6 +100,11 @@ LIMITS = {
     "naturality": 100_000,
     # 2^(2^xsize) families: 65,536 at xsize 4 (under a second), 2^32 at 5
     "appendixA": 2 ** 16,
+    # --trials of a randomized (qplus) suite, refused before any draw.
+    # At 1,000 trials and the largest xsize each accepts: weakdist (6),
+    # which draws 4 x trials weightings first, 9.6 s and 23 MB peak
+    # (15 s at 2,000); naturality (4) 2.2 s; pentagon (6) 0.8 s
+    "trials": 1_000,
     # nat: combinations of per-set compositions, 840 for three two-element
     # sets weighted 5, 9 and 13, about 4.2e10 for 1000 on five symbols
     "compositions": 100_000,
@@ -132,6 +137,8 @@ def _check_ranges(xsize: int, trials: int = 1) -> None:
     symbols of the pool, ``trials`` random instances."""
     if trials < 1:
         raise ConvexmodError("trials must be at least 1")
+    _refuse_oversized("trials", trials, LIMITS["trials"], message=(
+        f"trials must be at most {LIMITS['trials']:,}"))
     if not 1 <= xsize <= len(SYMBOL_POOL):
         raise ConvexmodError(
             f"xsize must be between 1 and {len(SYMBOL_POOL)}")
@@ -532,8 +539,8 @@ def _eta_S_violation(sr: Semiring, A: tuple) -> dict | None:
         hull = delta_hull(Phi)
         avg = finsupp(sr, [(x, Fraction(1, len(A))) for x in A])
         if member(hull, avg) and avg not in diracs:
-            return {"A": A, "hull": hull,
-                    "units_only": convex_set(sr, diracs), "extra": avg}
+            return {"A": A, "hull": hull, "units_only": diracs,
+                    "extra": avg}
     return None
 
 
@@ -727,41 +734,38 @@ def check_naturality(sr: Semiring, xsize: int = 3, trials: int = 50,
 # pentagon coherence for composite algebras
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True)
 class Interval:
-    """Closed rational interval, or the empty interval; the carrier of
-    the one-variable composite algebra, with direct endpoint
-    arithmetic.  Used as an independent route against generator-level
-    computation."""
+    """Closed rational interval, or the empty interval (both endpoints
+    None); the carrier of the one-variable composite algebra, with
+    direct endpoint arithmetic.  Used as an independent route against
+    generator-level computation.  ``Interval(a)`` is the point a."""
 
-    __slots__ = ("lo", "hi", "empty", "_skey")
+    lo: Fraction | None = None
+    hi: Fraction | None = None
 
-    def __init__(self, lo=None, hi=None):
-        if lo is None:
-            object.__setattr__(self, "empty", True)
-            object.__setattr__(self, "lo", None)
+    def __post_init__(self):
+        if self.lo is None:
             object.__setattr__(self, "hi", None)
-            object.__setattr__(self, "_skey", (4, 1, ()))
             return
-        lo = Fraction(lo)
-        hi = Fraction(hi if hi is not None else lo)
+        lo = Fraction(self.lo)
+        hi = lo if self.hi is None else Fraction(self.hi)
         if hi < lo:
             raise ConvexmodError("interval needs lo <= hi")
-        object.__setattr__(self, "empty", False)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "_skey", (4, 0, (lo, hi)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Interval is immutable")
+    @property
+    def empty(self) -> bool:
+        return self.lo is None
 
-    def __eq__(self, other):
-        return isinstance(other, Interval) and self._skey == other._skey
+    @property
+    def _skey(self) -> tuple:
+        """Nonempty intervals by endpoints, then the empty one."""
+        return (4, 1, ()) if self.empty else (4, 0, (self.lo, self.hi))
 
     def __lt__(self, other):
         return self._skey < other._skey
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
 
     def __repr__(self):
         if self.empty:

@@ -385,12 +385,10 @@ def fs_scale_by_finsupp(lam: Scalar, phi: FinSupp) -> FinSupp:
 
 def cs_scale_by_convex_set(lam: Scalar, A: ConvexSet) -> ConvexSet:
     """lambda * A rebuilt from the scaled generators, deduplicated and
-    sorted as ``convex_set`` does, keeping A's ``canonical`` flag;
-    {epsilon} for lambda = 0."""
+    sorted; {epsilon} for lambda = 0."""
     sr = A.semiring
     lam = sr.validate(lam)
     if sr.is_zero(lam):
         return cs_zero(sr)
     scaled = [fs_scale_by_finsupp(lam, g) for g in A.generators]
-    return ConvexSet(sr, tuple(sorted_unique(scaled)), A.canonical,
-                     _trusted=True)
+    return ConvexSet(sr, tuple(sorted_unique(scaled)), _trusted=True)

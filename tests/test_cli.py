@@ -365,6 +365,32 @@ class TestLaws:
                            *bound, "--format", "json")
         assert code == 0 and len(out.splitlines()) == reports
 
+    @pytest.mark.parametrize("suite, xsize", [
+        ("weakdist", "2"), ("weakdist", "6"), ("pentagon", "6"),
+        ("naturality", "4")])
+    @pytest.mark.parametrize("trials", ["1001", "10000000"])
+    def test_oversized_trials_rejected(self, capsys, monkeypatch, suite,
+                                       xsize, trials):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError(f"{suite} drew a random instance")
+        for name in ("_random_qplus_weighting", "_random_fraction"):
+            monkeypatch.setattr(f"convexmod.distlaw.{name}", refuse)
+        code, out, err = run(capsys, "laws", "--suite", suite,
+                             "--xsize", xsize, "--trials", trials)
+        assert code == 2 and out == ""
+        assert err == "error: trials must be at most 1,000\n"
+
+    @pytest.mark.parametrize("suite", ["weakdist", "pentagon", "naturality"])
+    def test_trials_at_the_cap_runs(self, capsys, monkeypatch, suite):
+        monkeypatch.setitem(distlaw.LIMITS, "trials", 3)
+        code, out, _ = run(capsys, "laws", "--suite", suite,
+                           "--trials", "3", "--format", "json")
+        assert code == 0 and out
+        code, out, err = run(capsys, "laws", "--suite", suite,
+                             "--trials", "4")
+        assert code == 2 and out == ""
+        assert err == "error: trials must be at most 3\n"
+
     def test_zero_trials_rejected(self, capsys):
         code, _, err = run(capsys, "laws", "--suite", "pentagon",
                            "--trials", "0")

@@ -23,15 +23,26 @@ from convexmod.composite import (
     pc_unit,
 )
 from convexmod.convex import (
-    convex_set,
     cs_add,
+    cs_compare,
     cs_empty,
     cs_equal,
+    cs_join,
+    cs_join_all,
     cs_scale,
     hull_canonicalize,
+    member,
 )
+from convexmod.distlaw import delta_witness_check, set_weighting
 from convexmod.errors import ConvexmodError, NotSemifieldError, SemiringMismatchError
-from convexmod.freemod import finsupp, fs_add, fs_scale, fs_unit, fs_zero
+from convexmod.freemod import (
+    finsupp,
+    fs_add,
+    fs_mult,
+    fs_scale,
+    fs_unit,
+    fs_zero,
+)
 from convexmod.semiring import BOOL, NAT, QPLUS
 from oracles import weighted_generator_hull
 
@@ -62,7 +73,7 @@ class TestFamilyWeighting:
     def test_extensionally_equal_keys_merge(self):
         dx, dy = fs_unit(QPLUS, "x"), fs_unit(QPLUS, "y")
         mid = W(QPLUS, ("x", Fraction(1, 2)), ("y", Fraction(1, 2)))
-        redundant = convex_set(QPLUS, [dx, dy, mid])
+        redundant = H(QPLUS, dx, dy, mid)
         lean = H(QPLUS, dx, dy)
         fam = family_weighting(QPLUS, [(redundant, 1), (lean, 2)])
         assert len(fam.support()) == 1
@@ -106,8 +117,8 @@ class TestAlpha:
     @pytest.mark.parametrize("sr", [QPLUS, BOOL], ids=["qplus", "bool"])
     def test_agrees_with_generator_choice_route(self, sr):
         """The fold from the first scaled key gives exactly the
-        canonical generators of the one-hull route, also when a key
-        reaches ``finsupp`` without being canonicalized."""
+        canonical generators of the one-hull route, also when a key is
+        built from redundant generators."""
         rng = random.Random(3)
         for _ in range(60):
             items = []
@@ -115,43 +126,26 @@ class TestAlpha:
                 gens = [_random_point(rng, sr)
                         for _ in range(rng.randint(0, 2))]
                 if gens and rng.random() < 0.5:
-                    # redundant generators, kept by convex_set
                     gens += _redundant_points(rng, sr, gens)
-                    key = convex_set(sr, gens)
-                else:
-                    key = hull_canonicalize(gens, sr)
+                key = hull_canonicalize(gens, sr)
                 weight = 1 if sr is BOOL else Fraction(rng.randint(1, 4))
                 items.append((key, weight))
             fam = finsupp(sr, items)
             got = alpha(fam)
             via_choices = weighted_generator_hull(sr, list(fam.items()))
-            assert got.canonical
             assert got.generators == via_choices.generators
-
-    @pytest.mark.parametrize("sr", [QPLUS, BOOL], ids=["qplus", "bool"])
-    def test_non_canonical_single_key(self, sr):
-        a, b = fs_unit(sr, "x"), fs_unit(sr, "y")
-        key = convex_set(sr, [a, b] + _redundant_points(
-            random.Random(0), sr, [a, b]))
-        assert not key.canonical and len(key.generators) > 2
-        weight = 1 if sr is BOOL else 3
-        got = alpha(finsupp(sr, [(key, weight)]))
-        assert got.canonical
-        assert got.generators == hull_canonicalize(
-            [fs_scale(weight, a), fs_scale(weight, b)], sr).generators
 
     @pytest.mark.parametrize("sr", [QPLUS, BOOL], ids=["qplus", "bool"])
     def test_empty_key_first_or_later_absorbs(self, sr):
         A = H(sr, fs_unit(sr, "x"), fs_unit(sr, "y"))
-        for empty in (cs_empty(sr), convex_set(sr, [])):
+        for empty in (cs_empty(sr), H(sr)):
             got = alpha(finsupp(sr, [(empty, 1), (A, 1)]))
-            assert got.canonical and got.is_empty()
+            assert got.is_empty()
             assert alpha(finsupp(sr, [(empty, 1)])).is_empty()
 
     @pytest.mark.parametrize("sr", [QPLUS, BOOL], ids=["qplus", "bool"])
     def test_empty_weighting_is_canonical_zero_point(self, sr):
         got = alpha(fs_zero(sr))
-        assert got.canonical
         assert got.generators == (fs_zero(sr),)
 
 
@@ -310,8 +304,8 @@ class TestKleisliConstruction:
     def test_values_canonicalized(self):
         mid = W(QPLUS, ("u", Fraction(1, 2)), ("v", 1))
         g = arrow(QPLUS, ["x"], ["u", "v"],
-                  {"x": convex_set(QPLUS, [W(QPLUS, ("u", 1)),
-                                           W(QPLUS, ("v", 2)), mid])})
+                  {"x": H(QPLUS, W(QPLUS, ("u", 1)), W(QPLUS, ("v", 2)),
+                           mid)})
         assert kleisli_equal(g, self.f)
 
     def test_unknown_input_raises(self):
@@ -423,3 +417,42 @@ class TestKleisliCategory:
         g = kleisli_bottom(BOOL, ["u"], ["t"])
         with pytest.raises(SemiringMismatchError):
             kleisli_compose(g, f)
+
+
+# One value of each kind over qplus and over bool, for mixing.
+_Q, _B = fs_unit(QPLUS, "u"), fs_unit(BOOL, "u")
+_QSET, _BSET = H(QPLUS, _Q), H(BOOL, _B)
+_QARROW = arrow(QPLUS, ["x"], ["u"], {"x": _QSET})
+_BARROW = arrow(BOOL, ["x"], ["u"], {"x": _BSET})
+MIXED_CALLS = {
+    "fs_add": lambda: fs_add(_Q, _B),
+    "fs_mult": lambda: fs_mult(finsupp(QPLUS, [(_B, 1)])),
+    "member": lambda: member(_QSET, _B),
+    "hull_canonicalize": lambda: hull_canonicalize([_Q, _B]),
+    "hull_canonicalize-given": lambda: hull_canonicalize([_B], QPLUS),
+    "cs_compare": lambda: cs_compare(_QSET, _BSET),
+    "cs_equal": lambda: cs_equal(_QSET, _BSET),
+    "cs_add": lambda: cs_add(_QSET, _BSET),
+    "cs_join": lambda: cs_join(_QSET, _BSET),
+    "cs_join_all": lambda: cs_join_all([_QSET, _BSET], QPLUS),
+    "family_weighting": lambda: family_weighting(QPLUS, [(_BSET, 1)]),
+    "KleisliArrow": lambda: KleisliArrow(("x", "y"), ("u",),
+                                         {"x": _QSET, "y": _BSET}),
+    "arrow": lambda: arrow(QPLUS, ["x"], ["u"], {"x": _BSET}),
+    "ka_from_json": lambda: ka_from_json(QPLUS, {
+        "vars_in": ["x"], "vars_out": ["u"],
+        "table": {"x": _BSET.to_json_dict()}}),
+    "kleisli_compose": lambda: kleisli_compose(_BARROW, _QARROW),
+    "kleisli_join": lambda: kleisli_join(_QARROW, _BARROW),
+    "delta_witness_check": lambda: delta_witness_check(
+        set_weighting(QPLUS, [(("u",), 1)]), _B,
+        finsupp(QPLUS, [((("u",), "u"), 1)])),
+}
+
+
+@pytest.mark.parametrize("call", MIXED_CALLS.values(), ids=MIXED_CALLS)
+def test_mixed_semirings_refused(call):
+    """Every public operation that takes values over two semirings
+    refuses a qplus and a bool value together."""
+    with pytest.raises(SemiringMismatchError):
+        call()

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from convexmod import convex
 from convexmod.convex import (
-    canonicalize,
-    convex_set,
     cs_add,
     cs_compare,
     cs_empty,
@@ -73,8 +71,10 @@ tied_q = st.lists(st.tuples(st.sampled_from(["x", "y", "z"]),
 finsupp_n = st.lists(st.tuples(st.sampled_from(SYMS), st.integers(0, 3)),
                      max_size=3).map(lambda items: finsupp(NAT, items))
 FINSUPP = {"qplus": finsupp_q, "bool": finsupp_b, "nat": finsupp_n}
+# Membership in the hull of a raw generator list, nat's by lookup.
 ORACLE_MEMBER = {"qplus": qplus_member_by_elimination,
-                 "bool": bool_member_by_supports}
+                 "bool": bool_member_by_supports,
+                 "nat": lambda gens, phi: phi in gens}
 
 
 @st.composite
@@ -110,24 +110,24 @@ class TestMembership:
     def test_combination_of_two_generators(self):
         phi1 = qsupp([("x", 1), ("y", 2)])
         phi2 = qsupp([("x", 1), ("z", 2)])
-        A = convex_set(QPLUS, [phi1, phi2])
+        A = hull_canonicalize([phi1, phi2], QPLUS)
         assert member(A, qsupp([("x", 1), ("y", 1), ("z", 1)]))
 
     def test_generators_are_members(self):
         phi1 = qsupp([("x", 1), ("y", 2)])
         phi2 = qsupp([("y", 1), ("z", 2)])
-        A = convex_set(QPLUS, [phi1, phi2])
+        A = hull_canonicalize([phi1, phi2], QPLUS)
         assert member(A, phi1)
         assert member(A, phi2)
 
     def test_nonmember(self):
         phi1 = qsupp([("x", 1), ("y", 2)])
         phi2 = qsupp([("y", 1), ("z", 2)])
-        A = convex_set(QPLUS, [phi1, phi2])
+        A = hull_canonicalize([phi1, phi2], QPLUS)
         assert not member(A, qsupp([("x", 1), ("y", 1)]))
 
     def test_bool_join_of_singletons(self):
-        A = convex_set(BOOL, [bsupp(["p"]), bsupp(["q"])])
+        A = hull_canonicalize([bsupp(["p"]), bsupp(["q"])], BOOL)
         assert member(A, bsupp(["p", "q"]))
         assert not member(A, bsupp(["p", "r"]))
 
@@ -137,7 +137,7 @@ class TestMembership:
     def test_nat_membership_is_literal(self):
         g = finsupp(NAT, [("x", 1)])
         h = finsupp(NAT, [("x", 2)])
-        A = convex_set(NAT, [g, h])
+        A = hull_canonicalize([g, h], NAT)
         assert member(A, g)
         assert not member(A, finsupp(NAT, [("x", 1), ("y", 1)]))
 
@@ -147,7 +147,7 @@ class TestMembership:
 
     @given(st.lists(finsupp_b, min_size=1, max_size=4), finsupp_b)
     def test_bool_agrees_with_subset_oracle(self, gens, phi):
-        A = convex_set(BOOL, gens)
+        A = hull_canonicalize(gens, BOOL)
         expected = bool_member_by_subsets(
             [frozenset(g.support()) for g in gens],
             frozenset(phi.support()))
@@ -210,15 +210,16 @@ class TestCanonicalization:
                              ids=["qplus", "bool", "nat"])
     @given(data=st.data())
     def test_no_canonical_generator_redundant(self, sr, data):
-        """Canonicalization and membership share no code: each
-        canonical generator lies outside the hull of the others, and
+        """Each canonical generator lies outside the hull of the
+        others, by the membership oracles on the raw generators, and
         each dropped generator lies inside the canonical hull."""
         gens = data.draw(st.lists(FINSUPP[sr.id], max_size=4))
         A = hull_canonicalize(gens, sr)
+        oracle = ORACLE_MEMBER[sr.id]
         for i, g in enumerate(A.generators):
             rest = A.generators[:i] + A.generators[i + 1:]
             if rest:
-                assert not member(convex_set(sr, rest), g)
+                assert not oracle(rest, g)
         for g in gens:
             if g not in A.generators:
                 assert member(A, g)
@@ -362,29 +363,47 @@ class TestOutputSensitive:
 
 
 class TestHashContract:
-    """Equal sets hash equally whichever constructor built them; the
-    hash reads the generators' cached hashes, ``_skey`` decides
-    equality."""
+    """Every ConvexSet is canonical, so ``==`` and ``hash`` are set
+    equality; the hash reads the generators' cached hashes, ``_skey``
+    decides equality."""
 
-    @pytest.mark.parametrize("sr", [QPLUS, BOOL], ids=["qplus", "bool"])
+    @pytest.mark.parametrize("sr", [QPLUS, BOOL, NAT],
+                             ids=["qplus", "bool", "nat"])
     @settings(deadline=None)
     @given(data=st.data())
-    def test_convex_set_and_hull_agree(self, sr, data):
-        gens = data.draw(padded_generators(sr))
-        A = hull_canonicalize(gens, sr)
-        again = data.draw(st.permutations(
-            list(A.generators) + list(A.generators)))
-        B = convex_set(sr, again)
-        C = hull_canonicalize(list(reversed(again)), sr)
-        assert not B.canonical and C.canonical
-        assert A == B == C
-        assert hash(A) == hash(B) == hash(C)
+    def test_equality_is_set_equality(self, sr, data):
+        gens = FINSUPP[sr.id]
+        g1 = data.draw(st.lists(gens, max_size=4) if sr is NAT
+                       else padded_generators(sr, gens))
+        oracle = ORACLE_MEMBER[sr.id]
+        if data.draw(st.booleans()):
+            # the same hull from its extreme points, by the oracle,
+            # shuffled, and maybe one more of the generators
+            g2 = data.draw(st.permutations(
+                list(canonical_by_fixpoint(g1, oracle)) + g1[:1]))
+        else:
+            g2 = data.draw(st.lists(gens, max_size=4))
+        A, B = hull_canonicalize(g1, sr), hull_canonicalize(g2, sr)
+        mutual = (all(oracle(g2, g) for g in g1)
+                  and all(oracle(g1, g) for g in g2))
+        assert (A == B) == (cs_compare(A, B) is None) == mutual
+        if A == B:
+            assert hash(A) == hash(B) and len({A, B}) == 1
+
+    def test_redundant_keys_merge(self):
+        x, y = qsupp([("x", 1)]), qsupp([("y", 1)])
+        mid = qsupp([("x", F(1, 2)), ("y", F(1, 2))])
+        raw = hull_canonicalize([x, y, mid], QPLUS)
+        lean = hull_canonicalize([x, y], QPLUS)
+        fam = finsupp(QPLUS, [(raw, 1), (lean, 1)])
+        assert fam.entries == ((lean, 2),)
 
     @given(st.lists(st.tuples(st.sampled_from(SYMS), st.integers(0, 3)),
                     min_size=1, max_size=3))
     def test_int_and_fraction_generators(self, items):
-        a = convex_set(QPLUS, [qsupp(items)])
-        b = convex_set(QPLUS, [qsupp([(k, F(2 * v, 2)) for k, v in items])])
+        a = hull_canonicalize([qsupp(items)], QPLUS)
+        b = hull_canonicalize(
+            [qsupp([(k, F(2 * v, 2)) for k, v in items])], QPLUS)
         assert a == b and hash(a) == hash(b)
 
     @settings(deadline=None)
@@ -392,14 +411,14 @@ class TestHashContract:
     def test_convex_set_keys_nested(self, data):
         gens = data.draw(padded_generators(QPLUS))
         A = hull_canonicalize(gens, QPLUS)
-        B = convex_set(QPLUS, reversed(A.generators))
+        B = hull_canonicalize(reversed(A.generators), QPLUS)
         w = data.draw(st.fractions(min_value=F(1, 4), max_value=3,
                                    max_denominator=4))
         fa = finsupp(QPLUS, [(A, w), ((A, "x"), 1)])
         fb = finsupp(QPLUS, [((B, "x"), F(1, 2)), (B, w), ((B, "x"), F(1, 2))])
         assert fa == fb and hash(fa) == hash(fb)
         # a set of weightings over sets, one level further up
-        outer_a = convex_set(QPLUS, [fa, fa])
+        outer_a = hull_canonicalize([fa, fa], QPLUS)
         outer_b = hull_canonicalize([fb], QPLUS)
         assert outer_a == outer_b and hash(outer_a) == hash(outer_b)
         assert len({A, B}) == 1 and len({outer_a, outer_b}) == 1
@@ -430,19 +449,15 @@ def nested_values(draw, sr, depth=1):
 
 @st.composite
 def nested_sets(draw, sr, depth=1):
-    """A canonical or plain (possibly redundant) ConvexSet, maybe
-    empty, of ``nested_values`` generators."""
+    """A ConvexSet, maybe empty, of ``nested_values`` generators."""
     gens = draw(st.lists(nested_values(sr, depth), max_size=3))
-    if draw(st.booleans()):
-        return hull_canonicalize(gens, sr)
-    return convex_set(sr, gens)
+    return hull_canonicalize(gens, sr)
 
 
 def assert_same_set(got, want):
     assert got.generators == want.generators
     assert [g.entries for g in got.generators] == \
         [g.entries for g in want.generators]
-    assert got.canonical == want.canonical
     assert hash(got) == hash(want) == hash((want.semiring.id,
                                             want.generators))
 
@@ -450,8 +465,8 @@ def assert_same_set(got, want):
 class TestScaleAgainstOracle:
     """``fs_scale`` and ``cs_scale`` map entries and generators in
     order, with no re-validation and no re-sort; rebuilding through
-    ``finsupp`` and ``convex_set`` gives the identical values, flags
-    and hashes."""
+    ``finsupp`` and a dedup and sort gives the identical values and
+    hashes."""
 
     @pytest.mark.parametrize("sr", [BOOL, QPLUS, NAT],
                              ids=["bool", "qplus", "nat"])
@@ -481,13 +496,11 @@ class TestScaleAgainstOracle:
         one = sr.one
         x, y = finsupp(sr, [("x", one)]), finsupp(sr, [("y", one)])
         xy = fs_add(x, y)
-        inner = convex_set(sr, [xy, x, y, xy])
+        inner = hull_canonicalize([xy, x, y, xy], sr)
         nested = finsupp(sr, [(inner, one), ((x, "u"), one), (xy, one)])
-        sets = [cs_empty(sr), cs_zero(sr), convex_set(sr, []),
-                convex_set(sr, [xy, x, y]), hull_canonicalize([x, y], sr),
-                convex_set(sr, [nested, x]),
+        sets = [cs_empty(sr), cs_zero(sr), hull_canonicalize([x, y], sr),
+                hull_canonicalize([nested, x], sr),
                 hull_canonicalize([nested, fs_unit(sr, inner)], sr)]
-        assert not sets[3].canonical
         for lam in lams:
             for A in sets:
                 assert_same_set(cs_scale(lam, A),
@@ -502,8 +515,9 @@ class TestScaleAgainstOracle:
         assert not hasattr(phi, "_hash")
         assert hash(phi) == hash(("qplus", (("x", F(1, 2)),)))
         assert phi._hash == hash(phi)
-        # convex_set hashes its generators to dedup them, not the set.
-        A = convex_set(QPLUS, [phi])
+        # hull_canonicalize hashes its generators to dedup them, not
+        # the set.
+        A = hull_canonicalize([phi], QPLUS)
         assert not hasattr(A, "_hash")
         assert hash(A) == hash(("qplus", (phi,)))
         assert A._hash == hash(A)
@@ -519,26 +533,27 @@ class TestEquality:
         g1 = qsupp([("x", 1)])
         g2 = qsupp([("y", 1)])
         mid = qsupp([("x", F(1, 2)), ("y", F(1, 2))])
-        assert cs_equal(convex_set(QPLUS, [g1, g2]),
-                        convex_set(QPLUS, [g1, g2, mid]))
+        assert cs_equal(hull_canonicalize([g1, g2], QPLUS),
+                        hull_canonicalize([g1, g2, mid], QPLUS))
 
     def test_distinct_singletons_differ(self):
-        assert not cs_equal(convex_set(QPLUS, [qsupp([("x", 1)])]),
-                            convex_set(QPLUS, [qsupp([("y", 1)])]))
+        assert not cs_equal(hull_canonicalize([qsupp([("x", 1)])], QPLUS),
+                            hull_canonicalize([qsupp([("y", 1)])], QPLUS))
 
     def test_empty_vs_zero_differ(self):
         assert not cs_equal(cs_empty(QPLUS), cs_zero(QPLUS))
 
     def test_compare_names_the_side_and_witness(self):
         x, x2 = qsupp([("x", 1)]), qsupp([("x", 2)])
-        seg, point = convex_set(QPLUS, [x, x2]), convex_set(QPLUS, [x])
+        seg = hull_canonicalize([x, x2], QPLUS)
+        point = hull_canonicalize([x], QPLUS)
         assert cs_compare(seg, point) == ("left", x2)
         assert cs_compare(point, seg) == ("right", x2)
         assert cs_compare(seg, hull_canonicalize([x2, x])) is None
 
     def test_compare_against_empty_names_the_other_side(self):
         x = qsupp([("x", 1)])
-        A, empty = convex_set(QPLUS, [x]), cs_empty(QPLUS)
+        A, empty = hull_canonicalize([x], QPLUS), cs_empty(QPLUS)
         assert cs_compare(A, empty) == ("left", x)
         assert cs_compare(empty, A) == ("right", x)
         assert cs_compare(empty, cs_empty(QPLUS)) is None
@@ -551,7 +566,7 @@ class TestEquality:
 
     @given(st.lists(finsupp_q, max_size=3), st.lists(finsupp_q, max_size=3))
     def test_compare_witness_lies_on_one_side_only(self, g1, g2):
-        A, B = convex_set(QPLUS, g1), convex_set(QPLUS, g2)
+        A, B = hull_canonicalize(g1, QPLUS), hull_canonicalize(g2, QPLUS)
         found = cs_compare(A, B)
         assert (found is None) == cs_equal(hull_canonicalize(g1, QPLUS),
                                            hull_canonicalize(g2, QPLUS))
@@ -563,10 +578,8 @@ class TestEquality:
 
     @given(st.lists(finsupp_q, max_size=3), st.lists(finsupp_q, max_size=3))
     def test_mutual_membership_matches_canonical_equality(self, g1, g2):
-        raw_eq = cs_equal(convex_set(QPLUS, g1), convex_set(QPLUS, g2))
-        canon_eq = (hull_canonicalize(g1, QPLUS)
-                    == hull_canonicalize(g2, QPLUS))
-        assert raw_eq == canon_eq
+        A, B = hull_canonicalize(g1, QPLUS), hull_canonicalize(g2, QPLUS)
+        assert (cs_compare(A, B) is None) == (A == B) == cs_equal(A, B)
 
 
 class TestSemimoduleAndJoin:
@@ -574,11 +587,11 @@ class TestSemimoduleAndJoin:
         assert cs_scale(0, cs_empty(QPLUS)) == cs_zero(QPLUS)
 
     def test_scale_zero_of_anything_is_zero_singleton(self):
-        A = convex_set(QPLUS, [qsupp([("x", 5)])])
+        A = hull_canonicalize([qsupp([("x", 5)])], QPLUS)
         assert cs_scale(0, A) == cs_zero(QPLUS)
 
     def test_add_empty_absorbs(self):
-        B = convex_set(QPLUS, [qsupp([("x", 1)])])
+        B = hull_canonicalize([qsupp([("x", 1)])], QPLUS)
         assert cs_add(cs_empty(QPLUS), B).is_empty()
 
     def test_scale_nonzero_keeps_empty(self):
@@ -646,11 +659,6 @@ class TestExtremePoints:
         A = hull_canonicalize([g1, g2, half("x", "y")])
         assert extreme_points(A) == (g1, g2)
 
-    def test_requires_canonical(self):
-        A = convex_set(QPLUS, [qsupp([("x", 1)])])
-        with pytest.raises(Exception):
-            extreme_points(A)
-
     def test_triangle_with_interior_face_point(self):
         # Three generators, none inside the hull of the others; the
         # image under a merging map collapses the triangle to a segment
@@ -696,5 +704,8 @@ class TestSerialization:
         assert set(lines[1:]) == {"1,2", "3,0"}
 
     def test_canonicalize_helper(self):
-        A = convex_set(QPLUS, [qsupp([("x", 1)]), qsupp([("x", 1)])])
-        assert canonicalize(A).canonical
+        """Reading a set from JSON canonicalizes it."""
+        data = {"semiring": "qplus", "generators": [
+            {"x": "1"}, {"x": "1"}, {"x": "3"}, {"x": "2"}]}
+        assert cs_from_json(data) == hull_canonicalize(
+            [qsupp([("x", 1)]), qsupp([("x", 3)])], QPLUS)

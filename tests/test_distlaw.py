@@ -446,6 +446,22 @@ class TestIntervalArithmetic:
         with pytest.raises(ConvexmodError):
             Interval(3, 1)
 
+    def test_order_repr_hash_and_immutability(self):
+        ivs = [IV_EMPTY, Interval(1, 3), Interval(0, 5), Interval(2),
+               Interval(Fraction(1, 2), Fraction(3, 2)), Interval(1, 2)]
+        # by endpoints, the empty interval last, also as FinSupp keys
+        want = ["iv[0, 5]", "iv[1/2, 3/2]", "iv[1, 2]", "iv[1, 3]",
+                "iv[2, 2]", "iv()"]
+        assert [repr(i) for i in sorted(ivs)] == want
+        phi = finsupp(QPLUS, [(i, 1) for i in reversed(ivs)])
+        assert [repr(i) for i in phi.support()] == want
+        assert Interval() == IV_EMPTY and IV_EMPTY.empty
+        assert Interval(2) == Interval(2, 2) != Interval(2, 3)
+        assert hash(Interval(1, 2)) == hash((Fraction(1), Fraction(2)))
+        assert hash(IV_EMPTY) == hash((None, None))
+        with pytest.raises(AttributeError):
+            Interval(1, 2).lo = 0
+
 
 class TestPentagon:
     def test_interval_two_singletons(self):
@@ -620,6 +636,16 @@ class TestSuiteOptions:
         with pytest.raises(ConvexmodError,
                            match="^trials must be at least 1$"):
             suite(QPLUS, trials=0)
+
+    @pytest.mark.parametrize("suite", [check_weak_law, check_pentagon_law,
+                                       check_naturality])
+    def test_trials_above_the_limit_rejected(self, suite, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a random instance was drawn")
+        monkeypatch.setattr(distlaw, "_random_qplus_weighting", refuse)
+        with pytest.raises(ConvexmodError,
+                           match="^trials must be at most 1,000$"):
+            suite(QPLUS, trials=distlaw.LIMITS["trials"] + 1)
 
     @pytest.mark.parametrize("xsize", [0, 7])
     @pytest.mark.parametrize("suite, sr", [

@@ -82,6 +82,10 @@ FILES = {
         {"set": ["x"], "value": "1e5000"}]}),
     "phi_bool_float.json": json.dumps({"weights": [
         {"set": ["x", "y"], "value": 1.0}]}),
+    "phi_nat_fraction.json": json.dumps({"weights": [
+        {"set": ["x", "y"], "value": "4/2"}]}),
+    "phi_bad_rational.json": json.dumps({"weights": [
+        {"set": ["x", "y"], "value": "x/2"}]}),
     "phi_no_weights.json": json.dumps({"sets": []}),
     "phi_array.json": json.dumps([["x"]]),
     "phi_set_string.json": json.dumps({"weights": [
@@ -266,6 +270,14 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
         "phi_bool_float.json")
     add("error-render-semiring-mismatch", "render", "--semiring", "nat",
         "--set-json", "set_bool.json")
+    add("error-weakdist-qplus-trials-oversized", "laws", "--suite",
+        "weakdist", "--semiring", "qplus", "--trials", "10000000")
+    # a JSON literal each reader refuses: a fraction over nat, and a
+    # rational with a non-digit numerator
+    add("error-delta-nat-fraction", "delta", "--semiring", "nat", "--phi",
+        "phi_nat_fraction.json")
+    add("error-delta-qplus-bad-literal", "delta", "--phi",
+        "phi_bad_rational.json")
     return out
 
 

@@ -38,7 +38,6 @@ import sys
 from .convex import ConvexSet, cs_compare, cs_equal, cs_from_json, cs_to_csv
 from .distlaw import SUITES, run_delta, run_laws, set_weighting
 from .errors import ConvexmodError, InternalError, ParseError
-from .report import PASS
 from .semiring import HULL_EXACT_LP, get_semiring
 from .terms import (
     eval_term,
@@ -185,8 +184,7 @@ def _report_lines(reports, fmt) -> list[str]:
         return lines
     lines = []
     for r in reports:
-        expected = r.meta.get("expected", PASS)
-        mark = "ok " if r.status == expected else "BAD"
+        mark = "ok " if r.status == r.meta["expected"] else "BAD"
         line = f"{mark} {r.status:4s} {r.name} [{r.semiring}/{r.mode}]"
         if r.detail:
             line += f" {r.detail}"
@@ -209,7 +207,7 @@ def _cmd_laws(args, out) -> int:
     reports = run_laws(args.suite, args.semiring, seed_override, **given)
     for line in _report_lines(reports, args.format):
         print(line, file=out)
-    met = all(r.status == r.meta.get("expected", PASS) for r in reports)
+    met = all(r.status == r.meta["expected"] for r in reports)
     return EXIT_OK if met else EXIT_CHECK_FAILED
 
 

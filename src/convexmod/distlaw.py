@@ -50,7 +50,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -80,8 +80,8 @@ from .report import (
     MODE_RANDOMIZED,
     PASS,
 )
-from .semiring import (BOOL, HULL_EXACT_LP, HULL_JOIN_COVER, Scalar, Semiring,
-                       get_semiring)
+from .semiring import (BOOL, HULL_EXACT_LP, HULL_JOIN_COVER, HULL_LOOKUP,
+                       Scalar, Semiring, get_semiring)
 
 SYMBOL_POOL = ("x", "y", "z", "u", "v", "w")
 
@@ -386,22 +386,31 @@ def delta_witness_check(Phi: FinSupp, phi: FinSupp,
 
 def _law_report(name: str, sr: Semiring, mode: str, instances: Iterable,
                 check: Callable[[Any], dict | None], detail: str = "",
-                meta: Mapping | None = None, fail_detail: str = "",
-                fail_meta: Mapping | None = None) -> LawReport:
+                fail_detail: str = "", expected: str = PASS,
+                seed: int | None = None, trials: int | None = None
+                ) -> LawReport:
     """Run one law over its instances in order: ``check`` maps an
     instance to None where the law holds, else to a counterexample.
     The first counterexample ends the run, drawing no later instance,
-    with a FAIL report carrying ``fail_detail`` and ``fail_meta``;
-    otherwise the report passes with ``detail`` and ``meta``."""
+    with a FAIL report carrying ``fail_detail``; otherwise the report
+    passes with ``detail``.  Every report's meta holds the ``expected``
+    outcome, fixed before the run, and the number of instances checked,
+    a counterexample included; a randomized one also its ``seed`` and
+    ``trials``."""
+    checked = 0
+    counterexample = None
     for instance in instances:
+        checked += 1
         counterexample = check(instance)
         if counterexample is not None:
-            return LawReport(name=name, semiring=sr.id, status=FAIL,
-                             mode=mode, detail=fail_detail,
-                             counterexample=counterexample,
-                             meta=dict(fail_meta or {}))
-    return LawReport(name=name, semiring=sr.id, status=PASS, mode=mode,
-                     detail=detail, meta=dict(meta or {}))
+            break
+    meta = {"expected": expected, "instances": checked}
+    if mode == MODE_RANDOMIZED:
+        meta.update(seed=seed, trials=trials)
+    held = counterexample is None
+    return LawReport(name=name, semiring=sr.id, status=PASS if held else FAIL,
+                     mode=mode, detail=detail if held else fail_detail,
+                     counterexample=counterexample, meta=meta)
 
 
 def _unless(holds: bool, **counterexample) -> dict | None:
@@ -578,8 +587,10 @@ def check_weak_law(sr: Semiring, xsize: int = 2, trials: int = 50,
     support size at most two over all subsets of an xsize-element
     universe; nat weights up to value_bound).  qplus runs seeded random
     trials through the hull route.  Returns one report per diagram; the
-    unit triangle on the set side is expected to fail except over nat,
-    and its report carries meta["expected"] accordingly.
+    unit triangle on the set side walks every subset of the universe
+    and is expected, before it runs, to hold exactly where every subset
+    is convex (property A, nat only) or no subset has two elements
+    (xsize 1), and to fail elsewhere.
     """
     _check_ranges(xsize, trials)
     universe = list(SYMBOL_POOL[:xsize])
@@ -621,19 +632,19 @@ def check_weak_law(sr: Semiring, xsize: int = 2, trials: int = 50,
         eta_S_failure = "hull of one-element weightings contains their " \
                         "average, the plain set does not"
 
+    report = functools.partial(_law_report, sr=sr, mode=mode, seed=seed,
+                               trials=trials)
+    # eta_S walks every subset over every semiring; below xsize 2 none
+    # has the two elements it fails on.
+    holds = sr.hull_membership == HULL_LOOKUP or xsize < 2
     return [
-        _law_report("eta_P_triangle", sr, mode, phis, _eta_P_violation,
-                    meta={"instances": len(phis)}),
-        _law_report("mu_S_rectangle", sr, mode, xis, mu_S,
-                    meta={"instances": len(xis)}),
-        _law_report("mu_P_rectangle", sr, mode, thetas, mu_P,
-                    meta={"instances": len(thetas)}),
-        _law_report("eta_S_triangle", sr, mode, sets_pool,
+        report("eta_P_triangle", instances=phis, check=_eta_P_violation),
+        report("mu_S_rectangle", instances=xis, check=mu_S),
+        report("mu_P_rectangle", instances=thetas, check=mu_P),
+        _law_report("eta_S_triangle", sr, MODE_EXHAUSTIVE, sets_pool,
                     functools.partial(_eta_S_violation, sr),
-                    detail="triangle holds",
-                    meta={"instances": len(sets_pool), "expected": PASS},
-                    fail_detail=eta_S_failure,
-                    fail_meta={"expected": FAIL}),
+                    detail="triangle holds", fail_detail=eta_S_failure,
+                    expected=PASS if holds else FAIL),
     ]
 
 
@@ -708,8 +719,7 @@ def check_naturality(sr: Semiring, xsize: int = 3, trials: int = 50,
                      for _ in range(trials))
         delta = _law_report("delta_naturality", sr, MODE_RANDOMIZED,
                             instances, _naturality_violation_hull,
-                            meta={"trials": trials, "seed": seed},
-                            fail_meta={"trials": trials, "seed": seed})
+                            seed=seed, trials=trials)
     else:
         instances = _weight_one_instances(sr, delta_bruteforce, universe,
                                           (0, 1, 2))
@@ -724,9 +734,8 @@ def check_naturality(sr: Semiring, xsize: int = 3, trials: int = 50,
         functools.partial(_naturality_violation_listed, choice_set),
         detail="no violation found even after widening the search; "
                "this contradicts the expected non-naturality",
-        meta={"expected": FAIL},
         fail_detail="bare choice set is not natural; violation found",
-        fail_meta={"expected": FAIL})
+        expected=FAIL)
     return [delta, choice]
 
 
@@ -833,13 +842,11 @@ def pentagon_check(algebra: str, Phi: FinSupp) -> LawReport:
         ok = left == right
     else:
         raise ConvexmodError(f"unknown algebra {algebra!r}")
-    if ok:
-        return LawReport(name=f"pentagon:{algebra}", semiring=sr.id,
-                         status=PASS, mode=MODE_EXHAUSTIVE,
-                         meta={"left": left, "right": right})
-    return LawReport(name=f"pentagon:{algebra}", semiring=sr.id, status=FAIL,
-                     mode=MODE_EXHAUSTIVE,
-                     counterexample={"Phi": Phi, "left": left, "right": right})
+    return LawReport(name=f"pentagon:{algebra}", semiring=sr.id,
+                     status=PASS if ok else FAIL, mode=MODE_EXHAUSTIVE,
+                     counterexample=_unless(ok, Phi=Phi, left=left,
+                                            right=right),
+                     meta={"left": left, "right": right})
 
 
 def _carrier_sets(sr: Semiring, universe: Sequence[str]
@@ -889,6 +896,12 @@ def _random_interval_families(rng: random.Random, sr: Semiring,
         yield finsupp(sr, keys)
 
 
+def _sum_rule_violation(Phi: FinSupp) -> dict | None:
+    frozen = pentagon_check("interval", Phi)
+    got = frozen.meta["left"]
+    return _unless(frozen.passed and got == Interval(6, 8), got=got)
+
+
 def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
                        seed: int = 0) -> list[LawReport]:
     """Pentagon suite over one semiring.
@@ -918,12 +931,9 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
             "pentagon:free", sr, MODE_BOUNDED, Phis,
             lambda Phi: pentagon_check("free", Phi).counterexample,
             detail=f"{len(Phis)} weightings of {len(families)} families "
-                   f"over {len(carrier)} carrier sets",
-            meta={"expected": PASS, "instances": len(Phis)},
-            fail_meta={"expected": PASS})]
+                   f"over {len(carrier)} carrier sets")]
 
     rng = random.Random(seed)
-    meta = {"expected": PASS, "seed": seed}
     reports = []
     for algebra, instances in (
             ("free", _random_free_families(rng, sr, universe, trials)),
@@ -931,7 +941,7 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
         reports.append(_law_report(
             f"pentagon:{algebra}", sr, MODE_RANDOMIZED, instances,
             lambda Phi: pentagon_check(algebra, Phi).counterexample,
-            detail=f"{trials} random families", meta=meta, fail_meta=meta))
+            detail=f"{trials} random families", seed=seed, trials=trials))
         if not reports[-1].passed:
             return reports
 
@@ -939,15 +949,10 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
     # [5,6] must land on the endpoint sums [6, 8]
     Phi = finsupp(sr, [(set_key([Interval(1, 2)]), Fraction(1)),
                        (set_key([Interval(5, 6)]), Fraction(1))])
-    frozen = pentagon_check("interval", Phi)
-    want = Interval(6, 8)
-    sum_ok = frozen.passed and frozen.meta["left"] == want
-    reports.append(LawReport(
-        name="pentagon:interval:sum_rule", semiring=sr.id,
-        status=PASS if sum_ok else FAIL, mode=MODE_EXHAUSTIVE,
-        detail="[1,2] + [5,6] = [6,8]",
-        counterexample=None if sum_ok else {"got": frozen.meta.get("left")},
-        meta={"expected": PASS}))
+    detail = "[1,2] + [5,6] = [6,8]"
+    reports.append(_law_report(
+        "pentagon:interval:sum_rule", sr, MODE_EXHAUSTIVE, [Phi],
+        _sum_rule_violation, detail=detail, fail_detail=detail))
     return reports
 
 
@@ -1005,13 +1010,16 @@ def _fixed_point_violation(fam: tuple) -> dict | None:
 def trivial_lifting_fixed_points(xsize: int = 3) -> LawReport:
     """The induced idempotent on subsets of the powerset algebra sends
     a family to the singleton of its union; its fixed points should be
-    exactly the one-element families.  Checked exhaustively."""
+    exactly the one-element families.  Checked exhaustively; meta adds
+    ``families``, how many families there are, which ``instances``
+    reaches only when the report passes."""
     sets_pool = _sets_universe(list(SYMBOL_POOL[:xsize]))
     families = (fam for r in range(len(sets_pool) + 1)
                 for fam in itertools.combinations(sets_pool, r))
-    return _law_report("trivial_lifting_fixed_points", BOOL, MODE_EXHAUSTIVE,
-                       families, _fixed_point_violation,
-                       meta={"families": 2 ** len(sets_pool)})
+    report = _law_report("trivial_lifting_fixed_points", BOOL,
+                         MODE_EXHAUSTIVE, families, _fixed_point_violation)
+    return replace(report, meta={**report.meta,
+                                 "families": 2 ** len(sets_pool)})
 
 
 def _forward_image_violation(pair: tuple) -> dict | None:
@@ -1042,8 +1050,7 @@ def check_appendix_a(sr: Semiring = BOOL, xsize: int = 3
     detail = "E(R)({0}) = {1} differs from E(S)({0}) = {1, 2} for R in S"
     frozen = _law_report("appendixA:forward_image", BOOL, MODE_EXHAUSTIVE,
                          [(R, S)], _forward_image_violation, detail=detail,
-                         meta={"expected": PASS}, fail_detail=detail,
-                         fail_meta={"expected": PASS})
+                         fail_detail=detail)
     return [frozen, trivial_lifting_fixed_points(xsize)]
 
 

@@ -26,13 +26,12 @@ variables, and any other assignment factors through it, so no
 per-assignment quantification is needed.
 
 Rendering turns one-variable sets into closed intervals and
-two-variable sets into vertex lists ordered counterclockwise around
-the exact centroid.
+two-variable sets into vertex lists ordered counterclockwise from the
+lexicographically least vertex.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -400,22 +399,14 @@ def render_interval(A: ConvexSet, variables: Sequence[str] | None = None
     return (min(coords), max(coords))
 
 
-def _half(d: tuple[Fraction, Fraction]) -> int:
-    if d[1] > 0 or (d[1] == 0 and d[0] > 0):
-        return 0
-    return 1
-
-
-def _cross(a, b) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def render_polygon(A: ConvexSet, variables: Sequence[str] | None = None
                    ) -> list[tuple[Fraction, Fraction]] | None:
     """Vertices of a two-variable set: the canonical generators as
-    coordinate pairs, ordered counterclockwise around their exact
-    centroid starting from the lexicographically least vertex; ties on
-    equal angles break lexicographically.  None for the empty set."""
+    coordinate pairs, counterclockwise from the lexicographically least
+    vertex.  The generators are in convex position, so that order is
+    the sorted points on or below the line from the least point to the
+    greatest, then the ones above it in descending order.  None for the
+    empty set."""
     if A.semiring.hull_membership != HULL_EXACT_LP:
         raise ConvexmodError("polygon rendering needs the qplus semiring")
     if A.is_empty():
@@ -425,28 +416,13 @@ def render_polygon(A: ConvexSet, variables: Sequence[str] | None = None
         (Fraction(g.value(x)) if x is not None else Fraction(0),
          Fraction(g.value(y)) if y is not None else Fraction(0))
         for g in A.generators)
-    if len(pts) <= 2:
-        return pts
-    n = len(pts)
-    cx = sum(p[0] for p in pts) / n
-    cy = sum(p[1] for p in pts) / n
+    (x0, y0), (x1, y1) = pts[0], pts[-1]
 
-    def compare(p, q):
-        dp = (p[0] - cx, p[1] - cy)
-        dq = (q[0] - cx, q[1] - cy)
-        hp, hq = _half(dp), _half(dq)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cr = _cross(dp, dq)
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return -1 if p < q else (0 if p == q else 1)
+    def above(p):
+        return (x1 - x0) * (p[1] - y0) > (y1 - y0) * (p[0] - x0)
 
-    ordered = sorted(pts, key=functools.cmp_to_key(compare))
-    start = ordered.index(min(ordered))
-    return ordered[start:] + ordered[:start]
+    return ([p for p in pts if not above(p)]
+            + [p for p in reversed(pts) if above(p)])
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,34 @@ class TestLaws:
                    for line in lines)
         assert not any(line.startswith("BAD") for line in lines)
 
+    @pytest.mark.parametrize("semiring, options, violation", [
+        ("bool", ("--xsize", "2"), None),
+        ("qplus", ("--trials", "3"), None),
+        ("nat", ("--xsize", "1"), {"A": ("x",)})],
+        ids=["bool", "qplus", "nat"])
+    def test_eta_S_result_cannot_meet_its_own_expectation(
+            self, capsys, monkeypatch, semiring, options, violation):
+        """The unit triangle on the set side is expected to fail over
+        bool and qplus and to hold over nat, whatever the run finds: a
+        check that answers otherwise is reported BAD and exits 1."""
+        monkeypatch.setattr(distlaw, "_eta_S_violation",
+                            lambda sr, A: violation)
+        code, out, _ = run(capsys, "laws", "--suite", "weakdist",
+                           "--semiring", semiring, *options)
+        assert code == 1
+        bad = [line for line in out.splitlines() if line.startswith("BAD")]
+        assert len(bad) == 1 and " eta_S_triangle " in bad[0]
+
+    @pytest.mark.parametrize("semiring", ["bool", "qplus"])
+    def test_eta_S_holds_without_a_two_element_set(self, capsys, semiring):
+        """At xsize 1 no subset has two elements, so the unit triangle
+        on the set side is expected to hold over bool and qplus too."""
+        code, out, _ = run(capsys, "laws", "--suite", "weakdist",
+                           "--semiring", semiring, "--xsize", "1")
+        assert code == 0
+        assert any(line.startswith("ok  pass eta_S_triangle ")
+                   for line in out.splitlines())
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "laws", "--suite", "appendixA",
                            "--format", "csv")

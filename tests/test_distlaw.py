@@ -229,6 +229,16 @@ class TestNatFold:
             assert phi.entries == finsupp(NAT, list(phi.items())).entries
 
 
+class TestWeakCompositions:
+    def test_zero_parts(self):
+        assert list(distlaw.weak_compositions(0, 0)) == [()]
+        assert list(distlaw.weak_compositions(3, 0)) == []
+
+    def test_two_parts(self):
+        assert list(distlaw.weak_compositions(2, 2)) == [(0, 2), (1, 1),
+                                                         (2, 0)]
+
+
 class TestCompositionCount:
     def test_disjoint_sets_count_the_outputs(self):
         Phi = set_weighting(NAT, THREE_SETS)
@@ -331,8 +341,8 @@ class TestWeakLawSuites:
     @pytest.mark.parametrize("xsize", [1, 2])
     def test_bool_instance_count_matches_the_reports(self, xsize):
         reports = {r.name: r for r in check_weak_law(BOOL, xsize=xsize)}
-        # The failed eta_S report carries no count: it checks the
-        # 2^xsize subsets.
+        # eta_S walks the 2^xsize subsets, but at xsize 2 its failed
+        # report counts only those up to the counterexample.
         checked = 2 ** xsize + sum(
             reports[name].meta["instances"]
             for name in ("eta_P_triangle", "mu_S_rectangle",
@@ -502,6 +512,20 @@ class TestPentagon:
         with pytest.raises(ConvexmodError):
             pentagon_check("affine", fs_zero(QPLUS))
 
+    def test_failure_keeps_both_sides_in_meta(self, monkeypatch):
+        """A failed instance reports both sides in its counterexample and,
+        as a passed one does, in its meta."""
+        A = hull_canonicalize([fs_unit(QPLUS, "x")], QPLUS)
+        Phi = set_weighting(QPLUS, [((A,), 2)])
+        held = pentagon_check("free", Phi)
+        monkeypatch.setattr(distlaw, "cs_equal", lambda a, b: False)
+        r = pentagon_check("free", Phi)
+        assert (r.name, r.status, r.mode) == ("pentagon:free", FAIL,
+                                              "exhaustive")
+        assert r.counterexample == {"Phi": Phi, **held.meta}
+        assert r.meta == held.meta == {"left": held.meta["left"],
+                                       "right": held.meta["right"]}
+
 
 class TestLawReportDriver:
     @staticmethod
@@ -513,8 +537,7 @@ class TestLawReportDriver:
         return _law_report(
             "demo", QPLUS, "randomized", instances(),
             lambda i: {"i": i} if i == fail_at else None,
-            detail="all held", meta={"instances": 5},
-            fail_detail="one failed", fail_meta={"expected": PASS})
+            detail="all held", fail_detail="one failed", seed=3, trials=5)
 
     def test_first_counterexample_stops_drawing(self):
         drawn = []
@@ -523,14 +546,16 @@ class TestLawReportDriver:
         assert (r.name, r.semiring, r.status, r.mode) == (
             "demo", "qplus", FAIL, "randomized")
         assert r.counterexample == {"i": 2}
-        assert (r.detail, r.meta) == ("one failed", {"expected": PASS})
+        assert (r.detail, r.meta) == ("one failed", {
+            "expected": PASS, "instances": 3, "seed": 3, "trials": 5})
 
     def test_pass_reads_every_instance(self):
         drawn = []
         r = self._run(None, drawn)
         assert drawn == [0, 1, 2, 3, 4]
         assert r.status == PASS and r.counterexample is None
-        assert (r.detail, r.meta) == ("all held", {"instances": 5})
+        assert (r.detail, r.meta) == ("all held", {
+            "expected": PASS, "instances": 5, "seed": 3, "trials": 5})
 
     def test_only_a_usage_error_falls_back_to_text(self):
         """A tuple-keyed weighting has no JSON form and is printed; a
@@ -576,7 +601,8 @@ class TestPentagonSuite:
         failed = reports[-1]
         assert failed.status == FAIL and failed.detail == ""
         assert failed.mode == "randomized"
-        assert failed.meta == {"expected": PASS, "seed": 4}
+        assert failed.meta == {"expected": PASS, "instances": 1, "seed": 4,
+                               "trials": 5}
         assert list(failed.counterexample) == ["Phi"]
 
     def test_bool_bounded_exhaustive_passes(self):
@@ -623,6 +649,56 @@ class TestPentagonSuite:
     def test_nat_rejected(self):
         with pytest.raises(ConvexmodError, match="positive semifield"):
             check_pentagon_law(NAT)
+
+
+# The semirings each suite runs over, by suite name.
+SUITE_SEMIRINGS = {"weakdist": ("qplus", "bool", "nat"),
+                   "pentagon": ("qplus", "bool"),
+                   "naturality": ("qplus", "bool", "nat"),
+                   "appendixA": ("bool",)}
+
+
+class TestReportMetadata:
+    """Every report states what it expected, fixed before the run, and
+    how many instances it checked; a randomized one also its seed and
+    trials."""
+
+    def test_every_suite_is_listed(self):
+        assert list(SUITE_SEMIRINGS) == list(distlaw.SUITES)
+
+    @pytest.mark.parametrize("name, semiring", [
+        (name, sr) for name, srs in SUITE_SEMIRINGS.items() for sr in srs])
+    def test_meta_of_every_report(self, name, semiring):
+        random_trials = {"trials": 3} if semiring == "qplus" else {}
+        reports = run_laws(name, semiring, xsize=1, **random_trials)
+        assert reports
+        for r in reports:
+            assert list(r.meta)[:2] == ["expected", "instances"]
+            assert r.meta["expected"] in (PASS, FAIL)
+            assert r.meta["instances"] >= 1
+            assert r.status == r.meta["expected"]
+            if r.mode == "randomized":
+                assert (r.meta["seed"], r.meta["trials"]) == (0, 3)
+            else:
+                assert "seed" not in r.meta and "trials" not in r.meta
+
+    @pytest.mark.parametrize("sr, expected", [
+        (BOOL, FAIL), (QPLUS, FAIL), (NAT, PASS)],
+        ids=["bool", "qplus", "nat"])
+    def test_eta_S_expectation_does_not_follow_the_result(
+            self, monkeypatch, sr, expected):
+        monkeypatch.setattr(distlaw, "_eta_S_violation",
+                            lambda sr, A: None if expected == FAIL
+                            else {"A": A})
+        r = check_weak_law(sr, xsize=2, trials=2)[-1]
+        assert r.name == "eta_S_triangle"
+        assert r.meta["expected"] == expected != r.status
+
+    def test_failed_report_counts_its_counterexample(self):
+        r = {r.name: r for r in check_weak_law(BOOL, xsize=2)}[
+            "eta_S_triangle"]
+        # (), (x,), (y,) hold; (x, y) is the counterexample
+        assert r.meta["instances"] == 4
 
 
 class TestSuiteOptions:

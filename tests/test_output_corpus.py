@@ -11,7 +11,9 @@ A change that alters an output on purpose re-pins with
 
     PYTHONPATH=src python tests/test_output_corpus.py --write
 
-and says in its change notes which entries moved and why.
+and says in its change notes which entries moved and why.  With
+``--check`` instead of ``--write`` it lists the entries that are new,
+moved or dropped without writing, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -330,7 +332,8 @@ def test_output_pinned(name, argv, pins, corpus_dir, monkeypatch):
     assert run_entry(argv) == pins[name]
 
 
-def _write_pins() -> None:
+def _run_corpus() -> dict:
+    """Every entry's digests, run in a fresh directory of input files."""
     os.environ.pop("CONVEXMOD_SEED", None)
     pinned = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -342,22 +345,31 @@ def _write_pins() -> None:
                 pinned[name] = run_entry(argv)
         finally:
             os.chdir(here)
-    before = (json.loads(PINS.read_text(encoding="utf-8"))
-              if PINS.exists() else {})
-    PINS.write_text(json.dumps(pinned, indent=1) + "\n", encoding="utf-8")
-    print(f"pinned {len(pinned)} entries in {PINS}")
+    return pinned
+
+
+def _changes(before: dict, pinned: dict) -> list[str]:
+    """One line for each entry that is new, moved or dropped."""
     digest = ("exit", "stdout", "stderr")
+    lines = []
     for name, pin in pinned.items():
         if name not in before:
-            print(f"new: {name}")
+            lines.append(f"new: {name}")
         elif [pin[k] for k in digest] != [before[name].get(k) for k in digest]:
-            print(f"moved: {name}")
-    for name in before:
-        if name not in pinned:
-            print(f"dropped: {name}")
+            lines.append(f"moved: {name}")
+    lines.extend(f"dropped: {name}" for name in before if name not in pinned)
+    return lines
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_output_corpus.py --write")
-    _write_pins()
+    if sys.argv[1:] not in (["--write"], ["--check"]):
+        sys.exit("usage: python tests/test_output_corpus.py --write|--check")
+    pinned = _run_corpus()
+    before = (json.loads(PINS.read_text(encoding="utf-8"))
+              if PINS.exists() else {})
+    changes = _changes(before, pinned)
+    if sys.argv[1] == "--write":
+        PINS.write_text(json.dumps(pinned, indent=1) + "\n", encoding="utf-8")
+        print(f"pinned {len(pinned)} entries in {PINS}")
+    print("\n".join(changes) if changes else "no entry is new, moved or dropped")
+    sys.exit(1 if changes and sys.argv[1] == "--check" else 0)

@@ -315,23 +315,24 @@ class TestPolygonRendering:
         with pytest.raises(DimensionMismatchError):
             render_polygon(A)
 
-    def test_orientation_is_counterclockwise(self):
-        # every consecutive edge pair must turn left or go straight
-        rng = random.Random(7)
-        for _ in range(40):
-            gens = [finsupp(QPLUS, [("x", F(rng.randrange(0, 9))),
-                                    ("y", F(rng.randrange(0, 9)))])
-                    for _ in range(rng.randrange(1, 7))]
-            A = hull_canonicalize(gens, QPLUS)
-            pts = render_polygon(A, ("x", "y"))
-            n = len(pts)
-            if n < 3:
-                continue
-            for i in range(n):
-                a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
-                cross = ((b[0] - a[0]) * (c[1] - b[1])
-                         - (b[1] - a[1]) * (c[0] - b[0]))
-                assert cross > 0
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.fractions(0, 6, max_denominator=3),
+                              st.fractions(0, 6, max_denominator=3)),
+                    min_size=1, max_size=9))
+    def test_orientation_is_counterclockwise(self, points):
+        """The vertices are the generator points, start at the least one,
+        and every cyclic triple turns strictly left."""
+        A = hull_canonicalize([finsupp(QPLUS, [("x", px), ("y", py)])
+                               for px, py in points], QPLUS)
+        pts = render_polygon(A, ("x", "y"))
+        assert sorted(pts) == sorted(
+            (F(g.value("x")), F(g.value("y"))) for g in A.generators)
+        assert pts[0] == min(pts)
+        n = len(pts)
+        for i in range(n if n >= 3 else 0):
+            a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
+            assert ((b[0] - a[0]) * (c[1] - b[1])
+                    - (b[1] - a[1]) * (c[0] - b[0])) > 0
 
 
 class TestTermEqual:

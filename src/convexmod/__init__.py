@@ -32,7 +32,6 @@ from .convex import (
     cs_join,
     cs_join_all,
     cs_scale,
-    cs_to_csv,
     cs_zero,
     extreme_points,
     hull_canonicalize,

@@ -35,11 +35,12 @@ import json
 import os
 import sys
 
-from .convex import ConvexSet, cs_compare, cs_equal, cs_from_json, cs_to_csv
+from .convex import ConvexSet, cs_compare, cs_equal, cs_from_json
 from .distlaw import SUITES, run_delta, run_laws, set_weighting
 from .errors import ConvexmodError, InternalError, ParseError
 from .semiring import HULL_EXACT_LP, get_semiring
 from .terms import (
+    check_declared,
     eval_term,
     parse,
     render_interval,
@@ -71,6 +72,15 @@ def _parse_vars(arg: str | None) -> list[str]:
 def _fmt_gen(g, sr) -> str:
     fmt = sr.format_scalar
     return "{" + ", ".join([f"{k}: {fmt(v)}" for k, v in g.entries]) + "}"
+
+
+def _generators_csv(gens, sr, columns) -> str:
+    """One row per generator under a header of ``columns``: the
+    generator's value on each column, zero where it has none."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(sr.format_scalar(g.value(c)) for c in columns)
+                 for g in gens)
+    return "\n".join(lines) + "\n"
 
 
 def _describe_set(A: ConvexSet, variables: list[str]) -> dict:
@@ -108,7 +118,7 @@ def _plot_csv(d: dict, A: ConvexSet, variables: list[str]) -> str:
         header = ",".join(variables)
         rows = d["vertices"] or []
         return "\n".join([header] + [",".join(v) for v in rows]) + "\n"
-    return cs_to_csv(A, variables or None)
+    return _generators_csv(A.generators, A.semiring, variables)
 
 
 def _plot_text(d: dict, A: ConvexSet) -> str:
@@ -267,11 +277,7 @@ def _cmd_delta(args, out) -> int:
         print(json.dumps(d), file=out)
     elif args.format == "csv":
         symbols = sorted({x for g in gens for x in g.support()})
-        lines = [",".join(symbols)]
-        for g in gens:
-            lines.append(",".join(sr.format_scalar(g.value(s))
-                                  for s in symbols))
-        print("\n".join(lines), file=out)
+        out.write(_generators_csv(gens, sr, symbols))
         if compare is not None:
             print(f"compare,{str(compare['agree']).lower()}", file=out)
     else:
@@ -293,8 +299,8 @@ def _cmd_render(args, out) -> int:
         if args.semiring not in (None, sr.id):
             raise ConvexmodError(f"--semiring {args.semiring} does not match "
                                  f"the {sr.id} set in {args.set_json}")
-        variables = _parse_vars(args.vars) or sorted(
-            {x for g in A.generators for x in g.support()})
+        variables = _parse_vars(args.vars) or list(A.support())
+        check_declared(A, variables)
     elif args.term:
         sr = get_semiring(args.semiring or "qplus")
         variables = _parse_vars(args.vars)

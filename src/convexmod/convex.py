@@ -28,9 +28,10 @@ output-sensitive geometric algorithms", FOCS 1994).  The generators
 become integer LP columns, built once per call from their entries:
 values on the sorted union support plus the row of ones, all scaled by
 the lcm of every denominator, so comparing the integers compares the
-rationals.  A list E of extreme points found so far starts with the
-lexicographically greatest column, and every other generator is tested
-against hull(E) only.  Inside hull(E), which lies in the hull of the
+rationals.  This is the one place a rational system becomes integers;
+``exactlp`` takes integer systems only.  A list E of extreme points
+found so far starts with the lexicographically greatest column, and
+every other generator is tested against hull(E) only.  Inside hull(E), which lies in the hull of the
 input, it is not extreme and is dropped.  Outside, it comes with a
 functional y separating it from hull(E): a signed unit coordinate when
 it is strictly above, or strictly below, every column of E on one row
@@ -387,20 +388,3 @@ def cs_join_all(sets: Sequence[ConvexSet], sr: Semiring) -> ConvexSet:
         gens.extend(s.generators)
     return hull_canonicalize(gens, sr)
 
-
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
-
-def cs_to_csv(A: ConvexSet, variables: Sequence[str] | None = None) -> str:
-    """One generator per row; columns are the sorted variable set."""
-    if variables is None:
-        variables = [k for k in A.support()]
-        if not all(isinstance(v, str) for v in variables):
-            raise ConvexmodError("CSV needs symbol-keyed generators")
-    header = ",".join(str(v) for v in variables)
-    lines = [header]
-    for g in A.generators:
-        lines.append(",".join(
-            A.semiring.format_scalar(g.value(v)) for v in variables))
-    return "\n".join(lines) + "\n"

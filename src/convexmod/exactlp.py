@@ -2,63 +2,56 @@
 
 Decides whether target = sum_j lambda_j * column_j has a solution with
 all lambda_j >= 0.  Convex-hull membership reduces to this with one
-extra homogenizing row of ones (forcing sum lambda = 1); that encoding
-is the caller's business, this module only sees columns and a target
-of equal dimension.
+extra homogenizing row of ones (forcing sum lambda = 1); that encoding,
+and scaling a rational system to integers, is the caller's business:
+this module only sees integer columns and an integer target of equal
+dimension.
 
-The system is read once into Python ints (times the lcm L of its
-denominators) and solved by the textbook phase-1: one artificial
-variable per row, minimize their sum, pivot with Bland's anti-cycling
-rule (smallest eligible entering index; smallest ratio, then smallest
-basic index, on leaving).  Bland's rule guarantees termination.
+The system is solved by the textbook phase-1: one artificial variable
+per row, minimize their sum, pivot with Bland's anti-cycling rule
+(smallest eligible entering index; smallest ratio, then smallest basic
+index, on leaving).  Bland's rule guarantees termination.
 
 The tableau holds Python ints.  Rows whose target coordinate is
 negative are negated so the right-hand side is nonnegative.  The
 artificial columns stay the unit vectors, so the tableau starts as an
 integer matrix over the basis I and pivots fraction-free (Bareiss,
 Math. Comp. 1968): one positive common denominator D, every update
-divided exactly by the previous pivot.  Because only the artificial
-columns are left unscaled, an entry is the textbook (``Fraction``) one
-times D, times L in rows whose basic variable is artificial, divided
-by L in artificial columns.  These positive factors cancel in the
-ratio test (compared by cross multiplication) and are common to the
-rows a reduced cost sums over: a column has a negative reduced cost
-iff that sum exceeds 0 (real) or D (artificial).  So every entering
-and leaving choice, and every witness, is the one the textbook tableau
-gives.
+divided exactly by the previous pivot, so an entry is the textbook
+(``Fraction``) one times D.  That factor cancels in the ratio test
+(compared by cross multiplication) and is common to the rows a reduced
+cost sums over: a column has a negative reduced cost iff that sum
+exceeds 0 (real) or D (artificial).  So every entering and leaving
+choice, and every witness, is the one the textbook tableau gives.
 
-Both answers carry evidence checked before they are returned.  A
-witness ``B_i / D`` is re-substituted into the system as handed in,
-multiplied through by D: D > 0, every B_i >= 0 and sum_j B_j a_j = D b.
-That is integer arithmetic when the entries are integers, as the qplus
-route hands them in; ``Fraction`` weights are built only for the
-returned witness.  A "no" comes with a Farkas certificate y: the
-phase-1 dual read off the artificial columns, checked in integers
-against the scaled system: y.a_j <= 0 for every column and y.b > 0.  A
-failed check is an ``InternalError``.
+Both answers carry evidence checked in integers against the system
+before they are returned.  A witness ``B_i / D`` is re-substituted,
+multiplied through by D: D > 0, every B_i >= 0 and sum_j B_j a_j = D b;
+``Fraction`` weights are built only for the returned witness.  A "no"
+comes with a Farkas certificate y, the phase-1 dual read off the
+artificial columns: y.a_j <= 0 for every column and y.b > 0.  A failed
+check is an ``InternalError``.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .errors import ConvexmodError, DimensionMismatchError, InternalError
+from .errors import DimensionMismatchError, InternalError
 
-Vector = tuple[Fraction | int, ...]
+Vector = tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
 class FeasibilitySystem:
-    """Columns and target of the feasibility question, exact rationals.
+    """Integer columns and target of the feasibility question.
 
     ``columns[j][i]`` is the i-th coordinate of the j-th generator
     column; ``target[i]`` the i-th coordinate of the right-hand side.
-    Entries are ``Fraction`` or ``int``; a caller that has already
-    scaled its system to integers hands the ints over as they are.
+    Every entry is an ``int``: the caller scales a rational system to
+    integers first, so any other entry is a bug in the package.
     """
 
     columns: tuple[Vector, ...]
@@ -66,27 +59,15 @@ class FeasibilitySystem:
 
     def __post_init__(self):
         dim = len(self.target)
-        for col in self.columns:
-            if len(col) != dim:
+        for vec in (self.target, *self.columns):
+            if len(vec) != dim:
                 raise DimensionMismatchError(
-                    f"column of dimension {len(col)} in a system of "
+                    f"column of dimension {len(vec)} in a system of "
                     f"dimension {dim}")
-
-
-def _exact(v: object) -> Fraction | int:
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-        raise ConvexmodError(
-            f"system entries must be int or Fraction, got {v!r}")
-    return v
-
-
-def make_system(columns: Sequence[Sequence[Fraction | int]],
-                target: Sequence[Fraction | int]) -> FeasibilitySystem:
-    """A system from exact entries; anything but an int or a Fraction
-    (a float, a bool, a string) is rejected, never converted."""
-    cols = tuple(tuple(_exact(v) for v in col) for col in columns)
-    tgt = tuple(_exact(v) for v in target)
-    return FeasibilitySystem(columns=cols, target=tgt)
+            for v in vec:
+                if type(v) is not int:
+                    raise InternalError(
+                        f"system entries must be int, got {v!r}")
 
 
 def feasible(sys_: FeasibilitySystem,
@@ -98,15 +79,13 @@ def feasible(sys_: FeasibilitySystem,
     Farkas certificate has been checked against the system.  A caller
     that passes a list as ``certificate`` receives that checked
     certificate in it on a "no": integers y with y.a_j <= 0 for every
-    column and y.b > 0 (a positive scaling of the system keeps both
-    signs, so it holds for the system as handed in).
+    column and y.b > 0.
     """
     if not sys_.target:
         return [Fraction(0)] * len(sys_.columns)
-    columns, target = _integral(sys_)
-    solution, y = _phase1(columns, target)
+    solution, y = _phase1(sys_.columns, sys_.target)
     if solution is None:
-        _check_certificate(columns, target, y)
+        _check_certificate(sys_.columns, sys_.target, y)
         if certificate is not None:
             certificate[:] = y
         return None
@@ -115,23 +94,7 @@ def feasible(sys_: FeasibilitySystem,
     return [Fraction(v, denominator) for v in values]
 
 
-def _integral(sys_: FeasibilitySystem
-              ) -> tuple[list[list[int]], list[int]]:
-    """The system times the lcm of its denominators: integer columns
-    and target with the same solutions and the same Farkas
-    certificates."""
-    scale = lcm(*(v.denominator for v in sys_.target),
-                *(v.denominator for col in sys_.columns for v in col))
-    if scale == 1:
-        return ([[v.numerator for v in col] for col in sys_.columns],
-                [v.numerator for v in sys_.target])
-    columns = [[v.numerator * (scale // v.denominator) for v in col]
-               for col in sys_.columns]
-    target = [v.numerator * (scale // v.denominator) for v in sys_.target]
-    return columns, target
-
-
-def _phase1(columns: list[list[int]], target: list[int]):
+def _phase1(columns: Sequence[Sequence[int]], target: Sequence[int]):
     """Phase-1 simplex on an integer system.
 
     Returns ``((values, D), None)`` with lambda_j = values[j] / D when
@@ -230,9 +193,9 @@ def _check_certificate(columns: Sequence[Sequence[int]],
 def _assert_witness(sys_: FeasibilitySystem, values: Sequence[int],
                     denominator: int) -> None:
     """Exact re-substitution of the witness ``values[j] / denominator``
-    into the system as handed in, multiplied through by the
-    denominator: D > 0, every value >= 0, and sum_j values[j] * a_j[i]
-    == D * b[i] on every row.  Raises on any discrepancy."""
+    into the system, multiplied through by the denominator: D > 0,
+    every value >= 0, and sum_j values[j] * a_j[i] == D * b[i] on every
+    row.  Raises on any discrepancy."""
     if len(values) != len(sys_.columns):
         raise InternalError("witness length mismatch")
     if denominator <= 0:

@@ -29,7 +29,7 @@ keys do not change, so the entries stay sorted and distinct.
 The monad structure lives here too:
 
 * ``fs_unit``  - the Dirac function centred on one key,
-* ``fs_map``   - pushforward along a key function, summing over fibres,
+* ``fs_map``   - pushforward along a key table, summing over fibres,
 * ``fs_mult``  - flatten a weighting-of-weightings by weighted
   pointwise sum,
 
@@ -39,7 +39,7 @@ together with the pointwise semimodule operations ``fs_add``,
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
 
 from .errors import ConvexmodError, SemiringMismatchError, UnmappedSymbolError
@@ -202,25 +202,19 @@ def _check_same_semiring(a: FinSupp, b: FinSupp) -> Semiring:
     return a.semiring
 
 
-def fs_map(f: Mapping[Key, Key] | Callable[[Key], Key],
-           phi: FinSupp) -> FinSupp:
-    """Pushforward of ``phi`` along ``f``, summing over fibres.
+def fs_map(f: Mapping[Key, Key], phi: FinSupp) -> FinSupp:
+    """Pushforward of ``phi`` along the table ``f``, summing over fibres.
 
-    The result maps y to the sum of phi(x) over all x with f(x) = y.
+    The result maps y to the sum of phi(x) over all x with f[x] = y.
     ``f`` must cover the whole support of ``phi``.
     """
-    if callable(f) and not isinstance(f, Mapping):
-        lookup = f
-    else:
-        table = dict(f)
-
-        def lookup(x: Key) -> Key:
-            try:
-                return table[x]
-            except KeyError:
-                raise UnmappedSymbolError(
-                    f"symbol {x!r} not covered by the function table"
-                ) from None
+    def lookup(x: Key) -> Key:
+        try:
+            return f[x]
+        except KeyError:
+            raise UnmappedSymbolError(
+                f"symbol {x!r} not covered by the function table"
+            ) from None
 
     return finsupp(phi.semiring, ((lookup(k), v) for k, v in phi.entries))
 

@@ -366,15 +366,21 @@ def synthesize_term(A: ConvexSet) -> Term:
 # rendering
 # ---------------------------------------------------------------------------
 
+def check_declared(A: ConvexSet, variables: Sequence[str]) -> None:
+    """Refuse a set whose generators mention a symbol outside
+    ``variables``; the least such symbol is named."""
+    stray = [x for x in A.support() if x not in variables]
+    if stray:
+        raise DimensionMismatchError(
+            f"set mentions {stray[0]!r}, not a declared variable")
+
+
 def _render_variables(A: ConvexSet, variables, arity: int) -> list[str]:
-    derived = sorted({x for g in A.generators for x in g.support()})
-    if variables is not None:
-        declared = list(variables)
-        stray = [x for x in derived if x not in declared]
-        if stray:
-            raise DimensionMismatchError(
-                f"set mentions {stray[0]!r}, not a declared variable")
-        derived = declared
+    if variables is None:
+        derived = list(A.support())
+    else:
+        check_declared(A, variables)
+        derived = list(variables)
     if len(derived) > arity:
         raise DimensionMismatchError(
             f"need at most {arity} variables, set has {len(derived)}")

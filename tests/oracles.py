@@ -60,7 +60,6 @@ from typing import Sequence
 from convexmod.convex import ConvexSet, cs_zero, hull_canonicalize
 from convexmod.errors import ConvexmodError, SemiringMismatchError
 from convexmod.distlaw import weak_compositions
-from convexmod.exactlp import FeasibilitySystem
 from convexmod.freemod import (FinSupp, finsupp, fs_add, fs_scale, fs_zero,
                                sorted_unique)
 from convexmod.semiring import Scalar, Semiring
@@ -187,11 +186,14 @@ def feasible_by_elimination(
     return None
 
 
-def feasible_by_fraction_simplex(sys_):
+def feasible_by_fraction_simplex(
+        columns: Sequence[Sequence[Fraction]],
+        target: Sequence[Fraction]):
     """Phase-1 simplex over Fractions (int entries are read as
-    Fractions): a witness list or None."""
-    m = len(sys_.target)
-    n = len(sys_.columns)
+    Fractions) on the system as given, unscaled: a witness list or
+    None."""
+    m = len(target)
+    n = len(columns)
 
     if m == 0:
         return [Fraction(0)] * n
@@ -201,9 +203,9 @@ def feasible_by_fraction_simplex(sys_):
     rows: list[list[Fraction]] = []
     b: list[Fraction] = []
     for i in range(m):
-        sign = -1 if sys_.target[i] < 0 else 1
-        rows.append([sign * Fraction(sys_.columns[j][i]) for j in range(n)])
-        b.append(sign * Fraction(sys_.target[i]))
+        sign = -1 if target[i] < 0 else 1
+        rows.append([sign * Fraction(columns[j][i]) for j in range(n)])
+        b.append(sign * Fraction(target[i]))
 
     # Append the artificial identity block: tableau is m x (n + m).
     total = n + m
@@ -322,9 +324,7 @@ def qplus_member_by_fraction_simplex(gens, phi) -> bool:
     keys = sorted({k for g in list(gens) + [phi] for k in g.support()})
     columns = [[g.value(k) for k in keys] + [Fraction(1)] for g in gens]
     target = [phi.value(k) for k in keys] + [Fraction(1)]
-    return feasible_by_fraction_simplex(
-        FeasibilitySystem(tuple(map(tuple, columns)), tuple(target))
-    ) is not None
+    return feasible_by_fraction_simplex(columns, target) is not None
 
 
 def bool_member_by_supports(gens, phi) -> bool:

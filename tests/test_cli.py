@@ -839,6 +839,26 @@ class TestRender:
         assert out == ""
         assert err == "error: ConvexSet JSON must be an object\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("semiring, variables", [
+        ("qplus", "x"), ("qplus", "x,y"), ("qplus", "x,y,z"),
+        ("bool", "x"), ("bool", "x,y,z"), ("nat", "x,y")])
+    def test_set_json_undeclared_symbol_refused(self, capsys, tmp_path,
+                                                semiring, variables, fmt):
+        # Every kind and format refuses alike; a CSV over the declared
+        # columns alone would drop the w coordinate.
+        p = tmp_path / "set.json"
+        p.write_text(json.dumps({"semiring": semiring, "generators": [
+            {"x": "1", "w": "1"}]}), encoding="utf-8")
+        code, out, err = run(capsys, "render", "--format", fmt, "--vars",
+                             variables, "--set-json", str(p))
+        assert (code, out) == (2, "")
+        message = "set mentions 'w', not a declared variable"
+        if fmt == "json":
+            assert json.loads(err) == {"error": message, "kind": "usage"}
+        else:
+            assert err == f"error: {message}\n"
+
 
 class TestFileInput:
     """``delta --phi`` and ``render --set-json`` read their file alike:

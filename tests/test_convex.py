@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexmod import convex
+from convexmod.cli import _generators_csv
 from convexmod.convex import (
     cs_add,
     cs_compare,
@@ -15,14 +16,13 @@ from convexmod.convex import (
     cs_from_json,
     cs_join,
     cs_scale,
-    cs_to_csv,
     cs_zero,
     extreme_points,
     hull_canonicalize,
     member,
 )
 from convexmod.errors import SemiringMismatchError
-from convexmod.exactlp import feasible, make_system
+from convexmod.exactlp import feasible
 from convexmod.freemod import (
     finsupp,
     fs_add,
@@ -233,13 +233,13 @@ def _counting_feasible(calls):
 
 
 def _fraction_system(gens, rest, i):
-    """gens[i] in hull(gens[j] for j in rest) as a system over the
-    generators' own Fraction values, unscaled."""
+    """gens[i] in hull(gens[j] for j in rest) as a ``(columns, target)``
+    pair over the generators' own Fraction values, unscaled."""
     keys = sorted({k for g in gens for k in g.support()})
 
     def column(g):
         return tuple(g.value(k) for k in keys) + (F(1),)
-    return make_system([column(gens[j]) for j in rest], column(gens[i]))
+    return [column(gens[j]) for j in rest], column(gens[i])
 
 
 class TestCoordinateSeparation:
@@ -267,7 +267,7 @@ class TestCoordinateSeparation:
                 if len(calls) == before:
                     assert not answer
                     assert feasible_by_fraction_simplex(
-                        _fraction_system(gens, rest, i)) is None
+                        *_fraction_system(gens, rest, i)) is None
             reference = canonical_by_fixpoint(gens,
                                               qplus_member_by_elimination)
             assert hull_canonicalize(gens, QPLUS).generators == reference
@@ -698,7 +698,7 @@ class TestSerialization:
     def test_csv_vertices(self):
         A = hull_canonicalize([qsupp([("x", 1), ("y", 2)]),
                                qsupp([("x", 3)])])
-        text = cs_to_csv(A)
+        text = _generators_csv(A.generators, A.semiring, A.support())
         lines = text.strip().split("\n")
         assert lines[0] == "x,y"
         assert set(lines[1:]) == {"1,2", "3,0"}

@@ -1,22 +1,17 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexmod.errors import (
-    ConvexmodError,
-    DimensionMismatchError,
-    InternalError,
-)
+from convexmod.errors import DimensionMismatchError, InternalError
 from convexmod.exactlp import (
     FeasibilitySystem,
     _assert_witness,
     _check_certificate,
-    _integral,
     _phase1,
     feasible,
-    make_system,
 )
 
 from oracles import feasible_by_elimination, feasible_by_fraction_simplex
@@ -30,53 +25,65 @@ def ones_row(vectors):
     return [tuple(v) + (F(1),) for v in vectors]
 
 
-def farkas_certificate(sys_):
-    """The dual the kernel reads off an infeasible tableau, after the
-    kernel's own check; then re-checked here over Fractions."""
-    columns, target = _integral(sys_)
-    solution, y = _phase1(columns, target)
+def integral(columns, target):
+    """The kernel's input for a rational system: every entry times the
+    lcm of all denominators, the integer twin ``convex`` hands over.
+    A positive scaling keeps the solutions and the Farkas
+    certificates."""
+    scale = lcm(*(F(v).denominator for v in target),
+                *(F(v).denominator for col in columns for v in col))
+    return FeasibilitySystem(
+        tuple(tuple(int(v * scale) for v in col) for col in columns),
+        tuple(int(v * scale) for v in target))
+
+
+def farkas_certificate(columns, target):
+    """The dual the kernel reads off the infeasible tableau of the
+    integer twin, after the kernel's own check; then re-checked here
+    over Fractions against the rational system."""
+    sys_ = integral(columns, target)
+    solution, y = _phase1(sys_.columns, sys_.target)
     assert solution is None
-    _check_certificate(columns, target, y)
-    for col in sys_.columns:
+    _check_certificate(sys_.columns, sys_.target, y)
+    for col in columns:
         assert sum(yk * v for yk, v in zip(y, col)) <= 0
-    assert sum(yk * v for yk, v in zip(y, sys_.target)) > 0
+    assert sum(yk * v for yk, v in zip(y, target)) > 0
     return y
 
 
 class TestExamples:
     def test_target_is_a_generator(self):
-        sys_ = make_system([(1, 0, 1)], (1, 0, 1))
+        sys_ = integral([(1, 0, 1)], (1, 0, 1))
         assert feasible(sys_) == [F(1)]
 
     def test_midpoint_of_two_generators(self):
         g1, g2 = (F(0), F(0)), (F(2), F(4))
         cols = ones_row([g1, g2])
         target = (F(1), F(2), F(1))
-        witness = feasible(make_system(cols, target))
+        witness = feasible(integral(cols, target))
         assert witness == [F(1, 2), F(1, 2)]
 
     def test_point_beyond_segment_is_infeasible(self):
         g1, g2 = (F(0), F(0)), (F(2), F(4))
         cols = ones_row([g1, g2])
         target = (F(3), F(6), F(1))
-        assert feasible(make_system(cols, target)) is None
-        farkas_certificate(make_system(cols, target))
+        assert feasible(integral(cols, target)) is None
+        farkas_certificate(cols, target)
 
     def test_no_columns_cannot_meet_ones_row(self):
-        sys_ = make_system([], (F(1),))
-        assert feasible(sys_) is None
-        assert farkas_certificate(sys_) == [1]
+        assert feasible(integral([], (F(1),))) is None
+        assert farkas_certificate([], (F(1),)) == [1]
 
     def test_zero_dimensional_system(self):
-        sys_ = make_system([], ())
+        sys_ = integral([], ())
         assert feasible(sys_) == []
 
     def test_zero_target_takes_zero_witness(self):
-        sys_ = make_system([(1, 2), (3, 4)], (0, 0))
+        sys_ = integral([(1, 2), (3, 4)], (0, 0))
         assert feasible(sys_) == [F(0), F(0)]
 
     def test_negative_entries_accepted(self):
-        sys_ = make_system([(-1, 1), (1, 1)], (0, 1))
+        sys_ = integral([(-1, 1), (1, 1)], (0, 1))
         witness = feasible(sys_)
         assert witness is not None
         assert -witness[0] + witness[1] == 0
@@ -86,13 +93,12 @@ class TestExamples:
 class TestContracts:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            FeasibilitySystem(((F(1), F(2)),), (F(1),))
+            FeasibilitySystem(((1, 2),), (1,))
 
     def test_witness_resubstitutes_exactly(self):
         cols = [(F(1), F(3), F(1)), (F(2), F(1), F(1)), (F(5), F(5), F(1))]
         target = (F(2), F(2), F(1))
-        sys_ = make_system(cols, target)
-        witness = feasible(sys_)
+        witness = feasible(integral(cols, target))
         assert witness is not None
         for i in range(3):
             assert sum(w * cols[j][i]
@@ -100,31 +106,32 @@ class TestContracts:
         assert all(w >= 0 for w in witness)
 
     def test_tampered_certificate_raises(self):
-        sys_ = make_system(ones_row([(F(0),), (F(2),)]), (F(3), F(1)))
-        columns, target = _integral(sys_)
-        y = farkas_certificate(sys_)
+        cols, target = ones_row([(F(0),), (F(2),)]), (F(3), F(1))
+        sys_ = integral(cols, target)
+        y = farkas_certificate(cols, target)
         with pytest.raises(InternalError, match="column"):
-            _check_certificate(columns, target, [-v for v in y])
+            _check_certificate(sys_.columns, sys_.target, [-v for v in y])
         with pytest.raises(InternalError, match="separate"):
-            _check_certificate(columns, target, [0] * len(y))
+            _check_certificate(sys_.columns, sys_.target, [0] * len(y))
 
     def test_tampered_lift_raises(self):
         # Row 0 forces column 0 to weight 0; row 1 is then infeasible on
         # its own.  A certificate with 1 on row 1 must put at most -5 on
         # row 0 to cover column 0's entry 5 there.
-        sys_ = make_system([(1, 5, 1), (0, 0, 1)], (0, 3, 1))
-        columns, target = _integral(sys_)
-        farkas_certificate(sys_)
+        cols, target = [(1, 5, 1), (0, 0, 1)], (0, 3, 1)
+        sys_ = integral(cols, target)
+        farkas_certificate(cols, target)
         for forcing_entry in (0, -4):
             with pytest.raises(InternalError, match="column 0"):
-                _check_certificate(columns, target, [forcing_entry, 1, 0])
+                _check_certificate(sys_.columns, sys_.target,
+                                   [forcing_entry, 1, 0])
 
     def test_forced_column_gets_zero_weight(self):
-        sys_ = make_system([(2, 1, 1), (0, 1, 1), (0, 3, 1)], (0, 2, 1))
+        sys_ = integral([(2, 1, 1), (0, 1, 1), (0, 3, 1)], (0, 2, 1))
         assert feasible(sys_) == [F(0), F(1, 2), F(1, 2)]
 
     def test_tampered_witness_raises(self):
-        sys_ = make_system([(1, 1), (3, 1)], (2, 1))
+        sys_ = integral([(1, 1), (3, 1)], (2, 1))
         witness = feasible(sys_)
         assert witness == [F(1, 2), F(1, 2)]
         # The witnesses [1/3, 2/3] and [2, -1/3], as values over D = 3.
@@ -135,18 +142,20 @@ class TestContracts:
         with pytest.raises(InternalError, match="denominator"):
             _assert_witness(sys_, [-1, -1], -2)
 
-    @pytest.mark.parametrize("entry", [0.1, 1.0, True, "1/2"])
+    @pytest.mark.parametrize("entry", [0.1, 1.0, True, "1/2", F(1, 2)])
     def test_inexact_entries_rejected(self, entry):
-        with pytest.raises(ConvexmodError, match="int or Fraction"):
-            make_system([(entry, 1)], (1, 1))
-        with pytest.raises(ConvexmodError, match="int or Fraction"):
-            make_system([(1, 1)], (entry, 1))
+        # The kernel takes integer systems only; any other entry is a
+        # bug in the package, never bad input.
+        with pytest.raises(InternalError, match="must be int"):
+            FeasibilitySystem(((entry, 1),), (1, 1))
+        with pytest.raises(InternalError, match="must be int"):
+            FeasibilitySystem(((1, 1),), (entry, 1))
 
     def test_determinism(self):
         cols = [(1, 0, 1), (0, 1, 1), (2, 2, 1), (1, 1, 1)]
         target = (F(3, 4), F(3, 4), F(1))
-        first = feasible(make_system(cols, target))
-        second = feasible(make_system(cols, target))
+        first = feasible(integral(cols, target))
+        second = feasible(integral(cols, target))
         assert first == second
 
 
@@ -156,11 +165,11 @@ vectors3 = st.tuples(small, small, small)
 class TestOracleAgreement:
     @given(st.lists(vectors3, min_size=1, max_size=3), vectors3)
     def test_matches_elimination_oracle(self, cols, target):
-        verdict = feasible(make_system(cols, target))
+        verdict = feasible(integral(cols, target))
         oracle = feasible_by_elimination(cols, target)
         assert (verdict is None) == (oracle is None)
         if verdict is None:
-            farkas_certificate(make_system(cols, target))
+            farkas_certificate(cols, target)
         else:
             for i in range(3):
                 assert sum(w * cols[j][i]
@@ -181,7 +190,7 @@ class TestOracleAgreement:
             sum(w * g[i] for w, g in zip(weights, gens)) for i in range(2)
         ) + (F(1),)
         cols = ones_row(gens)
-        assert feasible(make_system(cols, target)) is not None
+        assert feasible(integral(cols, target)) is not None
 
 
 entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -191,7 +200,9 @@ entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 def systems(draw):
     """1-5 rows, 0-7 columns, entries negative, zero and fractional;
     half the time with a homogenizing row of ones, as hull membership
-    builds them, so feasible systems are common too."""
+    builds them, so feasible systems are common too.  A rational
+    ``(columns, target)`` pair; the kernel gets its ``integral`` twin,
+    the oracles the pair itself."""
     rows = draw(st.integers(1, 5))
     width = draw(st.integers(0, 7))
     hull = draw(st.booleans())
@@ -199,24 +210,25 @@ def systems(draw):
     vec = st.lists(entries, min_size=free, max_size=free)
     cols = [draw(vec) + ([F(1)] if hull else []) for _ in range(width)]
     target = draw(vec) + ([F(1)] if hull else [])
-    return make_system(cols, target)
+    return cols, target
 
 
 class TestFractionSimplexAgreement:
     @settings(max_examples=150)
     @given(systems())
-    def test_identical_witness_or_none(self, sys_):
+    def test_identical_witness_or_none(self, system):
+        sys_ = integral(*system)
         y = []
         verdict = feasible(sys_, certificate=y)
-        reference = feasible_by_fraction_simplex(sys_)
+        reference = feasible_by_fraction_simplex(*system)
         assert verdict == reference
         if verdict is None:
             # The caller receives the certificate the kernel checked;
             # negated, it fails the check.
-            assert y == farkas_certificate(sys_)
-            columns, target = _integral(sys_)
+            assert y == farkas_certificate(*system)
             with pytest.raises(InternalError):
-                _check_certificate(columns, target, [-v for v in y])
+                _check_certificate(sys_.columns, sys_.target,
+                                   [-v for v in y])
         else:
             assert y == []
 
@@ -254,7 +266,7 @@ def planted_row_systems(draw):
     if hull:
         cols = [col + [F(1)] for col in cols]
         target.append(F(1))
-    return make_system(cols, target)
+    return cols, target
 
 
 class TestPresolveAgreement:
@@ -265,19 +277,20 @@ class TestPresolveAgreement:
         # Row 2 forces column 1, yet column 1 is Bland's first entering
         # choice; the path ends at another vertex than the system
         # without row 2 and column 1 would give, [0, 0, 1/11, 3/11].
-        sys_ = make_system([(3, 3, 0), (-3, 1, 2), (-2, 3, 0),
-                            (-3, -1, 0)], (-1, 0, 0))
+        cols = [(3, 3, 0), (-3, 1, 2), (-2, 3, 0), (-3, -1, 0)]
+        target = (-1, 0, 0)
         witness = [F(1, 6), F(0), F(0), F(1, 2)]
-        assert feasible(sys_) == feasible_by_fraction_simplex(sys_) == witness
+        assert (feasible(integral(cols, target))
+                == feasible_by_fraction_simplex(cols, target) == witness)
 
     @settings(max_examples=150)
     @given(planted_row_systems())
-    def test_identical_witness_or_none(self, sys_):
-        verdict = feasible(sys_)
-        reference = feasible_by_fraction_simplex(sys_)
+    def test_identical_witness_or_none(self, system):
+        verdict = feasible(integral(*system))
+        reference = feasible_by_fraction_simplex(*system)
         assert verdict == reference
         if verdict is None:
-            farkas_certificate(sys_)
+            farkas_certificate(*system)
 
 
 class TestReturnedCertificate:
@@ -286,12 +299,13 @@ class TestReturnedCertificate:
     covers random systems)."""
 
     def test_beyond_segment(self):
-        sys_ = make_system(ones_row([(F(0),), (F(2),)]), (F(3), F(1)))
+        cols, target = ones_row([(F(0),), (F(2),)]), (F(3), F(1))
+        sys_ = integral(cols, target)
         y = []
         assert feasible(sys_, certificate=y) is None
-        assert y == farkas_certificate(sys_) == [1, -2]
-        columns, target = _integral(sys_)
+        assert y == farkas_certificate(cols, target) == [1, -2]
         # y is 0 on the column (2, 1); raising its first entry makes
         # that column positive.
         with pytest.raises(InternalError, match="column 1"):
-            _check_certificate(columns, target, [y[0] + 1, y[1]])
+            _check_certificate(sys_.columns, sys_.target,
+                               [y[0] + 1, y[1]])

@@ -102,6 +102,8 @@ FILES = {
     "set_bool.json": json.dumps({"semiring": "bool", "generators": [
         {"x": "1"}, {"y": "1"}]}),
     "set_array.json": json.dumps([1, 2]),
+    "set_undeclared.json": json.dumps({"semiring": "qplus", "generators": [
+        {"x": "1", "w": "2"}]}),
     "set_padded.json": json.dumps(_padded_qplus_set()),
 }
 
@@ -280,6 +282,13 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
         "phi_nat_fraction.json")
     add("error-delta-qplus-bad-literal", "delta", "--phi",
         "phi_bad_rational.json")
+    # a set with a symbol outside --vars: refused in every kind and
+    # format, where the CSV of the declared columns used to drop it
+    for fmt in FORMATS:
+        add(f"error-render-undeclared-{fmt}", "render", "--format", fmt,
+            "--vars", "x,y,z", "--set-json", "set_undeclared.json")
+    add("error-render-undeclared-bool-csv", "render", "--format", "csv",
+        "--vars", "x", "--set-json", "set_bool.json")
     return out
 
 

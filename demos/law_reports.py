@@ -12,7 +12,7 @@ from convexmod import BOOL, NAT, QPLUS, check_pentagon_law, check_weak_law
 
 print("rewrite compatibility over bool (two symbols):")
 for r in check_weak_law(BOOL, xsize=2):
-    mark = "ok " if r.status == r.meta["expected"] else "BAD"
+    mark = "ok " if r.met else "BAD"
     print(f"  {mark} {r.status:4s} {r.name}")
     if r.counterexample is not None:
         print("       counterexample:", r.counterexample)

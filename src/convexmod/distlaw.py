@@ -31,9 +31,10 @@ checker for composite algebras, the Barr extension of a relation, and
 the deliberately naive extension that sends a relation R to the
 function A |-> {y : exists a in A with a R y} together with its
 one-point weak law.  Each suite only draws its instances and states a
-per-instance check; one driver, ``_law_report``, runs the checks and
-builds every report.  A leg that resolves a weighting of convex sets
-calls ``composite.alpha``, the library's one weighted Minkowski sum.
+per-instance check; the package's one law driver, ``report.law_report``,
+runs the checks and builds every report but ``pentagon_check``'s.  A
+leg that resolves a weighting of convex sets calls ``composite.alpha``,
+the library's one weighted Minkowski sum.
 
 How far an enumeration may grow is one table, ``LIMITS``: every suite
 and every route of ``run_delta`` counts what it would walk, without
@@ -79,6 +80,7 @@ from .report import (
     MODE_EXHAUSTIVE,
     MODE_RANDOMIZED,
     PASS,
+    law_report,
 )
 from .semiring import (BOOL, HULL_EXACT_LP, HULL_JOIN_COVER, HULL_LOOKUP,
                        Scalar, Semiring, get_semiring)
@@ -381,37 +383,8 @@ def delta_witness_check(Phi: FinSupp, phi: FinSupp,
 
 
 # ---------------------------------------------------------------------------
-# the suite driver and shared instance pools
+# shared instance pools
 # ---------------------------------------------------------------------------
-
-def _law_report(name: str, sr: Semiring, mode: str, instances: Iterable,
-                check: Callable[[Any], dict | None], detail: str = "",
-                fail_detail: str = "", expected: str = PASS,
-                seed: int | None = None, trials: int | None = None
-                ) -> LawReport:
-    """Run one law over its instances in order: ``check`` maps an
-    instance to None where the law holds, else to a counterexample.
-    The first counterexample ends the run, drawing no later instance,
-    with a FAIL report carrying ``fail_detail``; otherwise the report
-    passes with ``detail``.  Every report's meta holds the ``expected``
-    outcome, fixed before the run, and the number of instances checked,
-    a counterexample included; a randomized one also its ``seed`` and
-    ``trials``."""
-    checked = 0
-    counterexample = None
-    for instance in instances:
-        checked += 1
-        counterexample = check(instance)
-        if counterexample is not None:
-            break
-    meta = {"expected": expected, "instances": checked}
-    if mode == MODE_RANDOMIZED:
-        meta.update(seed=seed, trials=trials)
-    held = counterexample is None
-    return LawReport(name=name, semiring=sr.id, status=PASS if held else FAIL,
-                     mode=mode, detail=detail if held else fail_detail,
-                     counterexample=counterexample, meta=meta)
-
 
 def _unless(holds: bool, **counterexample) -> dict | None:
     """A check's verdict on one instance: None when the law holds,
@@ -632,7 +605,7 @@ def check_weak_law(sr: Semiring, xsize: int = 2, trials: int = 50,
         eta_S_failure = "hull of one-element weightings contains their " \
                         "average, the plain set does not"
 
-    report = functools.partial(_law_report, sr=sr, mode=mode, seed=seed,
+    report = functools.partial(law_report, sr=sr, mode=mode, seed=seed,
                                trials=trials)
     # eta_S walks every subset over every semiring; below xsize 2 none
     # has the two elements it fails on.
@@ -641,10 +614,10 @@ def check_weak_law(sr: Semiring, xsize: int = 2, trials: int = 50,
         report("eta_P_triangle", instances=phis, check=_eta_P_violation),
         report("mu_S_rectangle", instances=xis, check=mu_S),
         report("mu_P_rectangle", instances=thetas, check=mu_P),
-        _law_report("eta_S_triangle", sr, MODE_EXHAUSTIVE, sets_pool,
-                    functools.partial(_eta_S_violation, sr),
-                    detail="triangle holds", fail_detail=eta_S_failure,
-                    expected=PASS if holds else FAIL),
+        law_report("eta_S_triangle", sr, MODE_EXHAUSTIVE, sets_pool,
+                   functools.partial(_eta_S_violation, sr),
+                   detail="triangle holds", fail_detail=eta_S_failure,
+                   expected=PASS if holds else FAIL),
     ]
 
 
@@ -717,19 +690,19 @@ def check_naturality(sr: Semiring, xsize: int = 3, trials: int = 50,
         instances = ((_random_qplus_weighting(rng, sr, sets_pool, 3),
                       {x: rng.choice(universe) for x in universe})
                      for _ in range(trials))
-        delta = _law_report("delta_naturality", sr, MODE_RANDOMIZED,
-                            instances, _naturality_violation_hull,
-                            seed=seed, trials=trials)
+        delta = law_report("delta_naturality", sr, MODE_RANDOMIZED,
+                           instances, _naturality_violation_hull,
+                           seed=seed, trials=trials)
     else:
         instances = _weight_one_instances(sr, delta_bruteforce, universe,
                                           (0, 1, 2))
-        delta = _law_report("delta_naturality", sr, MODE_BOUNDED, instances,
-                            functools.partial(_naturality_violation_listed,
-                                              delta_bruteforce))
+        delta = law_report("delta_naturality", sr, MODE_BOUNDED, instances,
+                           functools.partial(_naturality_violation_listed,
+                                             delta_bruteforce))
     search = (instance for size in range(max(2, xsize), 7)
               for instance in _weight_one_instances(
                   sr, choice_set, SYMBOL_POOL[:size], (1, 2, 3)))
-    choice = _law_report(
+    choice = law_report(
         "choice_naturality", sr, MODE_BOUNDED, search,
         functools.partial(_naturality_violation_listed, choice_set),
         detail="no violation found even after widening the search; "
@@ -927,7 +900,7 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
         families = [set_key(F) for r in range(0, 3)
                     for F in itertools.combinations(carrier, r)]
         Phis = weightings_over(sr, families, 2, None)
-        return [_law_report(
+        return [law_report(
             "pentagon:free", sr, MODE_BOUNDED, Phis,
             lambda Phi: pentagon_check("free", Phi).counterexample,
             detail=f"{len(Phis)} weightings of {len(families)} families "
@@ -938,7 +911,7 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
     for algebra, instances in (
             ("free", _random_free_families(rng, sr, universe, trials)),
             ("interval", _random_interval_families(rng, sr, trials))):
-        reports.append(_law_report(
+        reports.append(law_report(
             f"pentagon:{algebra}", sr, MODE_RANDOMIZED, instances,
             lambda Phi: pentagon_check(algebra, Phi).counterexample,
             detail=f"{trials} random families", seed=seed, trials=trials))
@@ -950,7 +923,7 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
     Phi = finsupp(sr, [(set_key([Interval(1, 2)]), Fraction(1)),
                        (set_key([Interval(5, 6)]), Fraction(1))])
     detail = "[1,2] + [5,6] = [6,8]"
-    reports.append(_law_report(
+    reports.append(law_report(
         "pentagon:interval:sum_rule", sr, MODE_EXHAUSTIVE, [Phi],
         _sum_rule_violation, detail=detail, fail_detail=detail))
     return reports
@@ -1016,8 +989,8 @@ def trivial_lifting_fixed_points(xsize: int = 3) -> LawReport:
     sets_pool = _sets_universe(list(SYMBOL_POOL[:xsize]))
     families = (fam for r in range(len(sets_pool) + 1)
                 for fam in itertools.combinations(sets_pool, r))
-    report = _law_report("trivial_lifting_fixed_points", BOOL,
-                         MODE_EXHAUSTIVE, families, _fixed_point_violation)
+    report = law_report("trivial_lifting_fixed_points", BOOL,
+                        MODE_EXHAUSTIVE, families, _fixed_point_violation)
     return replace(report, meta={**report.meta,
                                  "families": 2 ** len(sets_pool)})
 
@@ -1048,9 +1021,9 @@ def check_appendix_a(sr: Semiring = BOOL, xsize: int = 3
     R = Relation((0, 1, 2), (0, 1, 2), ((0, 1),))
     S = Relation((0, 1, 2), (0, 1, 2), ((0, 1), (0, 2)))
     detail = "E(R)({0}) = {1} differs from E(S)({0}) = {1, 2} for R in S"
-    frozen = _law_report("appendixA:forward_image", BOOL, MODE_EXHAUSTIVE,
-                         [(R, S)], _forward_image_violation, detail=detail,
-                         fail_detail=detail)
+    frozen = law_report("appendixA:forward_image", BOOL, MODE_EXHAUSTIVE,
+                        [(R, S)], _forward_image_violation, detail=detail,
+                        fail_detail=detail)
     return [frozen, trivial_lifting_fixed_points(xsize)]
 
 

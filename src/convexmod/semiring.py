@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Iterable, Iterator
 
@@ -48,6 +49,7 @@ from .report import (
     MODE_BY_THEOREM,
     MODE_EXHAUSTIVE,
     PASS,
+    law_report,
 )
 
 Scalar = Any  # int for bool/nat, Fraction for qplus
@@ -56,8 +58,6 @@ Scalar = Any  # int for bool/nat, Fraction for qplus
 HULL_EXACT_LP = "exact_lp"      # rational convex hull: linear feasibility
 HULL_JOIN_COVER = "join_cover"  # closure under binary joins of supports
 HULL_LOOKUP = "lookup"          # every subset is convex: literal lookup
-
-PROPERTY_TAGS = ("positive", "semifield", "refinable", "A", "B", "C", "D", "E")
 
 # ``Fraction`` reads "1e5000" by building 10**5000, before any check.
 _EXPONENT = re.compile(r"[eE][-+]?\d")
@@ -375,68 +375,50 @@ def _pairs_summing_to(sr: Semiring, values: list[Scalar],
     return [(x, y) for x in values for y in values if sr.add(x, y) == d]
 
 
-def _check_positive(sr: Semiring, values: list[Scalar]) -> dict | None:
-    for a, b in itertools.product(values, repeat=2):
-        if sr.is_zero(sr.add(a, b)) and not (sr.is_zero(a) and sr.is_zero(b)):
-            return {"a": a, "b": b, "a+b": sr.add(a, b)}
-    return None
+# Each property's check of one instance returns None where the property
+# holds, else the counterexample; a witness is searched in ``values``.
+
+def _positive(sr: Semiring, values, a, b) -> dict | None:
+    if sr.is_zero(sr.add(a, b)) and not (sr.is_zero(a) and sr.is_zero(b)):
+        return {"a": a, "b": b, "a+b": sr.add(a, b)}
 
 
-def _check_semifield(sr: Semiring, values: list[Scalar]) -> dict | None:
-    for a in values:
-        if sr.is_zero(a):
-            continue
-        if not any(sr.mul(a, x) == sr.one and sr.mul(x, a) == sr.one
-                   for x in values):
-            return {"a": a, "detail": "no inverse among enumerated values"}
-    return None
+def _semifield(sr: Semiring, values, a) -> dict | None:
+    if not sr.is_zero(a) and not any(
+            sr.mul(a, x) == sr.one == sr.mul(x, a) for x in values):
+        return {"a": a, "detail": "no inverse among enumerated values"}
 
 
-def _check_refinable(sr: Semiring, values: list[Scalar]) -> dict | None:
-    # Witness search factors: (x,y) must sum to a and (z,t) to b, so
-    # enumerate those two pair sets instead of the full quadruple grid.
-    by_sum: dict[Scalar, list[tuple[Scalar, Scalar]]] = {}
-    for x, y in itertools.product(values, repeat=2):
-        by_sum.setdefault(sr.add(x, y), []).append((x, y))
-    for a, b, c, d in itertools.product(values, repeat=4):
-        if sr.add(a, b) != sr.add(c, d):
-            continue
-        found = any(
+def _refinable(sr: Semiring, values, a, b, c, d) -> dict | None:
+    """A witness's rows (x, y) and (z, t) must sum to a and b, so only
+    those two pair lists are searched, not the quadruple grid."""
+    if sr.add(a, b) == sr.add(c, d) and not any(
             sr.add(x, z) == c and sr.add(y, t) == d
-            for x, y in by_sum.get(a, ())
-            for z, t in by_sum.get(b, ()))
-        if not found:
-            return {"a": a, "b": b, "c": c, "d": d}
-    return None
+            for (x, y), (z, t) in itertools.product(
+                _pairs_summing_to(sr, values, a),
+                _pairs_summing_to(sr, values, b))):
+        return {"a": a, "b": b, "c": c, "d": d}
 
 
-def _check_A(sr: Semiring, values: list[Scalar]) -> dict | None:
-    for a, b in itertools.product(values, repeat=2):
-        if sr.add(a, b) == sr.one and not (sr.is_zero(a) or sr.is_zero(b)):
-            return {"a": a, "b": b, "a+b": sr.one}
-    return None
+def _A(sr: Semiring, values, a, b) -> dict | None:
+    if sr.add(a, b) == sr.one and not (sr.is_zero(a) or sr.is_zero(b)):
+        return {"a": a, "b": b, "a+b": sr.one}
 
 
-def _check_B(sr: Semiring, values: list[Scalar]) -> dict | None:
-    for a, b in itertools.product(values, repeat=2):
-        if sr.is_zero(sr.mul(a, b)) and not (sr.is_zero(a) or sr.is_zero(b)):
-            return {"a": a, "b": b}
-    return None
+def _B(sr: Semiring, values, a, b) -> dict | None:
+    if sr.is_zero(sr.mul(a, b)) and not (sr.is_zero(a) or sr.is_zero(b)):
+        return {"a": a, "b": b}
 
 
-def _check_C(sr: Semiring, values: list[Scalar]) -> dict | None:
-    for a, b, c in itertools.product(values, repeat=3):
-        if sr.add(a, b) == sr.add(a, c) and b != c:
-            return {"a": a, "b": b, "c": c,
-                    "a+b": sr.add(a, b), "a+c": sr.add(a, c)}
-    return None
+def _C(sr: Semiring, values, a, b, c) -> dict | None:
+    if sr.add(a, b) == sr.add(a, c) and b != c:
+        return {"a": a, "b": b, "c": c,
+                "a+b": sr.add(a, b), "a+c": sr.add(a, c)}
 
 
-def _check_D(sr: Semiring, values: list[Scalar]) -> dict | None:
-    for a, b in itertools.product(values, repeat=2):
-        if not any(sr.add(a, x) == b or sr.add(b, x) == a for x in values):
-            return {"a": a, "b": b}
-    return None
+def _D(sr: Semiring, values, a, b) -> dict | None:
+    if not any(sr.add(a, x) == b or sr.add(b, x) == a for x in values):
+        return {"a": a, "b": b}
 
 
 def _weightings(sr: Semiring, values: list[Scalar], count: int,
@@ -458,36 +440,25 @@ def _weightings(sr: Semiring, values: list[Scalar], count: int,
     yield from rec((), count, sr.zero)
 
 
-def _check_E(sr: Semiring, values: list[Scalar]) -> dict | None:
+def _E(sr: Semiring, values, a, b, c, d) -> dict | None:
     """a+b = cd implies a weighting t over {(x,y) : x+y = d} with
     marginal sums a, b and total weight c.  The function space for t is
     enumerated over the same finite value list."""
-    for a, b, c, d in itertools.product(values, repeat=4):
-        if sr.add(a, b) != sr.mul(c, d):
-            continue
-        pairs = _pairs_summing_to(sr, values, d)
-        found = False
-        for weights in _weightings(sr, values, len(pairs), c):
-            wx = sr.sum(sr.mul(w, x) for w, (x, _) in zip(weights, pairs))
-            wy = sr.sum(sr.mul(w, y) for w, (_, y) in zip(weights, pairs))
-            if wx == a and wy == b:
-                found = True
-                break
-        if not found:
-            return {"a": a, "b": b, "c": c, "d": d, "pairs": pairs}
-    return None
+    if sr.add(a, b) != sr.mul(c, d):
+        return None
+    pairs = _pairs_summing_to(sr, values, d)
+    for weights in _weightings(sr, values, len(pairs), c):
+        wx = sr.sum(sr.mul(w, x) for w, (x, _) in zip(weights, pairs))
+        wy = sr.sum(sr.mul(w, y) for w, (_, y) in zip(weights, pairs))
+        if wx == a and wy == b:
+            return None
+    return {"a": a, "b": b, "c": c, "d": d, "pairs": pairs}
 
 
-_PROPERTY_CHECKS = {
-    "positive": _check_positive,
-    "semifield": _check_semifield,
-    "refinable": _check_refinable,
-    "A": _check_A,
-    "B": _check_B,
-    "C": _check_C,
-    "D": _check_D,
-    "E": _check_E,
-}
+# Every property: the number of scalars in one instance, and its check.
+_PROPERTIES = {"positive": (2, _positive), "semifield": (1, _semifield),
+               "refinable": (4, _refinable), "A": (2, _A), "B": (2, _B),
+               "C": (3, _C), "D": (2, _D), "E": (4, _E)}
 
 # Properties certified for qplus by construction, each with its argument.
 _QPLUS_BY_THEOREM = {
@@ -505,36 +476,35 @@ def check_property(sr: Semiring, prop: str,
                    bound: int | None = None) -> LawReport:
     """Decide one semiring property for one instance.
 
-    bool is enumerated fully; nat over {0..bound}; qplus is certified
-    by a stock argument for the properties listed above and refuted on
-    property A by the fixed instance 1/2 + 1/2 = 1.  Unsupported
+    bool is enumerated fully; nat over {0..bound}, and meta adds the
+    ``bound``; qplus is certified by a stock argument for the
+    properties listed above, over no instance, and checked on property
+    A at the one frozen instance 1/2, 1/2.  The expected outcome is a
+    pass exactly for the ``declared_properties``.  Unsupported
     combinations raise "no decision procedure".
     """
-    if prop not in PROPERTY_TAGS:
+    if prop not in _PROPERTIES:
         raise NoDecisionProcedureError(
             f"no decision procedure: unknown property {prop!r}")
-
-    if sr.enumeration is None:
-        if prop == "A":
-            half = Fraction(1, 2)
-            return LawReport(
-                name=f"property:{prop}", semiring=sr.id, status=FAIL,
-                mode=MODE_EXHAUSTIVE,
-                detail="refuted by the fixed counterexample 1/2 + 1/2 = 1",
-                counterexample={"a": half, "b": half, "a+b": Fraction(1)})
-        if prop in _QPLUS_BY_THEOREM:
-            return LawReport(
-                name=f"property:{prop}", semiring=sr.id, status=PASS,
-                mode=MODE_BY_THEOREM, detail=_QPLUS_BY_THEOREM[prop])
+    arity, check = _PROPERTIES[prop]
+    values, detail, fail_detail = [], "", ""
+    if sr.enumeration is not None:
+        mode = sr.enumeration
+        values = sr.carrier(bound)
+        instances: Iterable = itertools.product(values, repeat=arity)
+    elif prop == "A":
+        mode, instances = MODE_EXHAUSTIVE, [(Fraction(1, 2), Fraction(1, 2))]
+        fail_detail = "refuted by the fixed counterexample 1/2 + 1/2 = 1"
+    elif prop in _QPLUS_BY_THEOREM:
+        mode, instances, detail = MODE_BY_THEOREM, (), _QPLUS_BY_THEOREM[prop]
+    else:
         raise NoDecisionProcedureError(
-            f"no decision procedure for property {prop!r} over qplus")
-
-    values = sr.carrier(bound)
-    witness = _PROPERTY_CHECKS[prop](sr, values)
-    mode = sr.enumeration
-    meta = {"bound": bound} if mode == MODE_BOUNDED else {}
-    if witness is None:
-        return LawReport(name=f"property:{prop}", semiring=sr.id,
-                         status=PASS, mode=mode, meta=meta)
-    return LawReport(name=f"property:{prop}", semiring=sr.id, status=FAIL,
-                     mode=mode, counterexample=witness, meta=meta)
+            f"no decision procedure for property {prop!r} over {sr.id}")
+    report = law_report(
+        f"property:{prop}", sr, mode, instances,
+        lambda instance: check(sr, values, *instance), detail=detail,
+        fail_detail=fail_detail,
+        expected=PASS if prop in sr.declared_properties else FAIL)
+    if mode == MODE_BOUNDED:
+        return replace(report, meta={**report.meta, "bound": bound})
+    return report

@@ -432,7 +432,7 @@ class TestLaws:
         def refuse(*_args, **_kwargs):
             raise AssertionError("suite ran on an out-of-range xsize")
         for name in ("weightings_over", "_random_qplus_weighting",
-                     "_law_report", "trivial_lifting_fixed_points"):
+                     "law_report", "trivial_lifting_fixed_points"):
             monkeypatch.setattr(f"convexmod.distlaw.{name}", refuse)
         code, out, err = run(capsys, "laws", "--suite", suite,
                              "--xsize", xsize)
@@ -913,6 +913,37 @@ class TestUsage:
         code, _, err = run(capsys, "eval", "--vars", ",", "x")
         assert code == 2
         assert "empty variable list" in err
+
+    @pytest.mark.parametrize("argv, entry", [
+        (["eval", "x", "--vars", "x,"], "entry 2 of --vars 'x,'"),
+        (["eval", "x | y", "--vars", "x,,y"], "entry 2 of --vars 'x,,y'"),
+        (["eval", "x | y", "--vars", "x, ,y"], "entry 2 of --vars 'x, ,y'"),
+        (["eval", "x", "--vars", ",x"], "entry 1 of --vars ',x'"),
+        (["eval", "x", "--vars", "x,,x"], "entry 2 of --vars 'x,,x'"),
+        (["eq", "--vars", "x,y,", "x", "y"], "entry 3 of --vars 'x,y,'"),
+        (["render", "--vars", "x,,y", "x | y"], "entry 2 of --vars 'x,,y'"),
+    ], ids=["eval_trailing", "eval_double", "eval_blank", "eval_leading",
+            "eval_before_duplicate", "eq", "render"])
+    def test_empty_var_name_rejected(self, capsys, argv, entry):
+        """An empty name is refused, not dropped: the run used to go on
+        as if the entry had never been given."""
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: empty variable name: {entry}\n"
+
+    def test_empty_var_name_in_render_set_json(self, capsys, tmp_path):
+        p = tmp_path / "set.json"
+        p.write_text(json.dumps({
+            "semiring": "qplus", "generators": [{"x": "2"}, {"y": "5"}],
+        }), encoding="utf-8")
+        code, out, err = run(capsys, "render", "--set-json", str(p),
+                             "--vars", "x,y,", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "empty variable name: entry 3 of --vars 'x,y,'",
+            "kind": "usage"}
 
     @pytest.mark.parametrize("argv, name", [
         (["eval", "x", "--vars", "x,x"], "x"),

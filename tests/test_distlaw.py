@@ -14,7 +14,6 @@ from convexmod.distlaw import (
     IV_EMPTY,
     Interval,
     Relation,
-    _law_report,
     barr_extend,
     check_appendix_a,
     check_naturality,
@@ -40,7 +39,7 @@ from convexmod.distlaw import (
 )
 from convexmod.errors import ConvexmodError, InternalError, NotSemifieldError
 from convexmod.freemod import finsupp, fs_map, fs_unit, fs_zero
-from convexmod.report import FAIL, PASS, LawReport
+from convexmod.report import FAIL, PASS, LawReport, law_report
 from convexmod.semiring import BOOL, NAT, QPLUS
 from oracles import nat_law_by_slice_products
 
@@ -534,7 +533,7 @@ class TestLawReportDriver:
             for i in range(5):
                 drawn.append(i)
                 yield i
-        return _law_report(
+        return law_report(
             "demo", QPLUS, "randomized", instances(),
             lambda i: {"i": i} if i == fail_at else None,
             detail="all held", fail_detail="one failed", seed=3, trials=5)

@@ -289,6 +289,11 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
             "--vars", "x,y,z", "--set-json", "set_undeclared.json")
     add("error-render-undeclared-bool-csv", "render", "--format", "csv",
         "--vars", "x", "--set-json", "set_bool.json")
+    # an empty name in --vars is refused, where it used to be dropped
+    add("error-empty-var-name-eval", "eval", "--vars", "x,", "x")
+    add("error-empty-var-name-eq-json", "eq", "--format", "json", "--vars",
+        "x,,y", "x", "y")
+    add("error-empty-var-name-render", "render", "--vars", "x, ,y", "x | y")
     return out
 
 

@@ -1,4 +1,5 @@
 import ast
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ from convexmod.errors import (
     NotRefinementInstanceError,
     NotSemifieldError,
 )
+from convexmod import semiring
 from convexmod.semiring import (
     BOOL,
     HULL_LOOKUP,
@@ -182,6 +184,66 @@ class TestCheckProperty:
         assert d["status"] == "fail"
         assert d["counterexample"]["a"] == "1/2"
 
+    @pytest.mark.parametrize("srid,prop", sorted(EXPECTED_MATRIX))
+    def test_report_meets_its_declared_expectation(self, srid, prop):
+        """The expected outcome comes from ``declared_properties``,
+        before the run; the meta also counts the instances checked."""
+        sr = get_semiring(srid)
+        report = check_property(sr, prop, bound=10)
+        assert report.met
+        expected = "pass" if prop in sr.declared_properties else "fail"
+        assert list(report.meta)[:2] == ["expected", "instances"]
+        assert report.meta["expected"] == expected
+        if srid == "nat":
+            assert report.meta["bound"] == 10
+        else:
+            assert "bound" not in report.meta
+
+    @pytest.mark.parametrize("srid,prop", sorted(EXPECTED_MATRIX))
+    def test_every_report_serializes(self, srid, prop):
+        report = check_property(get_semiring(srid), prop, bound=10)
+        d = json.loads(json.dumps(report.to_json_dict()))
+        assert (d["law"], d["semiring"]) == (f"property:{prop}", srid)
+        assert d["meta"]["expected"] == report.meta["expected"]
+
+    @pytest.mark.parametrize("prop,instances", [
+        ("positive", 4), ("semifield", 2), ("refinable", 16), ("B", 4),
+        ("D", 4), ("E", 16)])
+    def test_bool_pass_walks_every_instance(self, prop, instances):
+        assert check_property(BOOL, prop).meta["instances"] == instances
+
+    def test_nat_pass_walks_every_instance_up_to_the_bound(self):
+        report = check_property(NAT, "C", bound=3)
+        assert report.meta == {"expected": "pass", "instances": 4 ** 3,
+                               "bound": 3}
+
+    def test_qplus_A_runs_the_check_on_one_instance(self):
+        report = check_property(QPLUS, "A")
+        assert (report.status, report.mode) == ("fail", "exhaustive")
+        assert report.meta == {"expected": "fail", "instances": 1}
+        assert report.counterexample == {
+            "a": Fraction(1, 2), "b": Fraction(1, 2), "a+b": Fraction(1)}
+
+    def test_qplus_A_verdict_comes_from_the_check(self, monkeypatch):
+        """With the A check made to hold everywhere, the frozen instance
+        no longer refutes it: the report passes, against its
+        expectation."""
+        monkeypatch.setitem(semiring._PROPERTIES, "A",
+                            (2, lambda sr, values, a, b: None))
+        report = check_property(QPLUS, "A")
+        assert report.passed
+        assert not report.met
+        assert report.counterexample is None
+        assert report.meta == {"expected": "fail", "instances": 1}
+
+    @pytest.mark.parametrize("prop", ["positive", "semifield", "refinable",
+                                      "B", "E"])
+    def test_qplus_by_theorem_runs_no_instance(self, prop):
+        report = check_property(QPLUS, prop)
+        assert (report.status, report.mode) == ("pass", "by_theorem")
+        assert report.detail
+        assert report.meta == {"expected": "pass", "instances": 0}
+
 
 class TestScalarIO:
     def test_parse_and_format_roundtrip(self):
@@ -247,6 +309,30 @@ class TestHandleFacts:
             if pattern.search(line)]
         assert found == []
 
+    def test_law_reports_built_by_the_driver_only(self):
+        """Every ``LawReport`` comes from ``report.law_report``, which
+        fixes its metadata, except the pentagon instance check's, whose
+        sides a benchmark reads."""
+        src = Path(__file__).resolve().parents[1] / "src" / "convexmod"
+        found = sorted(
+            (path.name, owner)
+            for path in src.glob("*.py")
+            for owner in law_report_builders(
+                ast.parse(path.read_text(encoding="utf-8"))))
+        assert found == [("distlaw.py", "pentagon_check"),
+                         ("report.py", "law_report")]
+
+    def test_builder_scan_names_each_caller(self):
+        code = """
+top = LawReport(name="a")
+def outer():
+    def inner():
+        return report.LawReport(name="b")
+    return LawReport(name="c"), LawReports(), make(LawReport)
+"""
+        assert law_report_builders(ast.parse(code)) == [
+            "<module>", "inner", "outer"]
+
     def test_no_module_hashes_a_sort_key(self):
         """Dedup dicts and sets key on the values, whose hash is cached;
         hashing an ``_skey`` would rehash every nested scalar."""
@@ -271,6 +357,25 @@ d = {self._skey: 1}
 ok = self._skey == other._skey and sorted(xs, key=lambda p: p._skey)
 """
         assert skey_hash_sites(ast.parse(code)) == [2, 3, 4, 5, 5, 6, 8, 9]
+
+
+def law_report_builders(tree: ast.AST) -> list[str]:
+    """The name of the innermost function around each ``LawReport(...)``
+    call, in source order; ``<module>`` outside any function."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "LawReport":
+                    found.append(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(tree, "<module>")
+    return found
 
 
 HASHING_CALLS = {"hash", "set", "frozenset", "fromkeys", "add",

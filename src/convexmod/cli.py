@@ -54,9 +54,8 @@ EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141
 
 
-def _parse_vars(arg: str | None) -> list[str]:
-    if not arg:
-        return []
+def _parse_vars(arg: str) -> list[str]:
+    """The names in a given ``--vars``; an empty list is refused."""
     names = [name.strip() for name in arg.split(",")]
     if not any(names):
         raise ConvexmodError("empty variable list")
@@ -141,8 +140,6 @@ def _plot_text(d: dict, A: ConvexSet) -> str:
 def _cmd_eval(args, out) -> int:
     sr = get_semiring(args.semiring)
     variables = _parse_vars(args.vars)
-    if not variables:
-        raise ConvexmodError("eval needs --vars")
     A = eval_term(parse(args.term, sr), sr, variables)
     d = _describe_set(A, variables)
     if args.format == "json":
@@ -159,8 +156,6 @@ def _cmd_eval(args, out) -> int:
 def _cmd_eq(args, out) -> int:
     sr = get_semiring(args.semiring)
     variables = _parse_vars(args.vars)
-    if not variables:
-        raise ConvexmodError("eq needs --vars")
     A = eval_term(parse(args.term1, sr), sr, variables)
     B = eval_term(parse(args.term2, sr), sr, variables)
     if cs_equal(A, B):
@@ -300,13 +295,14 @@ def _cmd_render(args, out) -> int:
         if args.semiring not in (None, sr.id):
             raise ConvexmodError(f"--semiring {args.semiring} does not match "
                                  f"the {sr.id} set in {args.set_json}")
-        variables = _parse_vars(args.vars) or list(A.support())
+        variables = (list(A.support()) if args.vars is None
+                     else _parse_vars(args.vars))
         check_declared(A, variables)
     elif args.term:
         sr = get_semiring(args.semiring or "qplus")
-        variables = _parse_vars(args.vars)
-        if not variables:
+        if args.vars is None:
             raise ConvexmodError("render needs --vars with a term")
+        variables = _parse_vars(args.vars)
         A = eval_term(parse(args.term, sr), sr, variables)
     else:
         raise ConvexmodError("render needs a term or --set-json")

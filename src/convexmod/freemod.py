@@ -20,7 +20,11 @@ values, and a value that never enters a set or a dict never hashes.
 The key-to-scalar dict behind ``value`` is likewise built on the first
 lookup.  The precomputed ``_skey`` only orders and compares: it
 decides ``==``, ``<`` and every sorted order.  Dedup dicts and sets are
-keyed by the values themselves, never by ``_skey``.
+keyed by the values themselves, never by ``_skey``.  Canonicalization
+(``convex.hull_canonicalize``) dedups its generators without hashing:
+it compares the ``_skey`` of neighbours in sorted order and never
+hashes one (``test_no_module_hashes_a_sort_key`` guards that no module
+does).
 
 ``fs_scale`` by a nonzero scalar skips ``finsupp``: none of the three
 semirings has zero divisors, so no scaled entry becomes zero, and the

@@ -115,7 +115,10 @@ class Semiring:
         return acc
 
     def is_zero(self, a: Scalar) -> bool:
-        return a == self.zero
+        """Whether ``a`` is the semiring zero.  Every carrier's zero,
+        0 or Fraction(0), is its one falsy value, so truth decides, with
+        no call to the scalar's ``__eq__``."""
+        return not a
 
     # -- scalar validation / formatting ---------------------------------
 

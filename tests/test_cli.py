@@ -914,6 +914,30 @@ class TestUsage:
         assert code == 2
         assert "empty variable list" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--vars", "", "x"],
+        ["eq", "--vars", "", "x", "x"],
+        ["render", "--vars", "", "x"],
+    ], ids=["eval", "eq", "render"])
+    def test_empty_vars_string_refused(self, capsys, argv):
+        """``--vars ""`` is given and empty, not absent: no command
+        answers that it needs --vars."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: empty variable list\n")
+
+    def test_empty_vars_string_with_set_json(self, capsys, tmp_path):
+        """Only a missing --vars falls back to the set's support; an
+        empty one is refused, where it used to plot the support."""
+        p = tmp_path / "set.json"
+        p.write_text(json.dumps({
+            "semiring": "qplus", "generators": [{"x": "1"}, {"y": "2"}],
+        }), encoding="utf-8")
+        code, out, err = run(capsys, "render", "--set-json", str(p),
+                             "--vars", "")
+        assert (code, out, err) == (2, "", "error: empty variable list\n")
+        code, out, _ = run(capsys, "render", "--set-json", str(p))
+        assert (code, out) == (0, "polygon: (0, 2) (1, 0)\n")
+
     @pytest.mark.parametrize("argv, entry", [
         (["eval", "x", "--vars", "x,"], "entry 2 of --vars 'x,'"),
         (["eval", "x | y", "--vars", "x,,y"], "entry 2 of --vars 'x,,y'"),

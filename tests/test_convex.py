@@ -42,6 +42,7 @@ from oracles import (
     fs_scale_by_finsupp,
     qplus_member_by_elimination,
     qplus_member_by_fraction_simplex,
+    solve_exact,
 )
 
 F = Fraction
@@ -275,6 +276,9 @@ class TestCoordinateSeparation:
     def test_separated_generators_need_no_lp(self, monkeypatch):
         calls = []
         monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
+        # The simplex is affinely independent; with the certificate off,
+        # the coordinate tests of the Clarkson loop must settle it.
+        monkeypatch.setattr(convex, "_independent", lambda columns: False)
         simplex = [qsupp([(s, 1)]) for s in SYMS]
         assert hull_canonicalize(simplex).generators == tuple(sorted(simplex))
         two = [qsupp([("x", 1), ("y", 2)]), qsupp([("x", 3)])]
@@ -362,6 +366,111 @@ class TestOutputSensitive:
         _assert_output_sensitive(gens, calls, A.generators)
 
 
+# Keys for the certificate tests: symbols, or inner weightings nested
+# one level down (the zero weighting among them).
+INNER_KEYS = [qsupp([("x", 1)]), qsupp([("x", 1), ("y", F(1, 2))]),
+              qsupp([]), qsupp([("z", 3)])]
+few_values = st.sampled_from([F(0), F(1, 2), F(1), F(2), F(3)])
+
+
+@st.composite
+def few_points(draw):
+    """At most d + 1 distinct qplus points spanning d coordinates:
+    random points (often affinely independent), a collinear triple, or
+    a coplanar quadruple, maybe with the zero weighting, keyed by
+    symbols or by nested weightings.  Collinear and coplanar points get
+    one coordinate shared by all of them, which keeps them in a line or
+    plane and makes d + 1 reach their count."""
+    keys = draw(st.sampled_from([SYMS, INNER_KEYS]))
+    shape = draw(st.sampled_from(["random", "collinear", "coplanar"]))
+    if shape == "random":
+        dim = draw(st.integers(1, 4))
+        points = draw(st.lists(st.lists(few_values, min_size=dim,
+                                        max_size=dim),
+                               min_size=2, max_size=dim + 1))
+    elif shape == "collinear":
+        p, q = draw(st.lists(st.tuples(few_values, few_values), min_size=2,
+                             max_size=2, unique=True))
+        t = draw(st.sampled_from([F(1, 3), F(1, 2), F(3, 4)]))
+        points = [p, q, tuple(a + t * (b - a) for a, b in zip(p, q))]
+    else:
+        points = draw(st.lists(st.tuples(few_values, few_values),
+                               min_size=4, max_size=4))
+    if shape != "random":
+        shared = draw(st.sampled_from([F(1), F(5, 2)]))
+        points = [tuple(pt) + (shared,) for pt in points]
+    gens = [qsupp(list(zip(keys, pt))) for pt in points]
+    if draw(st.booleans()):
+        gens.append(fs_zero(QPLUS))
+    support = {k for g in gens for k in g.support()}
+    return draw(st.permutations(sorted(set(gens))[:len(support) + 1]))
+
+
+def _independent_by_fractions(vectors):
+    """The vectors are independent iff the homogeneous system with
+    them as columns has only the zero solution."""
+    rows = [list(map(F, row)) for row in zip(*vectors)]
+    return solve_exact(rows, [F(0)] * len(rows)) != "many"
+
+
+class TestIndependenceCertificate:
+    """Over qplus, n <= d + 1 points whose homogenized columns are
+    linearly independent are affinely independent, so all extreme:
+    ``hull_canonicalize`` keeps them all with no separation test and no
+    LP.  Dependent inputs go on to the Clarkson loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(few_points())
+    def test_matches_fixpoint(self, gens):
+        assert hull_canonicalize(gens, QPLUS).generators == (
+            canonical_by_fixpoint(gens, qplus_member_by_elimination))
+
+    def test_simplices_need_no_lp(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
+        # Each has a point inside the others' coordinate ranges, which
+        # only an LP would separate.
+        triangle = [qsupp(list(zip("xy", c)))
+                    for c in [(0, 0), (2, 2), (1, 0)]]
+        tetrahedron = [qsupp(list(zip("xyz", c)))
+                       for c in [(0, 0, 0), (2, 2, 2), (1, 0, 2), (2, 1, 0)]]
+        for simplex in (triangle, tetrahedron):
+            assert (hull_canonicalize(simplex, QPLUS).generators
+                    == tuple(sorted(simplex)))
+        assert calls == []
+        collinear = triangle[:2] + [qsupp([("x", 1), ("y", 1)])]
+        assert (hull_canonicalize(collinear, QPLUS).generators
+                == tuple(sorted(triangle[:2])))
+        assert calls
+
+    @pytest.mark.parametrize("vectors, independent", [
+        # no vector is nonzero at the first coordinate: skipped
+        ([(0, 1, 0), (0, 0, 1)], True),
+        ([(0, 1, 2), (0, 2, 4)], False),
+        # the first pivot position holds 0 until a row swap, after which
+        # the third row eliminates to zero (it is the sum of the others)
+        ([(0, 1, 1), (1, 0, 1), (1, 1, 2)], False),
+        ([(0, 1, 1), (1, 0, 1), (1, 1, 3)], True),
+        # more vectors than coordinates left for pivots
+        ([(1, 0), (0, 1), (1, 1)], False),
+        ([(2, 4, 6, 2), (3, 6, 9, 3)], False),
+    ], ids=["zero_column", "zero_column_dependent", "swap_dependent",
+            "swap_independent", "too_many", "proportional"])
+    def test_elimination_cases(self, vectors, independent):
+        assert convex._independent(vectors) is independent
+        assert _independent_by_fractions(vectors) is independent
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda width: st.lists(
+        st.lists(st.sampled_from([0, 0, 1, 2, 3, 7, 12]), min_size=width,
+                 max_size=width), min_size=1, max_size=width)))
+    def test_elimination_matches_fractions(self, vectors):
+        """The floor divisions of the fraction-free elimination are
+        exact, so it agrees with elimination over Fractions."""
+        assert (convex._independent(vectors)
+                == _independent_by_fractions(vectors))
+
+
 class TestHashContract:
     """Every ConvexSet is canonical, so ``==`` and ``hash`` are set
     equality; the hash reads the generators' cached hashes, ``_skey``
@@ -389,6 +498,46 @@ class TestHashContract:
         assert (A == B) == (cs_compare(A, B) is None) == mutual
         if A == B:
             assert hash(A) == hash(B) and len({A, B}) == 1
+
+    def test_equal_generators_dedup_to_the_first(self):
+        """Equal values built twice, and from an int and a Fraction
+        scalar, dedup to one generator: the first given, as a set
+        would keep."""
+        first = qsupp([("x", 1), ("y", F(1, 2))])
+        again = qsupp([("y", F(1, 2)), ("x", F(2, 2))])
+        assert again is not first and again == first
+        A = hull_canonicalize([first, qsupp([("z", 1)]), again], QPLUS)
+        assert A.generators[0] is first and len(A.generators) == 2
+
+    @pytest.mark.parametrize("gens, sr, message", [
+        ([qsupp([("x", 1)]), bsupp(["x"])], None,
+         "generator over bool in a qplus set"),
+        ([bsupp(["x"]), qsupp([("x", 1)]), bsupp(["y"])], None,
+         "generator over qplus in a bool set"),
+        ([finsupp(NAT, [("x", 2)]), qsupp([])], BOOL,
+         "generator over nat in a bool set"),
+    ], ids=["qplus_first", "bool_first", "explicit_semiring"])
+    def test_mixed_semirings_refused(self, gens, sr, message):
+        with pytest.raises(SemiringMismatchError) as exc:
+            hull_canonicalize(gens, sr)
+        assert str(exc.value) == message
+
+    def test_dropped_minkowski_sums_never_hash(self, monkeypatch):
+        sums = []
+
+        def recorded(a, b):
+            sums.append(fs_add(a, b))
+            return sums[-1]
+        monkeypatch.setattr(convex, "fs_add", recorded)
+        square = hull_canonicalize(
+            [qsupp(list(zip("xy", c)))
+             for c in [(0, 0), (1, 0), (0, 1), (1, 1)]], QPLUS)
+        total = cs_add(square, square)
+        dropped = [g for g in sums
+                   if not any(g is h for h in total.generators)]
+        # 16 sums, 9 distinct, 4 extreme
+        assert len(sums) == 16 and len(dropped) == 12
+        assert not any(hasattr(g, "_hash") for g in sums)
 
     def test_redundant_keys_merge(self):
         x, y = qsupp([("x", 1)]), qsupp([("y", 1)])
@@ -515,8 +664,8 @@ class TestScaleAgainstOracle:
         assert not hasattr(phi, "_hash")
         assert hash(phi) == hash(("qplus", (("x", F(1, 2)),)))
         assert phi._hash == hash(phi)
-        # hull_canonicalize hashes its generators to dedup them, not
-        # the set.
+        # hull_canonicalize compares the generators' sort keys to
+        # dedup them and hashes neither them nor the set.
         A = hull_canonicalize([phi], QPLUS)
         assert not hasattr(A, "_hash")
         assert hash(A) == hash(("qplus", (phi,)))

@@ -294,6 +294,14 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
     add("error-empty-var-name-eq-json", "eq", "--format", "json", "--vars",
         "x,,y", "x", "y")
     add("error-empty-var-name-render", "render", "--vars", "x, ,y", "x | y")
+    # an empty --vars is given, not absent: refused, where render of a
+    # set file used to plot the set's support instead
+    add("error-empty-vars-string-eval", "eval", "--vars", "", "x")
+    add("error-empty-vars-string-eq-json", "eq", "--format", "json",
+        "--vars", "", "x", "x")
+    add("error-empty-vars-string-render", "render", "--vars", "", "x")
+    add("error-empty-vars-string-render-set", "render", "--vars", "",
+        "--set-json", "set_segment.json")
     return out
 
 

@@ -61,8 +61,20 @@ extreme points take at most n + h tests with at most h columns each,
 where testing every generator against all the others takes n tests
 with up to n - 1.  With the certificate the bound is 0 tests for
 affinely independent input, and n + h after one elimination of
-O(n^2 d) integer operations otherwise.  Only the tests the coordinates
-do not settle, and so every "yes", go to ``feasible``.
+O(n^2 d) integer operations otherwise.
+
+A "yes" needs more than the coordinates.  The loop keeps the basis of
+its most recent LP "yes" that held no artificial column: m = d + 1
+columns of E, by their positions in E, and D * B^-1 (see ``exactlp``).
+E only grows, so those columns stay where they were and the basis stays
+valid.  Before the next LP a test tries lambda = (D * B^-1) t, one m x m
+integer product: when lambda >= 0 and sum_j lambda_j c_j = D t, the
+target is the convex combination lambda / D of E and is dropped with no
+LP.  This is the witness re-substitution an LP "yes" passes, so a
+reused "yes" is checked as one from the LP is.  Any other test runs the
+LP as before, so every "no", and every Farkas certificate, is the one
+the LP alone gives, and E grows in the same order.  Only the tests the
+coordinates and the basis do not settle go to ``feasible``.
 
 Every ConvexSet is canonical: ``hull_canonicalize`` builds it, or an
 operation that keeps the canonical form (``cs_zero``, ``cs_empty``,
@@ -91,7 +103,7 @@ from operator import attrgetter, mul
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ConvexmodError, SemiringMismatchError
-from .exactlp import FeasibilitySystem, feasible
+from .exactlp import FeasibilitySystem, basis_solves, feasible
 from .freemod import (
     FinSupp,
     fs_add,
@@ -221,8 +233,8 @@ def _homogenized_columns(gens: Sequence[FinSupp]) -> list[tuple[int, ...]]:
     return columns
 
 
-def _separation(others: Sequence[tuple[int, ...]], target: tuple[int, ...]
-                ) -> list[int] | None:
+def _separation(others: Sequence[tuple[int, ...]], target: tuple[int, ...],
+                basis: list | None = None) -> list[int] | None:
     """None when ``target`` lies in the hull of the nonempty column
     list ``others``, else a functional y with y.target > y.c for every
     c in ``others``.
@@ -230,7 +242,10 @@ def _separation(others: Sequence[tuple[int, ...]], target: tuple[int, ...]
     Hull members lie between the columns' least and greatest value on
     every coordinate, so a target strictly above (below) that range on
     one row is separated by the unit (negated unit) functional of that
-    row, with no LP.  Otherwise the LP decides, and a "no" carries its
+    row, with no LP.  Then a ``basis`` list holding the basis of an
+    earlier LP "yes" over a prefix of ``others`` may show the target
+    inside with no LP (``exactlp.basis_solves``).  Otherwise the LP
+    decides, a "yes" refreshes ``basis``, and a "no" carries its
     checked Farkas certificate: y.c <= 0 < y.target."""
     for r, (t, row) in enumerate(zip(target, zip(*others))):
         above = t > max(row)
@@ -238,9 +253,11 @@ def _separation(others: Sequence[tuple[int, ...]], target: tuple[int, ...]
             y = [0] * len(target)
             y[r] = 1 if above else -1
             return y
+    if basis and basis_solves(others, target, basis):
+        return None
     y: list[int] = []
     if feasible(FeasibilitySystem(tuple(others), target),
-                certificate=y) is None:
+                certificate=y, basis=basis) is None:
         return y
     return None
 
@@ -284,12 +301,14 @@ def _extreme_indices(columns: Sequence[tuple[int, ...]]) -> list[int]:
         return list(range(n))
     extreme = [max(range(n), key=columns.__getitem__)]
     found = set(extreme)
+    # The last LP "yes" basis: positions in ``extreme``, which only grows.
+    basis: list = []
     for i in range(n):
         if i in found:
             continue
         target = columns[i]
         while True:
-            y = _separation([columns[j] for j in extreme], target)
+            y = _separation([columns[j] for j in extreme], target, basis)
             if y is None:
                 break
             # Columns dropped so far lie in hull(extreme), below

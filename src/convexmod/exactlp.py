@@ -19,18 +19,37 @@ integer matrix over the basis I and pivots fraction-free (Bareiss,
 Math. Comp. 1968): one positive common denominator D, every update
 divided exactly by the previous pivot, so an entry is the textbook
 (``Fraction``) one times D.  That factor cancels in the ratio test
-(compared by cross multiplication) and is common to the rows a reduced
-cost sums over: a column has a negative reduced cost iff that sum
-exceeds 0 (real) or D (artificial).  So every entering and leaving
-choice, and every witness, is the one the textbook tableau gives.
+(compared by cross multiplication).
+
+The phase-1 reduced costs ride along as one more row, r, pivoted by
+the same update.  It starts as an integer row of that starting matrix
+(cost minus the column sums over the artificial basis I: minus the
+real columns' sums, 0 on the artificials, minus the summed right-hand
+side), and the pivot never falls in it, so each of its entries is a
+minor of the starting matrix as well: the Bareiss division stays
+exact and r holds D times the textbook reduced costs, integers.  A
+basic column's reduced cost is 0, so Bland's entering column is simply
+the first j with r_j < 0, and every entering and leaving choice, and
+every witness, is the one the textbook tableau gives.  The entry after
+the columns is -D times the phase-1 optimum.
 
 Both answers carry evidence checked in integers against the system
-before they are returned.  A witness ``B_i / D`` is re-substituted,
-multiplied through by D: D > 0, every B_i >= 0 and sum_j B_j a_j = D b;
+before they are returned.  A witness ``v_j / D`` is re-substituted,
+multiplied through by D: D > 0, every v_j >= 0 and sum_j v_j a_j = D b;
 ``Fraction`` weights are built only for the returned witness.  A "no"
 comes with a Farkas certificate y, the phase-1 dual read off the
-artificial columns: y.a_j <= 0 for every column and y.b > 0.  A failed
-check is an ``InternalError``.
+artificial columns: y_k = s_k (D - r_{n+k}) for the row signs s, with
+y.a_j <= 0 for every column and y.b > 0.  A failed check is an
+``InternalError``.
+
+A "yes" whose final basis holds only real columns B also hands back
+that basis: its column indices and the tableau's artificial block,
+which is D * B^-1 of the sign-flipped rows, its columns flipped back to
+D * B^-1 in the system's signs.  For another target t over the same
+columns, lambda = (D * B^-1) t solves B lambda = D t; when lambda >= 0
+it is a witness, and ``basis_solves`` accepts it only after the same
+integer re-substitution.  So a caller can settle a later "yes" with one
+m x m integer product and no LP, and a "no" still comes from the LP.
 """
 from __future__ import annotations
 
@@ -71,7 +90,8 @@ class FeasibilitySystem:
 
 
 def feasible(sys_: FeasibilitySystem,
-             certificate: list[int] | None = None) -> list[Fraction] | None:
+             certificate: list[int] | None = None,
+             basis: list | None = None) -> list[Fraction] | None:
     """Solve the system; a witness list (one weight per column) or None.
 
     The witness satisfies the equations exactly and is non-negative,
@@ -79,7 +99,13 @@ def feasible(sys_: FeasibilitySystem,
     Farkas certificate has been checked against the system.  A caller
     that passes a list as ``certificate`` receives that checked
     certificate in it on a "no": integers y with y.a_j <= 0 for every
-    column and y.b > 0.
+    column and y.b > 0.  A caller that passes a list as ``basis``
+    receives, on a "yes" whose final basis holds no artificial column,
+    ``[indices, inverse, D]``: the basic column indices, row by row,
+    and D * B^-1 for the basis matrix B, so that
+    ``sum(inverse[i][k] * b[k]) / D`` is the weight of column
+    ``indices[i]``.  ``basis_solves`` tries it on another target.
+    Either list is left alone otherwise.
     """
     if not sys_.target:
         return [Fraction(0)] * len(sys_.columns)
@@ -89,17 +115,34 @@ def feasible(sys_: FeasibilitySystem,
         if certificate is not None:
             certificate[:] = y
         return None
-    values, denominator = solution
+    values, denominator, handback = solution
     _assert_witness(sys_, values, denominator)
+    if basis is not None and handback is not None:
+        basis[:] = handback
     return [Fraction(v, denominator) for v in values]
+
+
+def basis_solves(columns: Sequence[Sequence[int]], target: Sequence[int],
+                 basis: Sequence) -> bool:
+    """Whether a basis that ``feasible`` handed back, for a system
+    whose columns all stay at their indices in ``columns``, also meets
+    ``target``: lambda = (D * B^-1) target is nonnegative and passes
+    the integer re-substitution a witness passes.  False means only
+    that this basis does not certify it."""
+    indices, inverse, denominator = basis
+    values = [sum(map(mul, row, target)) for row in inverse]
+    return min(values) >= 0 and _witness_fault(
+        [columns[j] for j in indices], target, values, denominator) is None
 
 
 def _phase1(columns: Sequence[Sequence[int]], target: Sequence[int]):
     """Phase-1 simplex on an integer system.
 
-    Returns ``((values, D), None)`` with lambda_j = values[j] / D when
-    the system is feasible, or ``(None, y)`` with the integer dual y in
-    the system's own signs when it is not.
+    Returns ``((values, D, handback), None)`` with lambda_j =
+    values[j] / D when the system is feasible, and the
+    ``[indices, D * B^-1, D]`` that ``feasible`` hands back, or None
+    when an artificial column stays basic; or ``(None, y)`` with the
+    integer dual y in the system's own signs when it is not feasible.
     """
     m = len(target)
     n = len(columns)
@@ -114,19 +157,20 @@ def _phase1(columns: Sequence[Sequence[int]], target: Sequence[int]):
         row.extend(1 if k == i else 0 for k in range(m))
         row.append(s * target[i])
         rows.append(row)
+    # Row m: the reduced costs of the phase-1 objective (cost 1 on each
+    # artificial) over the artificial basis, then minus its value.
+    cost = [-sum(col) for col in zip(*rows)]
+    cost[n:total] = [0] * m
+    rows.append(cost)
     basis = list(range(n, total))
     denom = 1
 
     while True:
-        artificial_rows = [rows[i] for i in range(m) if basis[i] >= n]
-        if not artificial_rows:
-            break
-        # Reduced costs; see the module docstring for the thresholds.
-        sums = [sum(col) for col in zip(*artificial_rows)]
-        basic = set(basis)
+        # Bland: the first negative reduced cost; a basic column's is 0.
+        cost = rows[m]
         entering = -1
         for j in range(total):
-            if j not in basic and sums[j] > (denom if j >= n else 0):
+            if cost[j] < 0:
                 entering = j
                 break
         if entering < 0:
@@ -150,10 +194,11 @@ def _phase1(columns: Sequence[Sequence[int]], target: Sequence[int]):
                 "phase-1 objective unbounded; inconsistent tableau")
 
         # The division by the previous pivot is exact (Bareiss): every
-        # entry stays a minor of the starting integer matrix.
+        # entry, the cost row's too, stays a minor of the starting
+        # integer matrix.
         prow = rows[leaving]
         piv = prow[entering]
-        for i in range(m):
+        for i in range(m + 1):
             if i == leaving:
                 continue
             row = rows[i]
@@ -166,15 +211,23 @@ def _phase1(columns: Sequence[Sequence[int]], target: Sequence[int]):
         denom = piv
         basis[leaving] = entering
 
-    if artificial_rows and sums[-1]:
-        # The phase-1 dual: the artificial columns summed over the rows
-        # of basic artificials, scaled by D > 0, signs restored.
-        return None, [s * sums[n + k] for k, s in enumerate(signs)]
+    if cost[-1]:
+        # The phase-1 dual: D minus the artificial reduced costs, signs
+        # restored.
+        return None, [s * (denom - cost[n + k]) for k, s in enumerate(signs)]
     values = [0] * n
     for i in range(m):
         if basis[i] < n:
             values[basis[i]] = rows[i][-1]
-    return (values, denom), None
+    handback = None
+    if all(j < n for j in basis):
+        # The artificial block is D * B^-1 of the sign-flipped rows;
+        # flipping its columns back gives D * B^-1 in the system's signs.
+        inverse = [row[n:total] for row in rows[:m]]
+        if -1 in signs:
+            inverse = [list(map(mul, signs, row)) for row in inverse]
+        handback = [basis, inverse, denom]
+    return (values, denom, handback), None
 
 
 def _check_certificate(columns: Sequence[Sequence[int]],
@@ -193,19 +246,27 @@ def _check_certificate(columns: Sequence[Sequence[int]],
 def _assert_witness(sys_: FeasibilitySystem, values: Sequence[int],
                     denominator: int) -> None:
     """Exact re-substitution of the witness ``values[j] / denominator``
-    into the system, multiplied through by the denominator: D > 0,
-    every value >= 0, and sum_j values[j] * a_j[i] == D * b[i] on every
-    row.  Raises on any discrepancy."""
-    if len(values) != len(sys_.columns):
-        raise InternalError("witness length mismatch")
+    into the system; raises on any discrepancy."""
+    fault = _witness_fault(sys_.columns, sys_.target, values, denominator)
+    if fault is not None:
+        raise InternalError(fault)
+
+
+def _witness_fault(columns: Sequence[Sequence[int]], target: Sequence[int],
+                   values: Sequence[int], denominator: int) -> str | None:
+    """The first failed check of the witness ``values[j] /
+    denominator``, multiplied through by the denominator: D > 0, every
+    value >= 0, and sum_j values[j] * a_j[i] == D * b[i] on every row;
+    None when all hold."""
+    if len(values) != len(columns):
+        return "witness length mismatch"
     if denominator <= 0:
-        raise InternalError(f"witness denominator {denominator} is not "
-                            f"positive")
+        return f"witness denominator {denominator} is not positive"
     if any(v < 0 for v in values):
-        raise InternalError(f"negative weight in witness: {values}")
-    for i, b in enumerate(sys_.target):
-        acc = sum(v * col[i] for v, col in zip(values, sys_.columns))
+        return f"negative weight in witness: {values}"
+    for i, b in enumerate(target):
+        acc = sum(v * col[i] for v, col in zip(values, columns))
         if acc != denominator * b:
-            raise InternalError(
-                f"witness re-substitution failed at coordinate {i}: "
-                f"{acc} != {denominator} * {b}")
+            return (f"witness re-substitution failed at coordinate {i}: "
+                    f"{acc} != {denominator} * {b}")
+    return None

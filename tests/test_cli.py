@@ -199,7 +199,7 @@ class TestEval:
     ])
     def test_internal_error_exits_three(self, capsys, monkeypatch, fmt,
                                         expected):
-        def broken(system, certificate=None):
+        def broken(system, certificate=None, basis=None):
             raise InternalError("lp broke")
 
         monkeypatch.setattr("convexmod.convex.feasible", broken)

@@ -22,7 +22,7 @@ from convexmod.convex import (
     member,
 )
 from convexmod.errors import SemiringMismatchError
-from convexmod.exactlp import feasible
+from convexmod.exactlp import basis_solves, feasible
 from convexmod.freemod import (
     finsupp,
     fs_add,
@@ -227,9 +227,9 @@ class TestCanonicalization:
 
 
 def _counting_feasible(calls):
-    def counted(system, certificate=None):
+    def counted(system, certificate=None, basis=None):
         calls.append(system)
-        return feasible(system, certificate)
+        return feasible(system, certificate, basis)
     return counted
 
 
@@ -289,6 +289,58 @@ class TestCoordinateSeparation:
         segment = hull_canonicalize([simplex[2], simplex[3], mid])
         assert segment.generators == (simplex[2], simplex[3])
         assert calls
+
+
+def _xyz(points):
+    return [qsupp(list(zip("xyz", p))) for p in points]
+
+
+class TestBasisReuse:
+    """The Clarkson loop keeps the basis of its last LP "yes" and tries
+    it on each later target before an LP: a target it solves, by the
+    witness re-substitution, is dropped with no LP."""
+
+    # Four affinely independent corners and six points inside: n = 10
+    # > d + 1 = 4, so the independence certificate does not settle it.
+    TETRAHEDRON = [(0, 0, 0), (2, 2, 2), (1, 0, 2), (2, 1, 0)]
+    PADDING = [(1, 1, 1), (F(5, 4), F(3, 4), 1), (1, F(1, 2), F(1, 2)),
+               (F(3, 2), F(3, 2), F(3, 2)), (F(3, 4), F(1, 2), F(3, 4)),
+               (F(3, 2), 1, F(1, 2))]
+
+    def test_padded_tetrahedron_needs_three_lps(self, monkeypatch):
+        gens = _xyz(self.TETRAHEDRON + self.PADDING)
+        calls = []
+        monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
+        A = hull_canonicalize(gens, QPLUS)
+        assert A.generators == tuple(sorted(_xyz(self.TETRAHEDRON)))
+        # Two LP "no"s and the coordinate tests find the corners; the
+        # one LP "yes" hands back a basis of all four, which then settles
+        # the other five inside points.
+        assert [len(system.columns) for system in calls] == [2, 3, 4]
+        calls.clear()
+        monkeypatch.setattr(convex, "basis_solves", lambda *args: False)
+        assert hull_canonicalize(gens, QPLUS) == A
+        assert [len(system.columns) for system in calls] == [2, 3] + [4] * 6
+
+    def test_tampered_inverse_is_refused(self, monkeypatch):
+        # Raising the ones-row entry of the first row of each handed-back
+        # D * B^-1 makes that weight positive for every target; here the
+        # other weights then pass for an extreme point too, so only the
+        # re-substitution keeps it from being dropped.
+        gens = _xyz([(0, 2, 1), (0, 3, 1), (2, 1, 1), (2, 1, 3), (2, 3, 1),
+                     (3, 2, 0), (3, 3, 1)])
+        tampered = []
+
+        def tampering(system, certificate=None, basis=None):
+            witness = feasible(system, certificate, basis)
+            if basis:
+                basis[1][0][-1] += 10 ** 6
+                tampered.append(system)
+            return witness
+        monkeypatch.setattr(convex, "feasible", tampering)
+        assert hull_canonicalize(gens, QPLUS).generators == (
+            canonical_by_fixpoint(gens, qplus_member_by_elimination))
+        assert tampered
 
 
 @st.composite
@@ -359,10 +411,18 @@ class TestOutputSensitive:
         gens = inside[:15] + corners + inside[15:]
         calls = []
         monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
+        solved = []
+
+        def counting_basis_solves(columns, target, basis):
+            solved.append(basis_solves(columns, target, basis))
+            return solved[-1]
+        monkeypatch.setattr(convex, "basis_solves", counting_basis_solves)
         A = hull_canonicalize(gens, QPLUS)
         assert A.generators == tuple(sorted(corners))
-        # Every interior point needs an LP to be dropped.
-        assert len(calls) >= len(set(inside))
+        # Every interior point needs a checked "yes" to be dropped: an
+        # LP witness, or the last LP basis re-substituted.
+        assert len(calls) + sum(solved) >= len(set(inside))
+        assert any(solved)
         _assert_output_sensitive(gens, calls, A.generators)
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from convexmod.exactlp import (
     _assert_witness,
     _check_certificate,
     _phase1,
+    basis_solves,
     feasible,
 )
 
@@ -218,8 +220,8 @@ class TestFractionSimplexAgreement:
     @given(systems())
     def test_identical_witness_or_none(self, system):
         sys_ = integral(*system)
-        y = []
-        verdict = feasible(sys_, certificate=y)
+        y, basis = [], []
+        verdict = feasible(sys_, certificate=y, basis=basis)
         reference = feasible_by_fraction_simplex(*system)
         assert verdict == reference
         if verdict is None:
@@ -229,8 +231,28 @@ class TestFractionSimplexAgreement:
             with pytest.raises(InternalError):
                 _check_certificate(sys_.columns, sys_.target,
                                    [-v for v in y])
+            assert basis == []
+        elif basis:
+            # An artificial-free basis: m real columns whose matrix B
+            # the handed-back D * B^-1 inverts, and whose weights
+            # (D * B^-1) b / D are the witness's.
+            indices, inverse, denominator = basis
+            m = len(sys_.target)
+            assert y == [] and len(set(indices)) == len(indices) == m
+            for c, j in enumerate(indices):
+                assert [sum(map(mul, row, sys_.columns[j]))
+                        for row in inverse] == [
+                            denominator * (i == c) for i in range(m)]
+            weights = [F(sum(map(mul, row, sys_.target)), denominator)
+                       for row in inverse]
+            assert weights == [verdict[j] for j in indices]
+            assert all(not w for j, w in enumerate(verdict)
+                       if j not in indices)
+            assert basis_solves(sys_.columns, sys_.target, basis)
         else:
+            # An artificial stays basic: at most m - 1 columns weigh.
             assert y == []
+            assert sum(w != 0 for w in verdict) < len(sys_.target)
 
 
 nonneg = st.one_of(st.just(F(0)),

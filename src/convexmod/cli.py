@@ -289,6 +289,8 @@ def _cmd_delta(args, out) -> int:
 
 
 def _cmd_render(args, out) -> int:
+    if args.term is not None and args.set_json is not None:
+        raise ConvexmodError("render takes a term or --set-json, not both")
     if args.set_json:
         A = cs_from_json(_read_json(args.set_json))
         sr = A.semiring

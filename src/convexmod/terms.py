@@ -11,8 +11,9 @@ Identifiers match [a-zA-Z][a-zA-Z0-9_]* and must not be the keyword
 ``bot``.  Scalars are nonnegative rationals written ``p`` or ``p/q``;
 over nat they must reduce to whole numbers, over bool to 0 or 1.
 Parentheses nest at most ``MAX_NESTING`` deep; sums, joins and scalar
-prefixes may be arbitrarily long, and evaluation, printing and
-variable collection use no recursion.
+prefixes may be arbitrarily long.  Evaluation, printing and variable
+collection share one post-order walk (``_postorder``) over an explicit
+stack, with no recursion.
 
 A term denotes a convex set of weightings over its declared variables:
 a variable denotes the point set of its own unit weighting, ``0`` the
@@ -35,7 +36,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Iterable, Iterator, Sequence
 
 from .convex import (
     ConvexSet,
@@ -234,15 +236,30 @@ def parse(text: str, sr: Semiring) -> Term:
     return _Parser(text, sr).parse()
 
 
-def format_term(t: Term) -> str:
-    """Minimal-parenthesis printer; reparsing reproduces the tree.
+def _postorder(t: Term) -> Iterator[Term]:
+    """Every node of ``t`` after its operands, operands left to right.
 
-    Post-order over an explicit stack, like ``eval_term``."""
-    printed: list[str] = []
-    # (node, True) once its operands are on ``printed``.
+    The one walk over a term: an explicit stack, so term depth is
+    bounded by memory, not by the interpreter's call stack.  A node
+    that is not a term is refused when the walk reaches it."""
+    # (node, True) once its operands have been yielded.
     todo: list[tuple[Term, bool]] = [(t, False)]
     while todo:
         node, ready = todo.pop()
+        if ready or isinstance(node, (Bot, Zero, Var)):
+            yield node
+        elif isinstance(node, Scale):
+            todo += [(node, True), (node.body, False)]
+        elif isinstance(node, (Add, Join)):
+            todo += [(node, True), (node.right, False), (node.left, False)]
+        else:
+            raise ConvexmodError(f"not a term: {node!r}")
+
+
+def format_term(t: Term) -> str:
+    """Minimal-parenthesis printer; reparsing reproduces the tree."""
+    printed: list[str] = []
+    for node in _postorder(t):
         if isinstance(node, Bot):
             printed.append("bot")
         elif isinstance(node, Zero):
@@ -250,62 +267,40 @@ def format_term(t: Term) -> str:
         elif isinstance(node, Var):
             printed.append(node.name)
         elif isinstance(node, Scale):
-            if ready:
-                inner = printed.pop()
-                if isinstance(node.body, (Add, Join)):
-                    inner = f"({inner})"
-                printed.append(f"{node.scalar}.{inner}")
-            else:
-                todo += [(node, True), (node.body, False)]
-        elif isinstance(node, (Add, Join)):
-            if ready:
-                right = printed.pop()
-                left = printed.pop()
-                if isinstance(node, Add):
-                    if isinstance(node.left, Join):
-                        left = f"({left})"
-                    if isinstance(node.right, (Add, Join)):
-                        right = f"({right})"
-                    printed.append(f"{left} + {right}")
-                else:
-                    if isinstance(node.right, Join):
-                        right = f"({right})"
-                    printed.append(f"{left} | {right}")
-            else:
-                todo += [(node, True), (node.right, False),
-                         (node.left, False)]
+            inner = printed.pop()
+            if isinstance(node.body, (Add, Join)):
+                inner = f"({inner})"
+            printed.append(f"{node.scalar}.{inner}")
         else:
-            raise ConvexmodError(f"not a term: {node!r}")
+            right = printed.pop()
+            left = printed.pop()
+            if isinstance(node, Add):
+                if isinstance(node.left, Join):
+                    left = f"({left})"
+                if isinstance(node.right, (Add, Join)):
+                    right = f"({right})"
+                printed.append(f"{left} + {right}")
+            else:
+                if isinstance(node.right, Join):
+                    right = f"({right})"
+                printed.append(f"{left} | {right}")
     return printed.pop()
 
 
 def free_variables(t: Term) -> tuple[str, ...]:
-    out: set[str] = set()
-    todo: list[Term] = [t]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Scale):
-            todo.append(node.body)
-        elif isinstance(node, (Add, Join)):
-            todo += [node.left, node.right]
-    return tuple(sorted(out))
+    """The names of the variables ``t`` mentions, sorted, each once.
+    A node that is not a term is refused, as evaluation refuses it."""
+    return tuple(sorted({node.name for node in _postorder(t)
+                         if isinstance(node, Var)}))
 
 
 def eval_term(t: Term, sr: Semiring,
               variables: Iterable[str]) -> ConvexSet:
     """Denotation over the declared variables: each variable stands for
-    the point set of its own unit weighting.
-
-    Post-order over an explicit stack, operands left to right, so term
-    depth is bounded by memory, not by the interpreter's call stack."""
+    the point set of its own unit weighting."""
     declared = set(variables)
     values: list[ConvexSet] = []
-    # (node, True) once its operands are on ``values``.
-    todo: list[tuple[Term, bool]] = [(t, False)]
-    while todo:
-        node, ready = todo.pop()
+    for node in _postorder(t):
         if isinstance(node, Bot):
             values.append(cs_empty(sr))
         elif isinstance(node, Zero):
@@ -316,21 +311,11 @@ def eval_term(t: Term, sr: Semiring,
                     f"unbound variable {node.name!r}")
             values.append(hull_canonicalize([fs_unit(sr, node.name)], sr))
         elif isinstance(node, Scale):
-            if ready:
-                values.append(cs_scale(node.scalar, values.pop()))
-            else:
-                todo += [(node, True), (node.body, False)]
-        elif isinstance(node, (Add, Join)):
-            if ready:
-                right = values.pop()
-                left = values.pop()
-                op = cs_add if isinstance(node, Add) else cs_join
-                values.append(op(left, right))
-            else:
-                todo += [(node, True), (node.right, False),
-                         (node.left, False)]
+            values.append(cs_scale(node.scalar, values.pop()))
         else:
-            raise ConvexmodError(f"not a term: {node!r}")
+            right = values.pop()
+            op = cs_add if isinstance(node, Add) else cs_join
+            values.append(op(values.pop(), right))
     return values.pop()
 
 
@@ -347,19 +332,13 @@ def synthesize_term(A: ConvexSet) -> Term:
     weighted sum per generator, joined together."""
     if A.is_empty():
         return BOT
+    one = A.semiring.one
     parts = []
     for g in A.generators:
-        body: Term | None = None
-        for x in g.support():
-            piece: Term = Var(x)
-            if g.value(x) != A.semiring.one:
-                piece = Scale(g.value(x), piece)
-            body = piece if body is None else Add(body, piece)
-        parts.append(body if body is not None else ZERO)
-    out = parts[0]
-    for p in parts[1:]:
-        out = Join(out, p)
-    return out
+        pieces = [Var(x) if g.value(x) == one else Scale(g.value(x), Var(x))
+                  for x in g.support()]
+        parts.append(reduce(Add, pieces) if pieces else ZERO)
+    return reduce(Join, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +354,25 @@ def check_declared(A: ConvexSet, variables: Sequence[str]) -> None:
             f"set mentions {stray[0]!r}, not a declared variable")
 
 
-def _render_variables(A: ConvexSet, variables, arity: int) -> list[str]:
+def _points(A: ConvexSet, variables: Sequence[str] | None, arity: int,
+            kind: str) -> list[tuple[Fraction, ...]] | None:
+    """The generators of a qplus set as sorted coordinate tuples over
+    ``variables`` (by default the set's support), padded with zeros to
+    ``arity`` coordinates; None for the empty set."""
+    if A.semiring.hull_membership != HULL_EXACT_LP:
+        raise ConvexmodError(f"{kind} rendering needs the qplus semiring")
+    if A.is_empty():
+        return None
     if variables is None:
-        derived = list(A.support())
+        variables = A.support()
     else:
         check_declared(A, variables)
-        derived = list(variables)
-    if len(derived) > arity:
+    if len(variables) > arity:
         raise DimensionMismatchError(
-            f"need at most {arity} variables, set has {len(derived)}")
-    while len(derived) < arity:
-        derived.append(None)
-    return derived
+            f"need at most {arity} variables, set has {len(variables)}")
+    pad = (Fraction(0),) * (arity - len(variables))
+    return sorted(tuple(Fraction(g.value(x)) for x in variables) + pad
+                  for g in A.generators)
 
 
 def render_interval(A: ConvexSet, variables: Sequence[str] | None = None
@@ -395,14 +381,8 @@ def render_interval(A: ConvexSet, variables: Sequence[str] | None = None
     the canonical generators, the zero weighting counting as 0.  The
     empty set renders as None.  Endpoints describe the set only when
     its hull is the rational convex hull, decided by exact LP."""
-    if A.semiring.hull_membership != HULL_EXACT_LP:
-        raise ConvexmodError("interval rendering needs the qplus semiring")
-    if A.is_empty():
-        return None
-    (x,) = _render_variables(A, variables, 1)
-    coords = [Fraction(g.value(x)) if x is not None else Fraction(0)
-              for g in A.generators]
-    return (min(coords), max(coords))
+    pts = _points(A, variables, 1, "interval")
+    return None if pts is None else (pts[0][0], pts[-1][0])
 
 
 def render_polygon(A: ConvexSet, variables: Sequence[str] | None = None
@@ -413,15 +393,9 @@ def render_polygon(A: ConvexSet, variables: Sequence[str] | None = None
     the sorted points on or below the line from the least point to the
     greatest, then the ones above it in descending order.  None for the
     empty set."""
-    if A.semiring.hull_membership != HULL_EXACT_LP:
-        raise ConvexmodError("polygon rendering needs the qplus semiring")
-    if A.is_empty():
+    pts = _points(A, variables, 2, "polygon")
+    if pts is None:
         return None
-    x, y = _render_variables(A, variables, 2)
-    pts = sorted(
-        (Fraction(g.value(x)) if x is not None else Fraction(0),
-         Fraction(g.value(y)) if y is not None else Fraction(0))
-        for g in A.generators)
     (x0, y0), (x1, y1) = pts[0], pts[-1]
 
     def above(p):

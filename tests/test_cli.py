@@ -805,6 +805,24 @@ class TestRender:
         assert code == 2
         assert "term or --set-json" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("term", ["5.x", "(((("])
+    def test_term_and_set_json_refused(self, capsys, tmp_path, term, fmt):
+        # Refused before the file is read: a missing file is not met.
+        (tmp_path / "set.json").write_text(json.dumps({
+            "semiring": "qplus", "generators": [{"x": "1"}, {"x": "3"}],
+        }), encoding="utf-8")
+        message = "render takes a term or --set-json, not both"
+        for name in ("set.json", "missing.json"):
+            code, out, err = run(capsys, "render", "--format", fmt,
+                                 "--set-json", str(tmp_path / name),
+                                 "--vars", "x", term)
+            assert (code, out) == (2, "")
+            if fmt == "json":
+                assert json.loads(err) == {"error": message, "kind": "usage"}
+            else:
+                assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("semiring, code", [
         ("bool", 0), ("qplus", 2), ("nat", 2)])
     def test_set_json_semiring_must_match(self, capsys, tmp_path, semiring,

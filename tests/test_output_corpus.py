@@ -28,8 +28,6 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from convexmod.cli import main
 
 PINS = Path(__file__).resolve().parent / "output_digests.json"
@@ -302,6 +300,13 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
     add("error-empty-vars-string-render", "render", "--vars", "", "x")
     add("error-empty-vars-string-render-set", "render", "--vars", "",
         "--set-json", "set_segment.json")
+    # a term and a set file together are refused before the file is
+    # read, where the term used to be dropped and the file plotted
+    for fmt in ("text", "json"):
+        add(f"error-render-term-and-set-{fmt}", "render", "--format", fmt,
+            "--vars", "x", "--set-json", "set_segment.json", "5.x")
+        add(f"error-render-unparsable-term-and-set-{fmt}", "render",
+            "--format", fmt, "--set-json", "no_such_file.json", "((((")
     return out
 
 
@@ -328,30 +333,6 @@ def run_entry(argv: list[str]) -> dict:
 def write_files(directory: Path) -> None:
     for name, text in FILES.items():
         (directory / name).write_text(text, encoding="utf-8")
-
-
-@pytest.fixture(scope="module")
-def corpus_dir(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("corpus")
-    write_files(directory)
-    return directory
-
-
-@pytest.fixture(scope="module")
-def pins():
-    return json.loads(PINS.read_text(encoding="utf-8"))
-
-
-def test_corpus_is_pinned(pins):
-    assert list(pins) == [name for name, _ in CORPUS]
-    assert [p["argv"] for p in pins.values()] == [a for _, a in CORPUS]
-
-
-@pytest.mark.parametrize("name,argv", CORPUS, ids=[n for n, _ in CORPUS])
-def test_output_pinned(name, argv, pins, corpus_dir, monkeypatch):
-    monkeypatch.delenv("CONVEXMOD_SEED", raising=False)
-    monkeypatch.chdir(corpus_dir)
-    assert run_entry(argv) == pins[name]
 
 
 def _run_corpus() -> dict:
@@ -383,6 +364,8 @@ def _changes(before: dict, pinned: dict) -> list[str]:
     return lines
 
 
+# The entry point runs before pytest is imported, so ``--check`` and
+# ``--write`` work on an interpreter without pytest.
 if __name__ == "__main__":
     if sys.argv[1:] not in (["--write"], ["--check"]):
         sys.exit("usage: python tests/test_output_corpus.py --write|--check")
@@ -395,3 +378,29 @@ if __name__ == "__main__":
         print(f"pinned {len(pinned)} entries in {PINS}")
     print("\n".join(changes) if changes else "no entry is new, moved or dropped")
     sys.exit(1 if changes and sys.argv[1] == "--check" else 0)
+
+import pytest  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("corpus")
+    write_files(directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def pins():
+    return json.loads(PINS.read_text(encoding="utf-8"))
+
+
+def test_corpus_is_pinned(pins):
+    assert list(pins) == [name for name, _ in CORPUS]
+    assert [p["argv"] for p in pins.values()] == [a for _, a in CORPUS]
+
+
+@pytest.mark.parametrize("name,argv", CORPUS, ids=[n for n, _ in CORPUS])
+def test_output_pinned(name, argv, pins, corpus_dir, monkeypatch):
+    monkeypatch.delenv("CONVEXMOD_SEED", raising=False)
+    monkeypatch.chdir(corpus_dir)
+    assert run_entry(argv) == pins[name]

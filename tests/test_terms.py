@@ -1,12 +1,15 @@
 """Term language: parsing, printing, evaluation, equality, rendering."""
 
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexmod import terms
 from convexmod.convex import cs_equal, hull_canonicalize, member
 from convexmod.errors import (
     ConvexmodError,
@@ -509,6 +512,33 @@ class TestFreeVariables:
     def test_summands_3000(self):
         t = parse(" + ".join(["x"] * 3000) + " | y", QPLUS)
         assert free_variables(t) == ("x", "y")
+
+
+class TestOneWalk:
+    """Evaluation, printing and variable collection share one walk."""
+
+    @pytest.mark.parametrize("walk", [
+        format_term, free_variables,
+        lambda t: eval_term(t, QPLUS, ("x",))],
+        ids=["format_term", "free_variables", "eval_term"])
+    @pytest.mark.parametrize("t", [
+        Add(Var("x"), "junk"), Scale(1, object())], ids=["add", "scale"])
+    def test_foreign_node_refused(self, walk, t):
+        with pytest.raises(ConvexmodError, match="not a term"):
+            walk(t)
+
+    def test_only_the_walk_keeps_a_traversal_stack(self):
+        """A function with a traversal stack pushes ``(node, True)``
+        for a node whose operands come first; only ``_postorder`` may."""
+        tree = ast.parse(Path(terms.__file__).read_text(encoding="utf-8"))
+        found = sorted(
+            fn.name for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(node, ast.Tuple) and len(node.elts) == 2
+                    and isinstance(node.elts[1], ast.Constant)
+                    and node.elts[1].value is True
+                    for node in ast.walk(fn)))
+        assert found == ["_postorder"]
 
 
 class TestTermFiles:

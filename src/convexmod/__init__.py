@@ -38,8 +38,6 @@ from .convex import (
     member,
 )
 from .distlaw import (
-    Interval,
-    IV_EMPTY,
     Relation,
     barr_extend,
     check_naturality,
@@ -49,9 +47,6 @@ from .distlaw import (
     delta_bruteforce,
     delta_hull,
     delta_witness_check,
-    iv_add,
-    iv_scale,
-    iv_sup,
     membership_weighting,
     pentagon_check,
     set_key,

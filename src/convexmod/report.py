@@ -16,7 +16,7 @@ every module can use it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import ConvexmodError
 
@@ -70,8 +70,8 @@ class LawReport:
 def law_report(name: str, sr: Any, mode: str, instances: Iterable,
                check: Callable[[Any], dict | None], detail: str = "",
                fail_detail: str = "", expected: str = PASS,
-               seed: int | None = None, trials: int | None = None
-               ) -> LawReport:
+               seed: int | None = None, trials: int | None = None,
+               meta: Mapping[str, Any] | None = None) -> LawReport:
     """Run one law over its instances in order: ``check`` maps an
     instance to None where the law holds, else to a counterexample.
     The first counterexample ends the run, drawing no later instance,
@@ -80,7 +80,7 @@ def law_report(name: str, sr: Any, mode: str, instances: Iterable,
     the report by its id.  Every report's meta holds the ``expected``
     outcome, fixed before the run, and the number of instances checked,
     a counterexample included; a randomized one also its ``seed`` and
-    ``trials``."""
+    ``trials``; then the caller's own ``meta`` keys, in their order."""
     checked = 0
     counterexample = None
     for instance in instances:
@@ -88,13 +88,14 @@ def law_report(name: str, sr: Any, mode: str, instances: Iterable,
         counterexample = check(instance)
         if counterexample is not None:
             break
-    meta = {"expected": expected, "instances": checked}
+    written = {"expected": expected, "instances": checked}
     if mode == MODE_RANDOMIZED:
-        meta.update(seed=seed, trials=trials)
+        written.update(seed=seed, trials=trials)
+    written.update(meta or {})
     held = counterexample is None
     return LawReport(name=name, semiring=sr.id, status=PASS if held else FAIL,
                      mode=mode, detail=detail if held else fail_detail,
-                     counterexample=counterexample, meta=meta)
+                     counterexample=counterexample, meta=written)
 
 
 def _plain(value: Any) -> Any:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Iterable, Iterator
 
@@ -503,11 +502,9 @@ def check_property(sr: Semiring, prop: str,
     else:
         raise NoDecisionProcedureError(
             f"no decision procedure for property {prop!r} over {sr.id}")
-    report = law_report(
+    return law_report(
         f"property:{prop}", sr, mode, instances,
         lambda instance: check(sr, values, *instance), detail=detail,
         fail_detail=fail_detail,
-        expected=PASS if prop in sr.declared_properties else FAIL)
-    if mode == MODE_BOUNDED:
-        return replace(report, meta={**report.meta, "bound": bound})
-    return report
+        expected=PASS if prop in sr.declared_properties else FAIL,
+        meta={"bound": bound} if mode == MODE_BOUNDED else None)

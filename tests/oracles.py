@@ -18,8 +18,12 @@ tautology:
   brute force over all generator subsets.  The package uses the
   closed-form union rule.
 * ``interval_hull_1d`` computes the hull of rational points on one
-  coordinate as a closed interval, for checking convex-set operations
-  against direct interval arithmetic.
+  coordinate as a closed interval, and ``iv_add``, ``iv_scale``,
+  ``iv_join`` and ``iv_weighted_sum`` build direct interval arithmetic
+  on it: endpoint sums, products and hulls of ``(lo, hi)`` pairs, None
+  being the empty interval.  The package keeps intervals as one-symbol
+  convex sets and sums them with ``composite.alpha``, through the hull
+  canonicalizer.
 * ``bool_law_by_slice_products`` evaluates the bool weak law by its
   raw definition: one nonempty subset per supported set, product over
   sets, union per product.  The package filters subsets of the union
@@ -296,6 +300,39 @@ def interval_hull_1d(points: Sequence[Fraction]):
         return None
     pts = [Fraction(p) for p in points]
     return (min(pts), max(pts))
+
+
+def iv_add(a, b):
+    """Endpoint sum of two intervals; the empty one absorbs."""
+    if a is None or b is None:
+        return None
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def iv_scale(lam, a):
+    """lam * a; zero times any interval, the empty one included, is
+    the point 0."""
+    lam = Fraction(lam)
+    if lam == 0:
+        return (Fraction(0), Fraction(0))
+    if a is None:
+        return None
+    return (lam * a[0], lam * a[1])
+
+
+def iv_join(items):
+    """Hull of a union of intervals: the hull of their endpoints, so
+    the empty ones add nothing, and no nonempty one gives the empty
+    interval."""
+    return interval_hull_1d([x for a in items if a is not None for x in a])
+
+
+def iv_weighted_sum(items):
+    """Sum of ``lam * a`` over ``(a, lam)`` pairs, from the point 0."""
+    acc = (Fraction(0), Fraction(0))
+    for a, lam in items:
+        acc = iv_add(acc, iv_scale(lam, a))
+    return acc
 
 
 def fs_equal_extensional(a, b) -> bool:

@@ -2,18 +2,20 @@
 checker, the diagram suites, pentagon coherence, and the relation
 extensions."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convexmod.convex import cs_equal, cs_join_all, cs_scale, hull_canonicalize, member
+from convexmod.convex import (cs_empty, cs_equal, cs_join_all, cs_scale,
+                              hull_canonicalize, member)
 from convexmod import distlaw
 from convexmod.distlaw import (
-    IV_EMPTY,
-    Interval,
     Relation,
+    _interval,
     barr_extend,
     check_appendix_a,
     check_naturality,
@@ -24,9 +26,6 @@ from convexmod.distlaw import (
     delta_bruteforce,
     delta_hull,
     delta_witness_check,
-    iv_add,
-    iv_scale,
-    iv_sup,
     membership_weighting,
     pentagon_check,
     run_laws,
@@ -41,7 +40,8 @@ from convexmod.errors import ConvexmodError, InternalError, NotSemifieldError
 from convexmod.freemod import finsupp, fs_map, fs_unit, fs_zero
 from convexmod.report import FAIL, PASS, LawReport, law_report
 from convexmod.semiring import BOOL, NAT, QPLUS
-from oracles import nat_law_by_slice_products
+from convexmod.terms import render_interval
+from oracles import iv_join, iv_weighted_sum, nat_law_by_slice_products
 
 
 def w(sr, *pairs):
@@ -432,65 +432,36 @@ class TestNaturality:
         assert left != right
 
 
-class TestIntervalArithmetic:
-    def test_add(self):
-        assert iv_add(Interval(1, 2), Interval(5, 6)) == Interval(6, 8)
-
-    def test_add_absorbs_empty(self):
-        assert iv_add(Interval(1, 2), IV_EMPTY).empty
-
-    def test_scale_by_zero_gives_point_zero(self):
-        assert iv_scale(0, IV_EMPTY) == Interval(0, 0)
-        assert iv_scale(0, Interval(3, 4)) == Interval(0, 0)
-
-    def test_scale_keeps_empty(self):
-        assert iv_scale(2, IV_EMPTY).empty
-
-    def test_sup_ignores_empty_members(self):
-        assert iv_sup([Interval(0, 1), IV_EMPTY, Interval(4, 5)]) \
-            == Interval(0, 5)
-        assert iv_sup([]).empty
-
-    def test_ordering_rejected_when_reversed(self):
-        with pytest.raises(ConvexmodError):
-            Interval(3, 1)
-
-    def test_order_repr_hash_and_immutability(self):
-        ivs = [IV_EMPTY, Interval(1, 3), Interval(0, 5), Interval(2),
-               Interval(Fraction(1, 2), Fraction(3, 2)), Interval(1, 2)]
-        # by endpoints, the empty interval last, also as FinSupp keys
-        want = ["iv[0, 5]", "iv[1/2, 3/2]", "iv[1, 2]", "iv[1, 3]",
-                "iv[2, 2]", "iv()"]
-        assert [repr(i) for i in sorted(ivs)] == want
-        phi = finsupp(QPLUS, [(i, 1) for i in reversed(ivs)])
-        assert [repr(i) for i in phi.support()] == want
-        assert Interval() == IV_EMPTY and IV_EMPTY.empty
-        assert Interval(2) == Interval(2, 2) != Interval(2, 3)
-        assert hash(Interval(1, 2)) == hash((Fraction(1), Fraction(2)))
-        assert hash(IV_EMPTY) == hash((None, None))
-        with pytest.raises(AttributeError):
-            Interval(1, 2).lo = 0
+def iv(lo, hi):
+    return _interval(QPLUS, lo, hi)
 
 
 class TestPentagon:
     def test_interval_two_singletons(self):
-        Phi = set_weighting(QPLUS, [((Interval(1, 2),), 1),
-                                    ((Interval(5, 6),), 1)])
+        Phi = set_weighting(QPLUS, [((iv(1, 2),), 1), ((iv(5, 6),), 1)])
         r = pentagon_check("interval", Phi)
         assert r.passed
-        assert r.meta["left"] == Interval(6, 8)
-        assert r.meta["right"] == Interval(6, 8)
+        assert r.meta["left"] == iv(6, 8)
+        assert r.meta["right"] == iv(6, 8)
 
     def test_interval_with_real_choice(self):
         Phi = set_weighting(
-            QPLUS, [((Interval(0, 1), Interval(4, 4)), 2),
-                    ((Interval(1, 3),), Fraction(1, 2))])
+            QPLUS, [((iv(0, 1), iv(4, 4)), 2),
+                    ((iv(1, 3),), Fraction(1, 2))])
         assert pentagon_check("interval", Phi).passed
 
     def test_interval_empty_key_bottoms_out(self):
-        Phi = set_weighting(QPLUS, [((), 1), ((Interval(1, 2),), 1)])
+        Phi = set_weighting(QPLUS, [((), 1), ((iv(1, 2),), 1)])
         r = pentagon_check("interval", Phi)
-        assert r.passed and r.meta["left"].empty
+        assert r.passed and r.meta["left"].is_empty()
+
+    @pytest.mark.parametrize("algebra", ["free", "interval"])
+    def test_a_passing_instance_is_met(self, algebra):
+        """The driver writes the expected outcome, so a report reader
+        prints a passing instance as met, not as BAD."""
+        r = pentagon_check(algebra, set_weighting(QPLUS, [((iv(1, 2),), 1)]))
+        assert r.passed and r.met
+        assert list(r.meta) == ["expected", "instances", "left", "right"]
 
     def test_free_scaling_of_a_join(self):
         A = hull_canonicalize([fs_unit(QPLUS, "x"), fs_unit(QPLUS, "y")],
@@ -521,9 +492,53 @@ class TestPentagon:
         r = pentagon_check("free", Phi)
         assert (r.name, r.status, r.mode) == ("pentagon:free", FAIL,
                                               "exhaustive")
-        assert r.counterexample == {"Phi": Phi, **held.meta}
-        assert r.meta == held.meta == {"left": held.meta["left"],
-                                       "right": held.meta["right"]}
+        sides = {"left": held.meta["left"], "right": held.meta["right"]}
+        assert r.counterexample == {"Phi": Phi, **sides}
+        assert r.meta == held.meta == {"expected": PASS, "instances": 1,
+                                       **sides}
+        assert held.met and not r.met
+
+
+class TestIntervalModel:
+    """Intervals are the qplus convex sets on one symbol.  On them both
+    sides of the pentagon must have the endpoints that direct interval
+    arithmetic gives, an independent route to the same answer."""
+
+    @staticmethod
+    def oracle_sides(Phi):
+        families = [([render_interval(A, ["x"]) for A in K], lam)
+                    for K, lam in Phi.items()]
+        weights = [lam for _K, lam in families]
+        left = iv_weighted_sum([(iv_join(K), lam) for K, lam in families])
+        right = iv_join(iv_weighted_sum(zip(picks, weights))
+                        for picks in product(*[K for K, _lam in families]))
+        return left, right
+
+    def check(self, Phi):
+        r = pentagon_check("interval", Phi)
+        assert r.passed and r.met
+        sides = (render_interval(r.meta["left"], ["x"]),
+                 render_interval(r.meta["right"], ["x"]))
+        assert sides == self.oracle_sides(Phi), Phi
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_pool_matches_endpoint_arithmetic(self, seed):
+        rng = random.Random(seed)
+        for Phi in distlaw._random_interval_families(rng, QPLUS, 200):
+            self.check(Phi)
+
+    @pytest.mark.parametrize("keys, sides", [
+        ([((None,), 1), (((1, 2),), 1)], (None, None)),
+        ([((None, (0, 1), (4, 5)), 1)], ((0, 5), (0, 5))),
+        ([], ((0, 0), (0, 0))),
+    ], ids=["sum-with-empty-is-empty", "join-ignores-empty",
+            "empty-weighting-is-zero"])
+    def test_empty_interval_facts(self, keys, sides):
+        Phi = set_weighting(QPLUS, [
+            (tuple(cs_empty(QPLUS) if ends is None else iv(*ends)
+                   for ends in K), lam) for K, lam in keys])
+        assert self.oracle_sides(Phi) == sides
+        self.check(Phi)
 
 
 class TestLawReportDriver:

@@ -307,6 +307,11 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
             "--vars", "x", "--set-json", "set_segment.json", "5.x")
         add(f"error-render-unparsable-term-and-set-{fmt}", "render",
             "--format", fmt, "--set-json", "no_such_file.json", "((((")
+    # the interval algebra over more random families than the
+    # six-trial entries draw
+    for fmt in ("text", "json"):
+        add(f"laws-pentagon-interval-pool-{fmt}", "laws", "--suite",
+            "pentagon", "--trials", "300", "--seed", "5", "--format", fmt)
     return out
 
 

@@ -296,31 +296,42 @@ class TestHandleFacts:
 
     def test_no_module_branches_on_a_semiring_id(self):
         """Behaviour that depends on the semiring reads a fact from the
-        handle, in the semiring module too."""
+        handle, in the semiring module too: no module compares a
+        handle's id, or a handle itself, against a named semiring."""
         src = Path(__file__).resolve().parents[1] / "src" / "convexmod"
-        pattern = re.compile(
-            r"""\.id\s*(==|!=|not\s+in|in)\s*["'(]"""
-            r"""|["']\s*(==|!=)\s*[\w.]*\.id\b""")
         found = [
             f"{path.name}:{lineno}: {line.strip()}"
             for path in sorted(src.glob("*.py"))
             for lineno, line in enumerate(
                 path.read_text(encoding="utf-8").splitlines(), start=1)
-            if pattern.search(line)]
+            if SEMIRING_BRANCH.search(line)]
         assert found == []
+
+    @pytest.mark.parametrize("line, flagged", [
+        ('if sr.id == "bool":', True),
+        ("if sr.id in ('bool', 'nat'):", True),
+        ('if "qplus" != A.semiring.id:', True),
+        ("if sr is not BOOL:", True),
+        ("if sr is QPLUS or sr == NAT:", True),
+        ("ok = BOOL != handle", True),
+        ("if a.semiring.id != b.semiring.id:", False),
+        ("sr = get_semiring(name or BOOL.id)", False),
+        ("def check_appendix_a(sr: Semiring = BOOL, xsize: int = 3", False),
+        ("if sr.enumeration != MODE_EXHAUSTIVE:", False),
+    ])
+    def test_branch_scan_flags_each_comparison(self, line, flagged):
+        assert bool(SEMIRING_BRANCH.search(line)) == flagged
 
     def test_law_reports_built_by_the_driver_only(self):
         """Every ``LawReport`` comes from ``report.law_report``, which
-        fixes its metadata, except the pentagon instance check's, whose
-        sides a benchmark reads."""
+        fixes its metadata."""
         src = Path(__file__).resolve().parents[1] / "src" / "convexmod"
         found = sorted(
             (path.name, owner)
             for path in src.glob("*.py")
             for owner in law_report_builders(
                 ast.parse(path.read_text(encoding="utf-8"))))
-        assert found == [("distlaw.py", "pentagon_check"),
-                         ("report.py", "law_report")]
+        assert found == [("report.py", "law_report")]
 
     def test_builder_scan_names_each_caller(self):
         code = """
@@ -357,6 +368,16 @@ d = {self._skey: 1}
 ok = self._skey == other._skey and sorted(xs, key=lambda p: p._skey)
 """
         assert skey_hash_sites(ast.parse(code)) == [2, 3, 4, 5, 5, 6, 8, 9]
+
+
+# A branch on a semiring's identity: its id against a string literal,
+# or a handle against one of the named handles by ``is``, ``is not``,
+# ``==`` or ``!=``, on either side.
+SEMIRING_BRANCH = re.compile(
+    r"""\.id\s*(==|!=|not\s+in|in)\s*["'(]"""
+    r"""|["']\s*(==|!=)\s*[\w.]*\.id\b"""
+    r"""|(\bis(\s+not)?|==|!=)\s*\b(BOOL|QPLUS|NAT)\b"""
+    r"""|\b(BOOL|QPLUS|NAT)\s*(\bis\b|==|!=)""")
 
 
 def law_report_builders(tree: ast.AST) -> list[str]:

@@ -47,7 +47,7 @@ from .convex import (
     cs_zero,
     hull_canonicalize,
 )
-from .errors import ConvexmodError, NotSemifieldError, SemiringMismatchError
+from .errors import ConvexmodError, NotSemifieldError
 from .freemod import FinSupp, finsupp, fs_map, fs_unit
 from .semiring import Scalar, Semiring
 
@@ -60,9 +60,7 @@ def family_weighting(sr: Semiring,
     for A, v in items:
         if not isinstance(A, ConvexSet):
             raise ConvexmodError("family weighting keys must be convex sets")
-        if A.semiring.id != sr.id:
-            raise SemiringMismatchError(
-                f"family key over {A.semiring.id} in a {sr.id} weighting")
+        sr.refuse_foreign("family key", A)
         entries.append((A, v))
     return finsupp(sr, entries)
 
@@ -72,7 +70,8 @@ def alpha(Phi: FinSupp) -> ConvexSet:
     Minkowski sum of the scaled keys, the one weighted Minkowski sum
     of the library (the diagram checks of ``distlaw`` call it too).
     Not available over nat, whose hulls cannot absorb the missing
-    choices.
+    choices.  A key over another semiring is refused before it is
+    scaled.
 
     The fold starts from the first scaled key instead of {epsilon}.
     Over a positive semifield, scaling by a nonzero lambda is a
@@ -86,10 +85,11 @@ def alpha(Phi: FinSupp) -> ConvexSet:
             "not a semifield; the resolved set is not convex over nat")
     if Phi.is_zero():
         return cs_zero(sr)
-    (A0, v0), *rest = Phi.entries
-    acc = cs_scale(v0, A0)
-    for A, v in rest:
-        acc = cs_add(acc, cs_scale(v, A))
+    acc = None
+    for A, v in Phi.entries:
+        if A.semiring is not sr:
+            sr.refuse_foreign("family key", A)
+        acc = cs_scale(v, A) if acc is None else cs_add(acc, cs_scale(v, A))
     return acc
 
 
@@ -133,9 +133,7 @@ class KleisliArrow:
             raise ConvexmodError("arrow needs at least one input symbol")
         if set(self.table) != set(vin):
             raise ConvexmodError("arrow table must cover vars_in exactly")
-        srs = {A.semiring.id for A in self.table.values()}
-        if len(srs) > 1:
-            raise SemiringMismatchError("mixed semirings in one arrow")
+        self.semiring.refuse_foreign("arrow value", *self.table.values())
         out = set(vout)
         for x, A in self.table.items():
             for g in A.generators:
@@ -166,26 +164,29 @@ class KleisliArrow:
 
 def arrow(sr: Semiring, vars_in: Iterable[str], vars_out: Iterable[str],
           table: Mapping[str, ConvexSet]) -> KleisliArrow:
-    for A in table.values():
-        if A.semiring.id != sr.id:
-            raise SemiringMismatchError(
-                f"arrow value over {A.semiring.id}, expected {sr.id}")
+    sr.refuse_foreign("arrow value", *table.values())
     return KleisliArrow(tuple(vars_in), tuple(vars_out), dict(table))
 
 
 def ka_from_json(sr: Semiring, data: Mapping[str, Any]) -> KleisliArrow:
-    table = {}
-    for x, entry in dict(data.get("table", {})).items():
-        payload = dict(entry)
-        payload.setdefault("semiring", sr.id)
-        A = cs_from_json(payload)
-        if A.semiring.id != sr.id:
-            raise SemiringMismatchError(
-                f"arrow table entry over {A.semiring.id}, expected {sr.id}")
-        table[x] = A
-    return KleisliArrow(tuple(data.get("vars_in", ())),
-                        tuple(data.get("vars_out", ())),
-                        table)
+    """Inverse of ``KleisliArrow.to_json_dict``.  A table entry is a
+    ConvexSet object whose ``semiring`` defaults to ``sr``."""
+    if not isinstance(data, Mapping):
+        raise ConvexmodError("KleisliArrow JSON must be an object")
+    vars_in, vars_out = (data.get(k, []) for k in ("vars_in", "vars_out"))
+    if not all(isinstance(vs, list) and all(isinstance(v, str) for v in vs)
+               for vs in (vars_in, vars_out)):
+        raise ConvexmodError(
+            "KleisliArrow JSON 'vars_in' and 'vars_out' must be arrays "
+            "of symbols")
+    table = data.get("table", {})
+    if not isinstance(table, Mapping) or not all(
+            isinstance(entry, Mapping) for entry in table.values()):
+        raise ConvexmodError(
+            "KleisliArrow JSON 'table' must map symbols to objects")
+    return arrow(sr, vars_in, vars_out,
+                 {x: cs_from_json({"semiring": sr.id, **entry})
+                  for x, entry in table.items()})
 
 
 def kleisli_identity(sr: Semiring, variables: Iterable[str]) -> KleisliArrow:
@@ -205,8 +206,7 @@ def kleisli_compose(g: KleisliArrow, f: KleisliArrow) -> KleisliArrow:
     symbols; it resolves to the weighted Minkowski sum of the g-images
     of its support, and the resolutions join up."""
     sr = f.semiring
-    if g.semiring.id != sr.id:
-        raise SemiringMismatchError("composing arrows over mixed semirings")
+    sr.refuse_foreign("arrow", g)
     if set(f.vars_out) != set(g.vars_in):
         raise ConvexmodError(
             "inner variables disagree: "
@@ -222,8 +222,7 @@ def kleisli_compose(g: KleisliArrow, f: KleisliArrow) -> KleisliArrow:
 
 
 def kleisli_join(f: KleisliArrow, g: KleisliArrow) -> KleisliArrow:
-    if f.semiring.id != g.semiring.id:
-        raise SemiringMismatchError("joining arrows over mixed semirings")
+    f.semiring.refuse_foreign("arrow", g)
     if f.vars_in != g.vars_in or f.vars_out != g.vars_out:
         raise ConvexmodError("joining arrows with different variable sets")
     return KleisliArrow(
@@ -234,6 +233,5 @@ def kleisli_join(f: KleisliArrow, g: KleisliArrow) -> KleisliArrow:
 def kleisli_equal(f: KleisliArrow, g: KleisliArrow) -> bool:
     """Extensional equality: same variables, same set at every input.
     Tables are canonical, so structural comparison suffices."""
-    return (f.vars_in == g.vars_in and f.vars_out == g.vars_out
-            and f.semiring.id == g.semiring.id
-            and all(f(x) == g(x) for x in f.vars_in))
+    f.semiring.refuse_foreign("arrow", g)
+    return f == g

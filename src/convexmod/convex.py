@@ -102,7 +102,7 @@ from math import lcm
 from operator import attrgetter, mul
 from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import ConvexmodError, SemiringMismatchError
+from .errors import ConvexmodError
 from .exactlp import FeasibilitySystem, basis_solves, feasible
 from .freemod import (
     FinSupp,
@@ -199,9 +199,7 @@ def member(A: ConvexSet, phi: FinSupp) -> bool:
     """Exact test phi in hull(A.generators), by the semiring's
     ``hull_membership`` algorithm."""
     sr = A.semiring
-    if phi.semiring.id != sr.id:
-        raise SemiringMismatchError(
-            f"membership of a {phi.semiring.id} value in a {sr.id} set")
+    sr.refuse_foreign("value", phi)
     if not A.generators:
         return False
     if sr.hull_membership == HULL_EXACT_LP:
@@ -360,9 +358,8 @@ def hull_canonicalize(generators: Iterable[FinSupp],
     gens.sort(key=_SKEY)
     base = tuple([next(run) for _, run in groupby(gens, _SKEY)])
     for g in base:
-        if g.semiring.id != sr.id:
-            raise SemiringMismatchError(
-                f"generator over {g.semiring.id} in a {sr.id} set")
+        if g.semiring is not sr:
+            sr.refuse_foreign("generator", g)
     if sr.hull_membership == HULL_LOOKUP or len(base) <= 2:
         # Every subset convex, or at most two distinct points, each
         # outside the hull of the other (that point itself): the
@@ -383,9 +380,7 @@ def cs_compare(A: ConvexSet, B: ConvexSet
     first generator of A outside B's hull ("left"), else the first of
     B outside A's hull ("right").  Against an empty set, the other
     side's first generator is always the witness."""
-    if A.semiring.id != B.semiring.id:
-        raise SemiringMismatchError(
-            f"comparing sets over {A.semiring.id} and {B.semiring.id}")
+    A.semiring.refuse_foreign("compared set", B)
     for side, X, Y in (("left", A, B), ("right", B, A)):
         for g in X.generators:
             if not member(Y, g):
@@ -396,9 +391,7 @@ def cs_compare(A: ConvexSet, B: ConvexSet
 def cs_equal(A: ConvexSet, B: ConvexSet) -> bool:
     """Set equality of hulls over one semiring: canonical forms are
     unique, so the generators compare structurally."""
-    if A.semiring.id != B.semiring.id:
-        raise SemiringMismatchError(
-            f"comparing sets over {A.semiring.id} and {B.semiring.id}")
+    A.semiring.refuse_foreign("compared set", B)
     return A.generators == B.generators
 
 
@@ -436,9 +429,9 @@ def cs_scale(lam: Scalar, A: ConvexSet) -> ConvexSet:
 
 def cs_add(A: ConvexSet, B: ConvexSet) -> ConvexSet:
     """Minkowski sum on generators; empty absorbs (x + bottom = bottom)."""
-    if A.semiring.id != B.semiring.id:
-        raise SemiringMismatchError("cs_add over mixed semirings")
     sr = A.semiring
+    if B.semiring is not sr:
+        sr.refuse_foreign("summand", B)
     if A.is_empty() or B.is_empty():
         return cs_empty(sr)
     sums = [fs_add(a, b) for a in A.generators for b in B.generators]
@@ -447,8 +440,7 @@ def cs_add(A: ConvexSet, B: ConvexSet) -> ConvexSet:
 
 def cs_join(A: ConvexSet, B: ConvexSet) -> ConvexSet:
     """Hull of the union: the binary join of the semilattice."""
-    if A.semiring.id != B.semiring.id:
-        raise SemiringMismatchError("cs_join over mixed semirings")
+    A.semiring.refuse_foreign("joined set", B)
     return hull_canonicalize(
         list(A.generators) + list(B.generators), A.semiring)
 
@@ -456,8 +448,8 @@ def cs_join(A: ConvexSet, B: ConvexSet) -> ConvexSet:
 def cs_join_all(sets: Sequence[ConvexSet], sr: Semiring) -> ConvexSet:
     gens: list[FinSupp] = []
     for s in sets:
-        if s.semiring.id != sr.id:
-            raise SemiringMismatchError("cs_join_all over mixed semirings")
+        if s.semiring is not sr:
+            sr.refuse_foreign("joined set", s)
         gens.extend(s.generators)
     return hull_canonicalize(gens, sr)
 

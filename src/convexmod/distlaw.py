@@ -65,7 +65,7 @@ from .convex import (
     hull_canonicalize,
     member,
 )
-from .errors import ConvexmodError, NotSemifieldError, SemiringMismatchError
+from .errors import ConvexmodError, NotSemifieldError
 from .freemod import (
     FinSupp,
     finsupp,
@@ -369,8 +369,7 @@ def delta_witness_check(Phi: FinSupp, phi: FinSupp,
     """Exact check of the two defining sum conditions: per-set sums of
     psi reproduce Phi, per-element sums reproduce phi."""
     sr = Phi.semiring
-    if phi.semiring.id != sr.id or psi.semiring.id != sr.id:
-        raise SemiringMismatchError("witness check over mixed semirings")
+    sr.refuse_foreign("weighting", phi, psi)
     psi_sets = set_key(A for A, _x in psi.support())
     for A in set_key(itertools.chain(Phi.support(), psi_sets)):
         total = sr.sum(psi.value((A, x)) for x in A)

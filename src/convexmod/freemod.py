@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
 
-from .errors import ConvexmodError, SemiringMismatchError, UnmappedSymbolError
+from .errors import ConvexmodError, UnmappedSymbolError
 from .semiring import Scalar, Semiring
 
 Key = Any
@@ -199,13 +199,6 @@ def fs_unit(sr: Semiring, x: Key) -> FinSupp:
     return finsupp(sr, [(x, sr.one)])
 
 
-def _check_same_semiring(a: FinSupp, b: FinSupp) -> Semiring:
-    if a.semiring.id != b.semiring.id:
-        raise SemiringMismatchError(
-            f"mixed semirings: {a.semiring.id} vs {b.semiring.id}")
-    return a.semiring
-
-
 def fs_map(f: Mapping[Key, Key], phi: FinSupp) -> FinSupp:
     """Pushforward of ``phi`` along the table ``f``, summing over fibres.
 
@@ -234,7 +227,7 @@ def fs_mult(psi: FinSupp) -> FinSupp:
     for inner, weight in psi.entries:
         if not isinstance(inner, FinSupp):
             raise ConvexmodError("fs_mult needs FinSupp-valued keys")
-        _check_same_semiring(psi, inner)
+        sr.refuse_foreign("inner weighting", inner)
         for k, v in inner.entries:
             pairs.append((k, sr.mul(weight, v)))
     return finsupp(sr, pairs)
@@ -242,7 +235,9 @@ def fs_mult(psi: FinSupp) -> FinSupp:
 
 def fs_add(a: FinSupp, b: FinSupp) -> FinSupp:
     """Pointwise sum."""
-    sr = _check_same_semiring(a, b)
+    sr = a.semiring
+    if b.semiring is not sr:
+        sr.refuse_foreign("summand", b)
     return finsupp(sr, list(a.entries) + list(b.entries))
 
 

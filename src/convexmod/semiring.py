@@ -19,7 +19,9 @@ Every decision elsewhere in the package that depends on the semiring
 reads one of three facts from the handle instead of its id:
 ``is_semifield``, ``enumeration`` (how ``carrier`` lists the scalars)
 and ``hull_membership`` (which algorithm decides hull membership;
-``HULL_LOOKUP`` is property A, every subset already convex).
+``HULL_LOOKUP`` is property A, every subset already convex).  Every
+operation that meets two values asks the handle's ``refuse_foreign``,
+the one place a value over another semiring is refused.
 
 Scalars are plain Python values: ints 0/1 for bool, ``fractions.Fraction``
 for qplus, ints for nat.  All arithmetic is exact; nothing in this
@@ -40,6 +42,7 @@ from .errors import (
     NotInvertibleError,
     NotRefinementInstanceError,
     NotSemifieldError,
+    SemiringMismatchError,
 )
 from .report import (
     FAIL,
@@ -124,6 +127,14 @@ class Semiring:
     def validate(self, a: Scalar) -> Scalar:
         """Return the canonical internal form of ``a`` or raise."""
         raise NotImplementedError
+
+    def refuse_foreign(self, what: str, *values: Any) -> None:
+        """Refuse the first of ``values`` over another semiring.  Hot
+        callers ask only for a value whose handle is not this one."""
+        for value in values:
+            if value.semiring.id != self.id:
+                raise SemiringMismatchError(
+                    f"{what} over {value.semiring.id} in a {self.id} set")
 
     def parse_scalar(self, text: str) -> Scalar:
         """Parse ``p`` or ``p/q`` (qplus/nat) or ``0``/``1`` (bool)."""

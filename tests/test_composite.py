@@ -317,6 +317,22 @@ class TestKleisliConstruction:
         back = ka_from_json(QPLUS, data)
         assert kleisli_equal(back, self.f)
 
+    @pytest.mark.parametrize("data", [
+        [1],
+        {"vars_in": ["x"], "vars_out": ["u"], "table": [1]},
+        {"vars_in": ["x"], "vars_out": ["u"], "table": {"x": [1]}},
+        {"vars_in": "xy", "vars_out": ["u"],
+         "table": {"x": {"generators": []}, "y": {"generators": []}}},
+        {"vars_in": ["x"], "vars_out": "u",
+         "table": {"x": {"generators": [{"u": "1"}]}}},
+    ], ids=["document-array", "table-array", "entry-array",
+            "vars_in-string", "vars_out-string"])
+    def test_malformed_json_refused(self, data):
+        """Each malformed document is refused as a user error, not
+        read some other way."""
+        with pytest.raises(ConvexmodError, match="^KleisliArrow JSON "):
+            ka_from_json(QPLUS, data)
+
 
 def _random_arrow(rng, sr, vars_in, vars_out, allow_zero_weighting=True,
                   allow_empty_set=True):
@@ -444,6 +460,10 @@ MIXED_CALLS = {
         "table": {"x": _BSET.to_json_dict()}}),
     "kleisli_compose": lambda: kleisli_compose(_BARROW, _QARROW),
     "kleisli_join": lambda: kleisli_join(_QARROW, _BARROW),
+    "alpha-bool-weighting": lambda: alpha(finsupp(BOOL, [(_QSET, 1)])),
+    "alpha-qplus-weighting": lambda: alpha(finsupp(QPLUS, [(_BSET, 1)])),
+    "pc_mult": lambda: pc_mult(H(QPLUS, finsupp(QPLUS, [(_BSET, 1)]))),
+    "kleisli_equal": lambda: kleisli_equal(_QARROW, _BARROW),
     "delta_witness_check": lambda: delta_witness_check(
         set_weighting(QPLUS, [(("u",), 1)]), _B,
         finsupp(QPLUS, [((("u",), "u"), 1)])),

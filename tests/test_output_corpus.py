@@ -3,9 +3,10 @@
 ``CORPUS`` is a deterministic list of argv vectors over every
 subcommand (eval, eq, render, delta, laws), the three semirings, the
 three output formats and the usage-error paths.  Each entry runs
-in-process through ``cli.main``; the sha256 of its stdout and of its
-stderr, and its exit code, must equal the values pinned in
-``output_digests.json``.
+in-process through ``cli.main`` at a terminal width of 80 columns,
+whatever the terminal, so argparse wraps its usage text as pinned;
+the sha256 of its stdout and of its stderr, and its exit code, must
+equal the values pinned in ``output_digests.json``.
 
 A change that alters an output on purpose re-pins with
 
@@ -27,6 +28,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 from convexmod.cli import main
 
@@ -322,11 +324,18 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# argparse wraps usage text at ``shutil.get_terminal_size()``, which
+# reads ``COLUMNS`` first; the pins hold the 80-column fallback.
+USAGE_COLUMNS = "80"
+
+
 def run_entry(argv: list[str]) -> dict:
-    """Run one argv through ``cli.main`` in the current directory and
-    digest what it printed."""
+    """Run one argv through ``cli.main`` in the current directory, with
+    usage text wrapped at ``USAGE_COLUMNS``, and digest what it
+    printed."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, COLUMNS=USAGE_COLUMNS), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:  # argparse usage errors
@@ -409,3 +418,14 @@ def test_output_pinned(name, argv, pins, corpus_dir, monkeypatch):
     monkeypatch.delenv("CONVEXMOD_SEED", raising=False)
     monkeypatch.chdir(corpus_dir)
     assert run_entry(argv) == pins[name]
+
+
+def test_usage_wraps_at_pinned_width(pins, corpus_dir, monkeypatch):
+    """A wide terminal does not move the pinned usage text, and its
+    ``COLUMNS`` is back in place after the entry."""
+    monkeypatch.setenv("COLUMNS", "200")
+    monkeypatch.delenv("CONVEXMOD_SEED", raising=False)
+    monkeypatch.chdir(corpus_dir)
+    argv = dict(CORPUS)["error-unknown-suite"]
+    assert run_entry(argv) == pins["error-unknown-suite"]
+    assert os.environ["COLUMNS"] == "200"

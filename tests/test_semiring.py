@@ -14,8 +14,10 @@ from convexmod.errors import (
     NotInvertibleError,
     NotRefinementInstanceError,
     NotSemifieldError,
+    SemiringMismatchError,
 )
 from convexmod import semiring
+from convexmod.freemod import finsupp, fs_unit
 from convexmod.semiring import (
     BOOL,
     HULL_LOOKUP,
@@ -333,6 +335,49 @@ class TestHandleFacts:
                 ast.parse(path.read_text(encoding="utf-8"))))
         assert found == [("report.py", "law_report")]
 
+    def test_one_semiring_check(self):
+        """Values over two semirings are refused in one place: only
+        ``Semiring.refuse_foreign`` raises ``SemiringMismatchError``,
+        and no module but ``semiring`` compares a value's
+        ``semiring.id``."""
+        src = Path(__file__).resolve().parents[1] / "src" / "convexmod"
+        raises, compares = [], []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            raises.extend((path.name, owner)
+                          for owner in mismatch_raises(tree))
+            if path.name != "semiring.py":
+                compares.extend(f"{path.name}:{lineno}"
+                                for lineno in semiring_id_comparisons(tree))
+        assert raises == [("semiring.py", "Semiring.refuse_foreign")]
+        assert compares == []
+
+    @pytest.mark.parametrize("code, raises, compares", [
+        ("raise SemiringMismatchError('mixed')", ["<module>"], []),
+        ("def f():\n    raise errors.SemiringMismatchError", ["f"], []),
+        ("class C:\n    def m(self):\n"
+         "        raise SemiringMismatchError(f'{x}')", ["C.m"], []),
+        ("raise ConvexmodError('mixed semirings')", [], []),
+        ("if a.semiring.id != b.semiring.id:\n    pass", [], [1]),
+        ("ok = sr.id == phi.semiring.id", [], [1]),
+        ("ok = (a == b\n      and f.semiring.id == g.semiring.id)", [], [2]),
+        ("if b.semiring is not sr:\n    sr.refuse_foreign('v', b)", [], []),
+        ("h = hash((self.semiring.id, self.entries))", [], []),
+        ("if sr.id != other.id:\n    pass", [], []),
+    ])
+    def test_check_scan_flags_each_site(self, code, raises, compares):
+        tree = ast.parse(code)
+        assert mismatch_raises(tree) == raises
+        assert semiring_id_comparisons(tree) == compares
+
+    def test_refuse_foreign_names_the_first_foreign_value(self):
+        q, b = fs_unit(QPLUS, "x"), fs_unit(BOOL, "x")
+        QPLUS.refuse_foreign("value", q, q)
+        n = finsupp(NAT, [("x", 2)])
+        with pytest.raises(SemiringMismatchError) as exc:
+            QPLUS.refuse_foreign("value", q, b, n)
+        assert str(exc.value) == "value over bool in a qplus set"
+
     def test_builder_scan_names_each_caller(self):
         code = """
 top = LawReport(name="a")
@@ -397,6 +442,44 @@ def law_report_builders(tree: ast.AST) -> list[str]:
 
     visit(tree, "<module>")
     return found
+
+
+def mismatch_raises(tree: ast.AST) -> list[str]:
+    """The dotted name of the classes and functions around each
+    ``raise SemiringMismatchError`` (called or not, by its bare or its
+    module-qualified name), in source order; ``<module>`` outside any."""
+    found = []
+
+    def visit(node: ast.AST, owner: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+                if name == "SemiringMismatchError":
+                    found.append(".".join(owner) or "<module>")
+            scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+            visit(child, owner + [child.name] if scope else owner)
+
+    visit(tree, [])
+    return found
+
+
+def semiring_id_comparisons(tree: ast.AST) -> list[int]:
+    """Sorted line numbers of each ``==`` or ``!=`` comparison with a
+    ``<value>.semiring.id`` operand."""
+    def reads_id(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "id"
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "semiring")
+
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(reads_id(part) for part in [node.left, *node.comparators]))
 
 
 HASHING_CALLS = {"hash", "set", "frozenset", "fromkeys", "add",

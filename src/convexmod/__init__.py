@@ -11,7 +11,6 @@ from .composite import (
     KleisliArrow,
     alpha,
     arrow,
-    family_weighting,
     ka_from_json,
     kleisli_bottom,
     kleisli_compose,
@@ -29,7 +28,6 @@ from .convex import (
     cs_empty,
     cs_equal,
     cs_from_json,
-    cs_join,
     cs_join_all,
     cs_scale,
     cs_zero,

@@ -438,13 +438,6 @@ def cs_add(A: ConvexSet, B: ConvexSet) -> ConvexSet:
     return hull_canonicalize(sums, sr)
 
 
-def cs_join(A: ConvexSet, B: ConvexSet) -> ConvexSet:
-    """Hull of the union: the binary join of the semilattice."""
-    A.semiring.refuse_foreign("joined set", B)
-    return hull_canonicalize(
-        list(A.generators) + list(B.generators), A.semiring)
-
-
 def cs_join_all(sets: Sequence[ConvexSet], sr: Semiring) -> ConvexSet:
     gens: list[FinSupp] = []
     for s in sets:

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .composite import alpha
+from .composite import alpha, pc_map
 from .convex import (
     ConvexSet,
     cs_empty,
@@ -546,7 +546,7 @@ def weak_law_instance_count(xsize: int, sr: Semiring = BOOL,
         return 1 + pool * v + math.comb(pool, 2) * v * v
 
     level1 = pairs_at_most(s)
-    families = 1 + s + math.comb(s, 2)
+    families = _at_most_two(s)
     if bounded:
         level1, families = min(level1, 40), min(families, 15)
     return ((1 + v) ** xsize + pairs_at_most(level1)
@@ -651,8 +651,7 @@ def _weight_one_instances(sr: Semiring, law: Callable, universe: Sequence[str],
 def _naturality_violation_hull(instance: tuple) -> dict | None:
     Phi, f = instance
     left = delta_hull(_map_set_weighting(f, Phi))
-    right = hull_canonicalize(
-        [fs_map(f, g) for g in delta_hull(Phi).generators], Phi.semiring)
+    right = pc_map(f, delta_hull(Phi))
     return _unless(cs_equal(left, right), Phi=Phi, f=f, left=left,
                    right=right)
 
@@ -679,9 +678,8 @@ def check_naturality(sr: Semiring, xsize: int = 3, trials: int = 50,
     # The weight-one families of at most two sets, under every self-map:
     # the enumerated delta stream, and the choice search's first universe
     # up to its families of two, for every semiring.
-    sets = 2 ** xsize - 1
     _refuse_oversized(f"naturality over {sr.id} at xsize {xsize}",
-                      (1 + sets + math.comb(sets, 2)) * xsize ** xsize,
+                      _at_most_two(2 ** xsize - 1) * xsize ** xsize,
                       LIMITS["naturality"])
     universe = list(SYMBOL_POOL[:xsize])
     if sr.enumeration is None:
@@ -749,17 +747,17 @@ def pentagon_check(algebra: str, Phi: FinSupp) -> LawReport:
         meta={"left": left, "right": right})
 
 
-def _carrier_sets(sr: Semiring, universe: Sequence[str]
-                  ) -> list[ConvexSet]:
-    """Every convex set over the universe, as hulls of all subsets of
-    the full weighting pool of an exhaustive carrier; complete as long
-    as that stays small, otherwise generator lists are capped at two."""
-    phis = weightings_over(sr, universe, len(universe), None)
-    top = len(phis) if 2 ** len(phis) <= 512 else 2
+def _carrier_sets(sr: Semiring, phis: Sequence[FinSupp]) -> list[ConvexSet]:
+    """Every convex set on the full pool ``phis``: all subsets' hulls."""
     return sorted_unique(
         hull_canonicalize(list(combo), sr)
-        for r in range(0, top + 1)
+        for r in range(0, len(phis) + 1)
         for combo in itertools.combinations(phis, r))
+
+
+def _at_most_two(n: int) -> int:
+    """How many subsets of at most two elements n things have."""
+    return 1 + n + math.comb(n, 2)
 
 
 def _random_free_families(rng: random.Random, sr: Semiring,
@@ -810,7 +808,9 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
     bool: bounded-exhaustive families (every convex set over the
     symbols, families of at most two sets, weightings of support at
     most two): 1 + F + C(F, 2) weightings over F = 1 + C + C(C, 2)
-    families of the C carrier sets, counted before the walk.  qplus:
+    families of the C carrier sets, counted before the walk.  Above
+    xsize 3 the carrier is not listed: its empty set, N = 2^xsize points
+    and their two-point hulls give C >= 1 + N + C(N, 2).  qplus:
     seeded random families for the free algebra and the interval
     algebra, plus the frozen two-singleton interval instance whose
     answer is the endpoint sum [6, 8].
@@ -821,10 +821,16 @@ def check_pentagon_law(sr: Semiring, xsize: int = 2, trials: int = 50,
             "pentagon suite needs a positive semifield (bool or qplus)")
     universe = list(SYMBOL_POOL[:xsize])
     if sr.enumeration is not None:
-        carrier = _carrier_sets(sr, universe)
-        f = 1 + len(carrier) + math.comb(len(carrier), 2)
-        _refuse_oversized(f"pentagon over {sr.id} at xsize {xsize}",
-                          1 + f + math.comb(f, 2), LIMITS["pentagon"])
+        phis = weightings_over(sr, universe, len(universe), None)
+        what = f"pentagon over {sr.id} at xsize {xsize}"
+        if 2 ** len(phis) > 512:
+            least = _at_most_two(_at_most_two(_at_most_two(len(phis))))
+            _refuse_oversized(what, least, LIMITS["pentagon"], message=(
+                f"{what} enumerates at least {least:,} instances; "
+                f"at most {LIMITS['pentagon']:,} are allowed"))
+        carrier = _carrier_sets(sr, phis)
+        _refuse_oversized(what, _at_most_two(_at_most_two(len(carrier))),
+                          LIMITS["pentagon"])
         families = [set_key(F) for r in range(0, 3)
                     for F in itertools.combinations(carrier, r)]
         Phis = weightings_over(sr, families, 2, None)

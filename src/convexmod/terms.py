@@ -39,15 +39,15 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
+from .composite import pc_unit
 from .convex import (
     ConvexSet,
     cs_add,
     cs_empty,
     cs_equal,
-    cs_join,
+    cs_join_all,
     cs_scale,
     cs_zero,
-    hull_canonicalize,
 )
 from .errors import (
     ConvexmodError,
@@ -55,7 +55,6 @@ from .errors import (
     ParseError,
     UnmappedSymbolError,
 )
-from .freemod import fs_unit
 from .semiring import HULL_EXACT_LP, Scalar, Semiring, check_digit_runs
 
 
@@ -309,13 +308,13 @@ def eval_term(t: Term, sr: Semiring,
             if node.name not in declared:
                 raise UnmappedSymbolError(
                     f"unbound variable {node.name!r}")
-            values.append(hull_canonicalize([fs_unit(sr, node.name)], sr))
+            values.append(pc_unit(sr, node.name))
         elif isinstance(node, Scale):
             values.append(cs_scale(node.scalar, values.pop()))
         else:
-            right = values.pop()
-            op = cs_add if isinstance(node, Add) else cs_join
-            values.append(op(values.pop(), right))
+            pair = values.pop(-2), values.pop()
+            values.append(cs_add(*pair) if isinstance(node, Add)
+                          else cs_join_all(pair, sr))
     return values.pop()
 
 

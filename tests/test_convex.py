@@ -14,7 +14,7 @@ from convexmod.convex import (
     cs_empty,
     cs_equal,
     cs_from_json,
-    cs_join,
+    cs_join_all,
     cs_scale,
     cs_zero,
     extreme_points,
@@ -809,7 +809,7 @@ class TestSemimoduleAndJoin:
     def test_join_of_points_is_segment(self):
         A = hull_canonicalize([qsupp([("x", 1)])])
         B = hull_canonicalize([qsupp([("x", 5)])])
-        J = cs_join(A, B)
+        J = cs_join_all([A, B], QPLUS)
         assert member(J, qsupp([("x", 3)]))
         assert not member(J, qsupp([("x", 6)]))
         assert J.generators == (qsupp([("x", 1)]), qsupp([("x", 5)]))
@@ -835,13 +835,14 @@ class TestSemimoduleAndJoin:
 
     @given(qscalars.filter(lambda v: v != 0), small_qset, small_qset)
     def test_scale_distributes_over_join(self, lam, A, B):
-        assert cs_equal(cs_scale(lam, cs_join(A, B)),
-                        cs_join(cs_scale(lam, A), cs_scale(lam, B)))
+        assert cs_equal(cs_scale(lam, cs_join_all([A, B], QPLUS)),
+                        cs_join_all([cs_scale(lam, A), cs_scale(lam, B)],
+                                    QPLUS))
 
     @given(small_qset, small_qset, small_qset)
     def test_add_distributes_over_join(self, A, B, C):
-        assert cs_equal(cs_add(A, cs_join(B, C)),
-                        cs_join(cs_add(A, B), cs_add(A, C)))
+        assert cs_equal(cs_add(A, cs_join_all([B, C], QPLUS)),
+                        cs_join_all([cs_add(A, B), cs_add(A, C)], QPLUS))
 
     @given(qscalars.filter(lambda v: v != 0))
     def test_scale_keeps_bottom(self, lam):
@@ -849,13 +850,13 @@ class TestSemimoduleAndJoin:
 
     @given(small_bset, small_bset, small_bset)
     def test_bool_add_distributes_over_join(self, A, B, C):
-        assert cs_equal(cs_add(A, cs_join(B, C)),
-                        cs_join(cs_add(A, B), cs_add(A, C)))
+        assert cs_equal(cs_add(A, cs_join_all([B, C], BOOL)),
+                        cs_join_all([cs_add(A, B), cs_add(A, C)], BOOL))
 
     @given(small_qset, small_qset, finsupp_q)
     def test_membership_monotone_under_join(self, A, B, phi):
         if member(A, phi):
-            assert member(cs_join(A, B), phi)
+            assert member(cs_join_all([A, B], QPLUS), phi)
 
 
 def half(a, b):

@@ -645,6 +645,33 @@ class TestPentagonSuite:
             f"pentagon over bool at xsize {xsize} enumerates "
             f"{instances:,} instances; at most {instances - 1:,} are allowed")
 
+    @pytest.mark.parametrize("xsize, bound, listed", [(2, 11, 14),
+                                                      (3, 37, 122)])
+    def test_carrier_bound_stays_below_the_listed_carrier(self, xsize,
+                                                          bound, listed):
+        """The bound the suite refuses by above xsize 3, 1 + N + C(N, 2)
+        carrier sets over the N = 2^xsize weightings, stays at or below
+        the carrier listed from every subset where it can be listed."""
+        universe = list(distlaw.SYMBOL_POOL[:xsize])
+        phis = distlaw.weightings_over(BOOL, universe, xsize, None)
+        assert distlaw._at_most_two(len(phis)) == bound
+        assert len(distlaw._carrier_sets(BOOL, phis)) == listed
+
+    @pytest.mark.parametrize("xsize, least", [
+        (4, 44_693_786), (5, 9_826_127_392), (6, 2_346_476_587_004)])
+    def test_bool_refused_on_the_carrier_bound(self, monkeypatch, xsize,
+                                               least):
+        """Above xsize 3 the carrier is not listed: the refusal states
+        the count over the closed-form bound as a lower bound."""
+        def refuse(*_args):
+            raise AssertionError("the carrier was listed")
+        monkeypatch.setattr(distlaw, "_carrier_sets", refuse)
+        with pytest.raises(ConvexmodError) as exc:
+            check_pentagon_law(BOOL, xsize=xsize)
+        assert str(exc.value) == (
+            f"pentagon over bool at xsize {xsize} enumerates at least "
+            f"{least:,} instances; at most 100,000 are allowed")
+
     def test_qplus_randomized_passes_with_sum_rule(self):
         reports = check_pentagon_law(QPLUS, trials=30, seed=4)
         assert [(r.name, r.status) for r in reports] == [

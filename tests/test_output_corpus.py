@@ -233,6 +233,11 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
         "--semiring", "bool", "--xsize", "4")
     add("error-pentagon-bool-oversized", "laws", "--suite", "pentagon",
         "--semiring", "bool", "--xsize", "3")
+    # above xsize 3 the refusal states a lower bound on the count
+    for fmt in ("text", "json"):
+        add(f"error-pentagon-bool-xsize4-{fmt}", "laws", "--suite",
+            "pentagon", "--semiring", "bool", "--xsize", "4", "--format",
+            fmt)
     add("error-delta-nat-oversized", "delta", "--semiring", "nat", "--phi",
         "phi_oversized.json")
     add("error-delta-bool-compare-oversized", "delta", "--semiring", "bool",

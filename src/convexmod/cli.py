@@ -277,8 +277,7 @@ def _cmd_delta(args, out) -> int:
         if compare is not None:
             print(f"compare,{str(compare['agree']).lower()}", file=out)
     else:
-        for g in gens:
-            print(_fmt_gen(g, sr), file=out)
+        out.write("".join([_fmt_gen(g, sr) + "\n" for g in gens]))
         if compare is not None:
             verdict = "agree" if compare["agree"] else "DISAGREE"
             print(f"bruteforce comparison: {verdict} "

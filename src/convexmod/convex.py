@@ -84,7 +84,9 @@ dict keys on ConvexSet values are set equality.
 A ConvexSet hashes on first use, from its semiring id and its
 generator tuple, whose FinSupp members contribute their cached
 hashes, and keeps the result.  ``_skey`` only orders and compares, as
-in ``freemod``.
+in ``freemod``: it is ``(3, semiring id, generator keys)``, the tuple
+of the generators' flat ``_skey`` tuples, so two sets compare
+generator by generator, whatever the lengths of those keys.
 
 ``cs_scale`` by a nonzero scalar keeps the generator order without
 re-sorting or re-canonicalizing.  Scaling by a nonzero lambda is

@@ -26,6 +26,13 @@ it compares the ``_skey`` of neighbours in sorted order and never
 hashes one (``test_no_module_hashes_a_sort_key`` guards that no module
 does).
 
+``_skey`` is one flat tuple, ``(2, semiring id, sk(k1), v1, sk(k2),
+v2, ...)``: each entry fills two aligned slots, its key's sort key and
+its scalar.  Two values therefore compare entry by entry as tuples of
+(key, scalar) pairs would, and a value whose entries are a prefix of
+another's sorts first; the key is one tuple, not one per entry.  Every
+symbol's sort key ``(0, k)`` is one shared tuple.
+
 ``fs_scale`` by a nonzero scalar skips ``finsupp``: none of the three
 semirings has zero divisors, so no scaled entry becomes zero, and the
 keys do not change, so the entries stay sorted and distinct.
@@ -52,6 +59,20 @@ from .semiring import Scalar, Semiring
 Key = Any
 
 
+# The one (0, k) sort key of each symbol k, made on first use: sharing
+# it saves a tuple per entry of every value, and a key compared with
+# itself is settled by identity.  It needs no bound, because it holds
+# one pair per distinct symbol the process has used as a key: it grows
+# with the symbols read, never with the values built from them.
+class _SymbolKeys(dict):
+    def __missing__(self, k: str) -> tuple:
+        self[k] = key = (0, k)
+        return key
+
+
+_SYMBOL_KEYS = _SymbolKeys()
+
+
 def sort_key(value: Key) -> tuple:
     """Total order across all key kinds used in this package.
 
@@ -61,7 +82,7 @@ def sort_key(value: Key) -> tuple:
     are equal exactly when their sort keys are equal.
     """
     if isinstance(value, str):
-        return (0, value)
+        return _SYMBOL_KEYS[value]
     if isinstance(value, tuple):
         return (1, len(value), tuple(sort_key(v) for v in value))
     skey = getattr(value, "_skey", None)
@@ -94,12 +115,13 @@ class FinSupp:
                 "construct FinSupp via finsupp()/fs_unit()/fs_zero()")
         object.__setattr__(self, "semiring", semiring)
         object.__setattr__(self, "entries", entries)
-        # Symbol keys inline their sort key (0, k); other keys ask
-        # sort_key.
-        object.__setattr__(self, "_skey", (
-            2, semiring.id,
-            tuple([((0, k) if type(k) is str else sort_key(k), v)
-                   for k, v in entries])))
+        # The flat key of the module docstring; symbol keys skip
+        # sort_key's type tests.
+        skey = [2, semiring.id]
+        for k, v in entries:
+            skey.append(_SYMBOL_KEYS[k] if type(k) is str else sort_key(k))
+            skey.append(v)
+        object.__setattr__(self, "_skey", tuple(skey))
 
     def __setattr__(self, name: str, value: Any):
         raise AttributeError("FinSupp is immutable")

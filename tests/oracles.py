@@ -48,6 +48,11 @@ tautology:
   Minkowski sum: the hull of every weighted sum that picks one
   generator per key, built in one go.  The package folds the scaled
   keys pairwise with ``cs_add`` in ``composite.alpha``.
+* ``nested_sort_key`` is the package's former sort key: a FinSupp
+  value keys on ``(2, id, ((key's sort key, value), ...))``, one pair
+  per entry, and a convex set on the tuple of its generators' nested
+  keys.  The package lays each entry out flat, its key's sort key and
+  its value in two slots of one tuple.
 * ``fs_scale_by_finsupp`` and ``cs_scale_by_convex_set`` are the
   package's former scaling routes: every scaled pair goes back through
   the validating ``finsupp`` (validate, merge, drop zeros, sort), and
@@ -429,3 +434,22 @@ def cs_scale_by_convex_set(lam: Scalar, A: ConvexSet) -> ConvexSet:
         return cs_zero(sr)
     scaled = [fs_scale_by_finsupp(lam, g) for g in A.generators]
     return ConvexSet(sr, tuple(sorted_unique(scaled)), _trusted=True)
+
+
+def nested_sort_key(value) -> tuple:
+    """The sort key of ``value`` with every FinSupp entry as its own
+    (key, value) pair, built recursively from the entries and
+    generators, never from a cached key."""
+    if isinstance(value, str):
+        return (0, value)
+    if isinstance(value, tuple):
+        return (1, len(value), tuple(nested_sort_key(v) for v in value))
+    if isinstance(value, FinSupp):
+        return (2, value.semiring.id,
+                tuple((nested_sort_key(k), v) for k, v in value.entries))
+    if isinstance(value, ConvexSet):
+        return (3, value.semiring.id,
+                tuple(nested_sort_key(g) for g in value.generators))
+    if isinstance(value, int) and not isinstance(value, bool):
+        return (5, value)
+    raise ConvexmodError(f"unorderable key: {value!r}")

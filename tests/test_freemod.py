@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from convexmod.convex import hull_canonicalize
 from convexmod.errors import SemiringMismatchError, UnmappedSymbolError
 from convexmod.freemod import (
     FinSupp,
@@ -16,9 +17,10 @@ from convexmod.freemod import (
     fs_scale,
     fs_unit,
     fs_zero,
+    sort_key,
 )
 from convexmod.semiring import BOOL, NAT, QPLUS
-from oracles import fs_equal_extensional
+from oracles import fs_equal_extensional, nested_sort_key
 
 SYMS = ["u", "v", "w", "x", "y", "z"]
 qscalars = st.fractions(min_value=0, max_value=5, max_denominator=6)
@@ -307,3 +309,83 @@ class TestJson:
     def test_nat_roundtrip(self):
         phi = finsupp(NAT, [("a", 2), ("b", 7)])
         assert fs_from_json(NAT, phi.to_json_dict()) == phi
+
+
+# Keys of every kind a value may hold: symbols, integers, symbol
+# tuples, inner weightings and convex sets.  Inner values are over nat
+# or qplus, so two of them can differ in their semiring id; a qplus
+# convex set gets at most two generators, which are all extreme, so
+# drawing one solves no LP.
+inner_sr = st.sampled_from([NAT, QPLUS])
+symbol_entries = st.lists(
+    st.tuples(st.sampled_from(["x", "y", "z"]), st.integers(1, 3)),
+    max_size=3)
+inner_values = st.builds(finsupp, inner_sr, symbol_entries)
+convex_keys = inner_sr.flatmap(lambda sr: st.builds(
+    hull_canonicalize,
+    st.lists(st.builds(finsupp, st.just(sr), symbol_entries),
+             max_size=2 if sr is QPLUS else 3),
+    st.just(sr)))
+any_keys = st.one_of(
+    st.sampled_from(["x", "y", "z"]),
+    st.integers(0, 3),
+    st.lists(st.sampled_from(["x", "y"]), max_size=2).map(tuple),
+    inner_values,
+    convex_keys,
+)
+outer_values = st.builds(
+    finsupp, inner_sr,
+    st.lists(st.tuples(any_keys, st.integers(1, 3)), max_size=4))
+
+
+def _with_prefixes_and_copies(values):
+    """``values``, every proper prefix of each one's entries, and an
+    equal copy of each (a distinct object with an equal key)."""
+    out = list(values)
+    out += [finsupp(v.semiring, v.entries[:j])
+            for v in values for j in range(len(v.entries))]
+    out += [finsupp(v.semiring, v.entries) for v in values]
+    return out
+
+
+def _assert_orders_as_nested(items):
+    flat = [sort_key(x) for x in items]
+    nested = [nested_sort_key(x) for x in items]
+    by_flat = sorted(range(len(items)), key=flat.__getitem__)
+    by_nested = sorted(range(len(items)), key=nested.__getitem__)
+    assert by_flat == by_nested
+    for i, j in itertools.product(range(len(items)), repeat=2):
+        assert (flat[i] == flat[j]) == (nested[i] == nested[j])
+
+
+class TestFlatSortKey:
+    """Each entry of a value fills two slots of its flat sort key, so
+    the flat key orders and compares values as one (key, value) pair
+    per entry does (``oracles.nested_sort_key``)."""
+
+    def test_layout(self):
+        phi = finsupp(QPLUS, [("y", 2), ("x", 1), (3, 5)])
+        assert phi._skey == (2, "qplus", (0, "x"), 1, (0, "y"), 2, (5, 3), 5)
+        assert fs_zero(NAT)._skey == (2, "nat")
+
+    def test_symbol_keys_are_shared(self):
+        a = finsupp(QPLUS, [("x", 1)])
+        b = finsupp(NAT, [("x", 4), ("y", 1)])
+        assert a._skey[2] is b._skey[2] is sort_key("x")
+
+    def test_prefix_and_generator_lengths(self):
+        """A value sorts before any value that extends its entries, and
+        convex sets compare on generators whose keys differ in length."""
+        short = finsupp(NAT, [("x", 1)])
+        long = finsupp(NAT, [("x", 1), ("y", 1)])
+        A = hull_canonicalize([short, finsupp(NAT, [("z", 2)])], NAT)
+        B = hull_canonicalize([long, finsupp(NAT, [("z", 2)])], NAT)
+        values = [finsupp(QPLUS, [(K, 1)]) for K in (B, A, long, short)]
+        _assert_orders_as_nested(values + [A, B, short, long, fs_zero(NAT)])
+        assert short < long and A < B
+
+    @given(st.lists(outer_values, min_size=1, max_size=5))
+    def test_flat_orders_and_compares_as_nested(self, values):
+        values = _with_prefixes_and_copies(values)
+        keys = [k for v in values for k in v.support()]
+        _assert_orders_as_nested(values + keys)

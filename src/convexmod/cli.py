@@ -156,8 +156,10 @@ def _cmd_eval(args, out) -> int:
 def _cmd_eq(args, out) -> int:
     sr = get_semiring(args.semiring)
     variables = _parse_vars(args.vars)
-    A = eval_term(parse(args.term1, sr), sr, variables)
-    B = eval_term(parse(args.term2, sr), sr, variables)
+    # One memo for both sides: a subterm of both is computed once.
+    memo: dict = {}
+    A = eval_term(parse(args.term1, sr), sr, variables, memo)
+    B = eval_term(parse(args.term2, sr), sr, variables, memo)
     if cs_equal(A, B):
         if args.format == "json":
             print(json.dumps({"equal": True}), file=out)

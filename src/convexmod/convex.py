@@ -34,13 +34,22 @@ the lcm of every denominator, so comparing the integers compares the
 rationals.  This is the one place a rational system becomes integers;
 ``exactlp`` takes integer systems only.
 
-When there are at most as many columns as rows (n <= d + 1 for d
-coordinates), fraction-free (Bareiss) elimination first decides
-whether the columns are linearly independent.  The row of ones makes
-that the affine independence of the points, and affinely independent
+Fraction-free (Bareiss) elimination of the n columns first gives
+their rank r and the r rows where it pivots.  With more columns than
+rows it first eliminates the first d + 1: rank d + 1 there is rank
+d + 1 for all, and only lower rank needs all n.  The row of ones makes
+r = n the affine independence of the points, and affinely independent
 points are the vertices of their simplex: all n are extreme and are
-kept with no test and no LP.  Dependent columns go on to Clarkson's
-loop unchanged.
+kept with no test and no LP.  Otherwise, when r is below the row
+count d + 1 (the points span fewer dimensions than they have
+coordinates), every column keeps only the pivot rows.  Each dropped
+row is one linear combination of the kept ones, the same in every
+column, and every target below is one of the columns, so a system
+holds on the kept rows iff it holds on all of them: every answer
+stands.  Restricting is a linear bijection of the points' span, so it
+keeps which points are extreme, and the loop below takes the
+lexicographic order of the restricted columns.  The system then has
+full row rank r.
 
 A list E of extreme points found so far starts with the
 lexicographically greatest column, and every other generator is tested
@@ -59,22 +68,24 @@ new; it joins E and the same generator is tested again.  Each test
 drops a generator or finds an extreme point, so n generators with h
 extreme points take at most n + h tests with at most h columns each,
 where testing every generator against all the others takes n tests
-with up to n - 1.  With the certificate the bound is 0 tests for
-affinely independent input, and n + h after one elimination of
-O(n^2 d) integer operations otherwise.
+with up to n - 1.  After the elimination, of O(n d r) integer
+operations at most, the bound is 0 tests for affinely independent
+input and n + h otherwise.
 
-A "yes" needs more than the coordinates.  The loop keeps the basis of
-its most recent LP "yes" that held no artificial column: m = d + 1
-columns of E, by their positions in E, and D * B^-1 (see ``exactlp``).
-E only grows, so those columns stay where they were and the basis stays
-valid.  Before the next LP a test tries lambda = (D * B^-1) t, one m x m
-integer product: when lambda >= 0 and sum_j lambda_j c_j = D t, the
-target is the convex combination lambda / D of E and is dropped with no
-LP.  This is the witness re-substitution an LP "yes" passes, so a
-reused "yes" is checked as one from the LP is.  Any other test runs the
-LP as before, so every "no", and every Farkas certificate, is the one
-the LP alone gives, and E grows in the same order.  Only the tests the
-coordinates and the basis do not settle go to ``feasible``.
+A "yes" needs more than the coordinates.  On full row rank an LP "yes"
+can end on a basis of m = r real columns, and ``feasible`` hands that
+basis back: the columns of E, by their positions in E, and D * B^-1
+(see ``exactlp``).  The loop keeps every basis handed back during the
+call.  E only grows, so their columns stay where they were and each
+basis stays valid.  Before the next LP a test tries each, newest
+first: lambda = (D * B^-1) t, one m x m integer product; when
+lambda >= 0 and sum_j lambda_j c_j = D t, the target is the convex
+combination lambda / D of E and is dropped with no LP.  This is the
+witness re-substitution an LP "yes" passes, so a reused "yes" is
+checked as one from the LP is.  Any other test runs the LP as before,
+so every "no", and every Farkas certificate, is the one the LP alone
+gives, and E grows in the same order.  Only the tests the coordinates
+and the bases do not settle go to ``feasible``.
 
 Every ConvexSet is canonical: ``hull_canonicalize`` builds it, or an
 operation that keeps the canonical form (``cs_zero``, ``cs_empty``,
@@ -234,7 +245,7 @@ def _homogenized_columns(gens: Sequence[FinSupp]) -> list[tuple[int, ...]]:
 
 
 def _separation(others: Sequence[tuple[int, ...]], target: tuple[int, ...],
-                basis: list | None = None) -> list[int] | None:
+                bases: list | None = None) -> list[int] | None:
     """None when ``target`` lies in the hull of the nonempty column
     list ``others``, else a functional y with y.target > y.c for every
     c in ``others``.
@@ -242,39 +253,44 @@ def _separation(others: Sequence[tuple[int, ...]], target: tuple[int, ...],
     Hull members lie between the columns' least and greatest value on
     every coordinate, so a target strictly above (below) that range on
     one row is separated by the unit (negated unit) functional of that
-    row, with no LP.  Then a ``basis`` list holding the basis of an
-    earlier LP "yes" over a prefix of ``others`` may show the target
-    inside with no LP (``exactlp.basis_solves``).  Otherwise the LP
-    decides, a "yes" refreshes ``basis``, and a "no" carries its
-    checked Farkas certificate: y.c <= 0 < y.target."""
+    row, with no LP.  Then each basis in a ``bases`` list, every one
+    handed back by an earlier LP "yes" over a prefix of ``others``, is
+    tried newest first and may show the target inside with no LP
+    (``exactlp.basis_solves``).  Otherwise the LP decides, a "yes"
+    that hands back a basis adds it to ``bases``, and a "no" carries
+    its checked Farkas certificate: y.c <= 0 < y.target."""
     for r, (t, row) in enumerate(zip(target, zip(*others))):
         above = t > max(row)
         if above or t < min(row):
             y = [0] * len(target)
             y[r] = 1 if above else -1
             return y
-    if basis and basis_solves(others, target, basis):
-        return None
+    for basis in reversed(bases or ()):
+        if basis_solves(others, target, basis):
+            return None
     y: list[int] = []
+    basis: list = []
     if feasible(FeasibilitySystem(tuple(others), target),
                 certificate=y, basis=basis) is None:
         return y
+    if basis and bases is not None:
+        bases.append(basis)
     return None
 
 
-def _independent(columns: Sequence[tuple[int, ...]]) -> bool:
-    """Whether the integer vectors are linearly independent, by
-    fraction-free (Bareiss) elimination: one pivot per vector, a row
-    swap when the pivot position holds 0, a coordinate skipped when no
-    remaining vector is nonzero there.  Each entry after step k is, up
-    to sign, a (k+1)-minor of the input, so the division by the
-    previous pivot is exact (Bareiss, Math. Comp. 22, 1968)."""
+def _pivot_rows(columns: Sequence[tuple[int, ...]]) -> list[int]:
+    """The coordinates, ascending, where fraction-free (Bareiss)
+    elimination of the integer vectors pivots: a row swap when the
+    pivot position holds 0, a coordinate skipped when no remaining
+    vector is nonzero there.  Their number is the rank of the vectors,
+    and every other coordinate is one linear combination of them, the
+    same in every vector.  Each entry after step k is, up to sign, a
+    (k+1)-minor of the input, so the division by the previous pivot is
+    exact (Bareiss, Math. Comp. 22, 1968)."""
     rows = [list(c) for c in columns]
     n, width = len(rows), len(rows[0])
-    prev, k = 1, 0
+    prev, k, pivots = 1, 0, []
     for c in range(width):
-        if n - k > width - c:
-            return False
         p = next((i for i in range(k, n) if rows[i][c]), None)
         if p is None:
             continue
@@ -286,29 +302,37 @@ def _independent(columns: Sequence[tuple[int, ...]]) -> bool:
             for j in range(c + 1, width):
                 row[j] = (row[j] * pivot - a * top[j]) // prev
         prev, k = pivot, k + 1
+        pivots.append(c)
         if k == n:
-            return True
-    return False
+            break
+    return pivots
 
 
 def _extreme_indices(columns: Sequence[tuple[int, ...]]) -> list[int]:
     """The indices, ascending, of the extreme points among at least two
-    distinct homogenized columns (Clarkson's output-sensitive
-    redundancy removal, after the independence certificate; see the
+    distinct homogenized columns (the rank certificate, then Clarkson's
+    output-sensitive redundancy removal on the pivot rows; see the
     module docstring)."""
-    n = len(columns)
-    if n <= len(columns[0]) and _independent(columns):
+    n, width = len(columns), len(columns[0])
+    # Rank ``width`` on the first ``width`` columns is rank ``width`` on
+    # all of them, with no elimination of the rest.
+    rows = _pivot_rows(columns[:width])
+    if n > width and len(rows) < width:
+        rows = _pivot_rows(columns)
+    if len(rows) == n:
         return list(range(n))
+    if len(rows) < width:
+        columns = [tuple([c[r] for r in rows]) for c in columns]
     extreme = [max(range(n), key=columns.__getitem__)]
     found = set(extreme)
-    # The last LP "yes" basis: positions in ``extreme``, which only grows.
-    basis: list = []
+    # Every LP "yes" basis: positions in ``extreme``, which only grows.
+    bases: list = []
     for i in range(n):
         if i in found:
             continue
         target = columns[i]
         while True:
-            y = _separation([columns[j] for j in extreme], target, basis)
+            y = _separation([columns[j] for j in extreme], target, bases)
             if y is None:
                 break
             # Columns dropped so far lie in hull(extreme), below

@@ -13,7 +13,14 @@ over nat they must reduce to whole numbers, over bool to 0 or 1.
 Parentheses nest at most ``MAX_NESTING`` deep; sums, joins and scalar
 prefixes may be arbitrarily long.  Evaluation, printing and variable
 collection share one post-order walk (``_postorder``) over an explicit
-stack, with no recursion.
+stack, with no recursion.  Evaluation computes each distinct subterm
+once (hash-consing; Filliâtre and Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): the walk keys each node flat, by
+its kind, its name or scalar and the small-int ids of its operands'
+values.  A key never holds a term, whose dataclass hash would recurse
+through a deep term.  Callers that pass one memo to several
+evaluations, as ``term_equal`` and the command line's ``eq`` do for
+their two sides, share the subterms of all of them.
 
 A term denotes a convex set of weightings over its declared variables:
 a variable denotes the point set of its own unit weighting, ``0`` the
@@ -293,37 +300,61 @@ def free_variables(t: Term) -> tuple[str, ...]:
                          if isinstance(node, Var)}))
 
 
-def eval_term(t: Term, sr: Semiring,
-              variables: Iterable[str]) -> ConvexSet:
+def eval_term(t: Term, sr: Semiring, variables: Iterable[str],
+              memo: dict | None = None) -> ConvexSet:
     """Denotation over the declared variables: each variable stands for
-    the point set of its own unit weighting."""
+    the point set of its own unit weighting.
+
+    Each distinct subterm is computed once (see the module
+    docstring): equal subterms get equal keys.  ``memo`` maps those
+    keys to ``(id, value)``; a caller that passes one dict to several
+    calls over the same semiring and variables shares their subterms
+    too.  A variable is checked against ``variables`` on every call."""
     declared = set(variables)
-    values: list[ConvexSet] = []
+    if memo is None:
+        memo = {}
+    done: list[tuple[int, ConvexSet]] = []
     for node in _postorder(t):
-        if isinstance(node, Bot):
-            values.append(cs_empty(sr))
-        elif isinstance(node, Zero):
-            values.append(cs_zero(sr))
+        if isinstance(node, (Add, Join)):
+            (i, left), (j, right) = done.pop(-2), done.pop()
+            key = (type(node), i, j)
+        elif isinstance(node, Scale):
+            i, body = done.pop()
+            key = (Scale, node.scalar, i)
         elif isinstance(node, Var):
             if node.name not in declared:
                 raise UnmappedSymbolError(
                     f"unbound variable {node.name!r}")
-            values.append(pc_unit(sr, node.name))
-        elif isinstance(node, Scale):
-            values.append(cs_scale(node.scalar, values.pop()))
+            key = (Var, node.name)
         else:
-            pair = values.pop(-2), values.pop()
-            values.append(cs_add(*pair) if isinstance(node, Add)
-                          else cs_join_all(pair, sr))
-    return values.pop()
+            key = (type(node),)
+        entry = memo.get(key)
+        if entry is None:
+            if isinstance(node, Add):
+                value = cs_add(left, right)
+            elif isinstance(node, Join):
+                value = cs_join_all((left, right), sr)
+            elif isinstance(node, Scale):
+                value = cs_scale(node.scalar, body)
+            elif isinstance(node, Var):
+                value = pc_unit(sr, node.name)
+            elif isinstance(node, Zero):
+                value = cs_zero(sr)
+            else:
+                value = cs_empty(sr)
+            entry = memo[key] = (len(memo), value)
+        done.append(entry)
+    return done.pop()[1]
 
 
 def term_equal(t1: Term, t2: Term, sr: Semiring,
                variables: Iterable[str]) -> bool:
-    """Semantic equality of denotations over a shared variable set."""
+    """Semantic equality of denotations over a shared variable set; the
+    two sides share one memo, so a subterm of both is computed once."""
     declared = list(variables)
-    return cs_equal(eval_term(t1, sr, declared),
-                    eval_term(t2, sr, declared))
+    memo: dict = {}
+    return cs_equal(eval_term(t1, sr, declared, memo),
+                    eval_term(t2, sr, declared, memo))
 
 
 def synthesize_term(A: ConvexSet) -> Term:

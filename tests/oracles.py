@@ -53,6 +53,9 @@ tautology:
   per entry, and a convex set on the tuple of its generators' nested
   keys.  The package lays each entry out flat, its key's sort key and
   its value in two slots of one tuple.
+* ``eval_term_by_walk`` is the package's former evaluator: one walk
+  over the term that computes every node, a repeated subterm once per
+  occurrence.  The package computes each distinct subterm once.
 * ``fs_scale_by_finsupp`` and ``cs_scale_by_convex_set`` are the
   package's former scaling routes: every scaled pair goes back through
   the validating ``finsupp`` (validate, merge, drop zeros, sort), and
@@ -66,12 +69,16 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from convexmod.convex import ConvexSet, cs_zero, hull_canonicalize
-from convexmod.errors import ConvexmodError, SemiringMismatchError
+from convexmod.composite import pc_unit
+from convexmod.convex import (ConvexSet, cs_add, cs_empty, cs_join_all,
+                              cs_scale, cs_zero, hull_canonicalize)
+from convexmod.errors import (ConvexmodError, SemiringMismatchError,
+                              UnmappedSymbolError)
 from convexmod.distlaw import weak_compositions
 from convexmod.freemod import (FinSupp, finsupp, fs_add, fs_scale, fs_zero,
                                sorted_unique)
 from convexmod.semiring import Scalar, Semiring
+from convexmod.terms import Add, Bot, Scale, Term, Var, Zero, _postorder
 
 
 def bool_law_by_slice_products(key_sets: Sequence[Sequence[str]]
@@ -453,3 +460,28 @@ def nested_sort_key(value) -> tuple:
     if isinstance(value, int) and not isinstance(value, bool):
         return (5, value)
     raise ConvexmodError(f"unorderable key: {value!r}")
+
+
+def eval_term_by_walk(t: Term, sr: Semiring,
+                      variables: Sequence[str]) -> ConvexSet:
+    """The denotation of ``t`` with every node computed where the walk
+    meets it, however often a subterm repeats."""
+    declared = set(variables)
+    values: list[ConvexSet] = []
+    for node in _postorder(t):
+        if isinstance(node, Bot):
+            values.append(cs_empty(sr))
+        elif isinstance(node, Zero):
+            values.append(cs_zero(sr))
+        elif isinstance(node, Var):
+            if node.name not in declared:
+                raise UnmappedSymbolError(
+                    f"unbound variable {node.name!r}")
+            values.append(pc_unit(sr, node.name))
+        elif isinstance(node, Scale):
+            values.append(cs_scale(node.scalar, values.pop()))
+        else:
+            pair = values.pop(-2), values.pop()
+            values.append(cs_add(*pair) if isinstance(node, Add)
+                          else cs_join_all(pair, sr))
+    return values.pop()

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from convexmod import distlaw
+from convexmod import terms as terms_module
 from convexmod.cli import main
 from convexmod.errors import InternalError
 
@@ -78,6 +79,36 @@ class TestEq:
                            *terms)
         assert json.loads(out) == {"equal": False, "side": side,
                                    "witness": {"x": "1"}}
+
+
+    SHARED = ["(x|y)+(x|y)|0", "(x|y)+x|0"]
+
+    @pytest.mark.parametrize("terms,fmt,code,expected", [
+        (SHARED, "text",
+         1, "unequal: the left side has {y: 2}, the other does not\n"),
+        (SHARED[::-1], "text",
+         1, "unequal: the right side has {y: 2}, the other does not\n"),
+        (SHARED, "json",
+         1, '{"equal": false, "side": "left", "witness": {"y": "2"}}\n'),
+        (SHARED[::-1], "csv",
+         1, 'equal,side,witness\nfalse,right,"{y: 2}"\n'),
+        (["x|y", "(x|y)|(1/3.x+2/3.y)"], "text", 0, "equal\n"),
+    ], ids=["left", "right", "json", "csv", "equal"])
+    def test_shared_memo_output(self, capsys, monkeypatch, terms, fmt, code,
+                                expected):
+        """Both sides share one memo: the joins with (x|y), its sums
+        and the two joins with 0 are computed once each, and the
+        answer, witness included, is the one separate evaluations give."""
+        joins = []
+        original = terms_module.cs_join_all
+
+        def counted(*args):
+            joins.append(args)
+            return original(*args)
+        monkeypatch.setattr(terms_module, "cs_join_all", counted)
+        assert run(capsys, "eq", "--vars", "x,y", "--format", fmt,
+                   *terms) == (code, expected, "")
+        assert len(joins) == (3 if code else 2)
 
 
 class TestEval:

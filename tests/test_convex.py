@@ -276,13 +276,18 @@ class TestCoordinateSeparation:
     def test_separated_generators_need_no_lp(self, monkeypatch):
         calls = []
         monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
-        # The simplex is affinely independent; with the certificate off,
-        # the coordinate tests of the Clarkson loop must settle it.
-        monkeypatch.setattr(convex, "_independent", lambda columns: False)
+        # The simplex is affinely independent.  With the rank
+        # certificate off (every row reads as a pivot row, more rows than
+        # the 5 points), the coordinate tests of the Clarkson loop must
+        # settle it.
         simplex = [qsupp([(s, 1)]) for s in SYMS]
-        assert hull_canonicalize(simplex).generators == tuple(sorted(simplex))
         two = [qsupp([("x", 1), ("y", 2)]), qsupp([("x", 3)])]
-        assert hull_canonicalize(two).generators == tuple(sorted(two))
+        with monkeypatch.context() as mp:
+            mp.setattr(convex, "_pivot_rows",
+                       lambda columns: list(range(len(columns[0]))))
+            assert (hull_canonicalize(simplex).generators
+                    == tuple(sorted(simplex)))
+            assert hull_canonicalize(two).generators == tuple(sorted(two))
         assert calls == []
         # A midpoint ties nowhere strictly, so only the LP removes it.
         mid = qsupp([("x", F(1, 2)), ("y", F(1, 2))])
@@ -341,6 +346,123 @@ class TestBasisReuse:
         assert hull_canonicalize(gens, QPLUS).generators == (
             canonical_by_fixpoint(gens, qplus_member_by_elimination))
         assert tampered
+
+
+@st.composite
+def flat_padded_generators(draw):
+    """Collinear or coplanar points in 3-5 coordinates, padded with
+    convex combinations of them and shuffled: their homogenized columns
+    have rank 2 or 3, below the row count.  Points lie at p + s u + t v
+    for a base point p far enough from 0 that every coordinate stays
+    nonnegative."""
+    dim = draw(st.integers(3, 5))
+    flat = draw(st.integers(1, 2))
+    base = draw(st.lists(st.integers(4, 6), min_size=dim, max_size=dim))
+    directions = draw(st.lists(
+        st.lists(st.integers(-1, 1), min_size=dim, max_size=dim),
+        min_size=flat, max_size=flat))
+    steps = st.fractions(min_value=0, max_value=2, max_denominator=3)
+    points = []
+    for _ in range(draw(st.integers(2, 7))):
+        ts = draw(st.lists(steps, min_size=flat, max_size=flat))
+        points.append([b + sum(t * d[i] for t, d in zip(ts, directions))
+                       for i, b in enumerate(base)])
+    gens = [qsupp(list(zip(SYMS, p))) for p in points]
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    padded = list(gens)
+    for _ in range(draw(st.integers(0, 8))):
+        picks = rng.choices(gens, k=rng.randint(2, 3))
+        weights = [F(rng.randint(1, 4)) for _ in picks]
+        combo = fs_zero(QPLUS)
+        for w, g in zip(weights, picks):
+            combo = fs_add(combo, fs_scale(w / sum(weights), g))
+        padded.append(combo)
+    rng.shuffle(padded)
+    return padded
+
+
+def _padded_combinations(corners, count):
+    """``count`` points strictly inside the simplex of ``corners``,
+    each a convex combination with positive weights."""
+    points = []
+    for k in range(count):
+        weights = [F(k % 3 + 1), F(k % 5 + 1), F(k % 4 + 1)][:len(corners)]
+        total = sum(weights)
+        points.append(tuple(sum(w * c[i] for w, c in zip(weights, corners))
+                            / total for i in range(len(corners[0]))))
+    return points
+
+
+class TestPivotRows:
+    """Over qplus the Clarkson loop runs on the pivot rows of its
+    homogenized columns: the other rows are the same linear combination
+    of those in every column, so every answer stands, and the system
+    has full row rank, so an LP "yes" can hand back a basis of real
+    columns.  Each basis handed back during a call is kept."""
+
+    def test_padded_segment_needs_one_lp(self, monkeypatch):
+        # Two ends and 20 points on the segment between them, in 3
+        # coordinates: rank 2 of 4 rows.
+        ends = [(0, 1, 2), (3, 1, F(1, 2))]
+        inside = [tuple(a + F(k, 21) * (b - a) for a, b in zip(*ends))
+                  for k in range(1, 21)]
+        calls = []
+        monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
+        A = hull_canonicalize(_xyz(inside[:10] + ends + inside[10:]), QPLUS)
+        assert A.generators == tuple(sorted(_xyz(ends)))
+        assert len(calls) == 1
+
+    def test_padded_triangle_needs_one_lp(self, monkeypatch):
+        # Three corners and 15 points inside, in the plane x + y + z = 2:
+        # rank 3 of 4 rows.
+        corners = [(0, 0, 2), (2, 0, 0), (0, 2, 0)]
+        inside = _padded_combinations(corners, 15)
+        calls = []
+        monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
+        A = hull_canonicalize(_xyz(inside + corners), QPLUS)
+        assert A.generators == tuple(sorted(_xyz(corners)))
+        assert len(calls) == 1
+
+    def test_an_older_basis_settles_a_later_target(self, monkeypatch):
+        # The square's corners and three points inside: two LP "yes"
+        # answers hand back two triangles of corners, and the older one
+        # holds a later point the newer one does not.
+        square = [(0, 0), (4, 0), (4, 4), (0, 4)]
+        inside = [(2, F(5, 3)), (F(11, 3), F(8, 3)), (F(5, 3), F(10, 3))]
+        handed = []
+
+        def recording(system, certificate=None, basis=None):
+            witness = feasible(system, certificate, basis)
+            if basis:
+                handed.append(basis)
+            return witness
+        settled_by = []
+
+        def counting_basis_solves(columns, target, basis):
+            solved = basis_solves(columns, target, basis)
+            if solved:
+                settled_by.append(handed.index(basis))
+            return solved
+        monkeypatch.setattr(convex, "feasible", recording)
+        monkeypatch.setattr(convex, "basis_solves", counting_basis_solves)
+        gens = [qsupp(list(zip("xy", p))) for p in square + inside]
+        A = hull_canonicalize(gens, QPLUS)
+        assert A.generators == tuple(sorted(gens[:4]))
+        assert len(handed) == 2
+        assert 0 in settled_by
+
+    @settings(max_examples=100, deadline=None)
+    @given(flat_padded_generators())
+    def test_flat_inputs_match_fixpoint(self, gens):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convex, "feasible", _counting_feasible(calls))
+            A = hull_canonicalize(gens, QPLUS)
+        assert A.generators == canonical_by_fixpoint(
+            gens, qplus_member_by_elimination)
+        _assert_output_sensitive(gens, calls, A.generators)
+        # Every LP runs on the pivot rows only: 3 at most here.
+        assert all(len(system.target) <= 3 for system in calls)
 
 
 @st.composite
@@ -473,6 +595,26 @@ def _independent_by_fractions(vectors):
     return solve_exact(rows, [F(0)] * len(rows)) != "many"
 
 
+def _pivot_rows_by_fractions(vectors):
+    """The pivot coordinates of Gauss-Jordan elimination over
+    Fractions, with the vectors as rows: a coordinate is one exactly
+    when its column is independent of the columns before it."""
+    rows = [list(map(F, v)) for v in vectors]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        p = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[k], rows[p] = rows[p], rows[k]
+        for i, row in enumerate(rows):
+            if i != k and row[c]:
+                f = row[c] / rows[k][c]
+                rows[i] = [a - f * b for a, b in zip(row, rows[k])]
+        pivots.append(c)
+    return pivots
+
+
 class TestIndependenceCertificate:
     """Over qplus, n <= d + 1 points whose homogenized columns are
     linearly independent are affinely independent, so all extreme:
@@ -517,8 +659,10 @@ class TestIndependenceCertificate:
     ], ids=["zero_column", "zero_column_dependent", "swap_dependent",
             "swap_independent", "too_many", "proportional"])
     def test_elimination_cases(self, vectors, independent):
-        assert convex._independent(vectors) is independent
+        pivots = convex._pivot_rows(vectors)
+        assert (len(pivots) == len(vectors)) is independent
         assert _independent_by_fractions(vectors) is independent
+        assert pivots == _pivot_rows_by_fractions(vectors)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda width: st.lists(
@@ -526,8 +670,12 @@ class TestIndependenceCertificate:
                  max_size=width), min_size=1, max_size=width)))
     def test_elimination_matches_fractions(self, vectors):
         """The floor divisions of the fraction-free elimination are
-        exact, so it agrees with elimination over Fractions."""
-        assert (convex._independent(vectors)
+        exact, so it agrees with elimination over Fractions: the same
+        pivot rows, as many as the vectors exactly when they are
+        independent."""
+        pivots = convex._pivot_rows(vectors)
+        assert pivots == _pivot_rows_by_fractions(vectors)
+        assert ((len(pivots) == len(vectors))
                 == _independent_by_fractions(vectors))
 
 

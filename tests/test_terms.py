@@ -2,6 +2,7 @@
 
 import ast
 import random
+from functools import reduce
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from convexmod.errors import (
 )
 from convexmod.freemod import finsupp
 from convexmod.semiring import get_semiring
+from oracles import eval_term_by_walk
 from convexmod.terms import (
     MAX_NESTING,
     Add,
@@ -571,3 +573,111 @@ class TestConvexityLaw:
             lhs = Join(t1, t2)
             rhs = Join(lhs, Add(Scale(alpha, t1), Scale(beta, t2)))
             assert term_equal(lhs, rhs, QPLUS, ("x", "y", "z"))
+
+
+_SCALARS = {
+    "qplus": st.fractions(min_value=0, max_value=3, max_denominator=3),
+    "nat": st.integers(0, 3),
+    "bool": st.integers(0, 1),
+}
+
+
+@st.composite
+def _repeating_terms(draw, sr, count=1):
+    """``count`` terms built from one pool of subterms: each step puts
+    a scaling, sum or join of pool members back into the pool, so later
+    members repeat earlier ones, often several times over."""
+    leaf = st.one_of(st.just(Bot()), st.just(Zero()),
+                     st.sampled_from([Var("x"), Var("y"), Var("z")]))
+    pool = draw(st.lists(leaf, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from([Scale, Add, Join]))
+        left = draw(st.sampled_from(pool))
+        if kind is Scale:
+            pool.append(Scale(sr.validate(draw(_SCALARS[sr.id])), left))
+        else:
+            pool.append(kind(left, draw(st.sampled_from(pool))))
+    return [pool[-1]] + draw(st.lists(st.sampled_from(pool),
+                                      min_size=count - 1,
+                                      max_size=count - 1))
+
+
+def _compound_subterms(*ts):
+    """The distinct compound subterms of the terms, by kind."""
+    seen = set()
+    todo = list(ts)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Scale):
+            seen.add(node)
+            todo.append(node.body)
+        elif isinstance(node, (Add, Join)):
+            seen.add(node)
+            todo += [node.left, node.right]
+    return {kind: sum(isinstance(n, kind) for n in seen)
+            for kind in (Scale, Add, Join)}
+
+
+def _count_operations(monkeypatch):
+    """Counts of the set operations that ``terms`` calls, by the term
+    kind that calls each."""
+    counts = {Scale: 0, Add: 0, Join: 0}
+    for name, kind in (("cs_scale", Scale), ("cs_add", Add),
+                       ("cs_join_all", Join)):
+        def counted(*args, _fn=getattr(terms, name), _kind=kind):
+            counts[_kind] += 1
+            return _fn(*args)
+        monkeypatch.setattr(terms, name, counted)
+    return counts
+
+
+class TestMemo:
+    """``eval_term`` computes each distinct subterm once, within a term
+    and across the calls that share one memo, and agrees with the
+    walk that computes every occurrence."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("sr", [BOOL, NAT, QPLUS], ids=lambda s: s.id)
+    def test_matches_the_memo_free_walk(self, sr, data):
+        t1, t2 = data.draw(_repeating_terms(sr, count=2))
+        variables = ("x", "y", "z")
+        assert (eval_term(t1, sr, variables)
+                == eval_term_by_walk(t1, sr, variables))
+        memo: dict = {}
+        for t in (t1, t2):
+            assert (eval_term(t, sr, variables, memo)
+                    == eval_term_by_walk(t, sr, variables))
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("sr", [BOOL, QPLUS], ids=lambda s: s.id)
+    def test_each_distinct_subterm_computed_once(self, sr, data):
+        t1, t2 = data.draw(_repeating_terms(sr, count=2))
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _count_operations(mp)
+            eval_term(t1, sr, ("x", "y", "z"))
+            assert counts == _compound_subterms(t1)
+            counts.update(dict.fromkeys(counts, 0))
+            term_equal(t1, t2, sr, ("x", "y", "z"))
+            assert counts == _compound_subterms(t1, t2)
+
+    def test_shared_subterms_counted(self, monkeypatch):
+        counts = _count_operations(monkeypatch)
+        t = parse("(x | y) + 1/2.(x | y) | 1/2.(x | y) + (x | y)", QPLUS)
+        eval_term(t, QPLUS, ("x", "y"))
+        assert counts == {Scale: 1, Add: 2, Join: 2}
+
+    def test_left_nested_sum_of_10000_nodes(self):
+        # 5,001 summands and 5,000 sums, each key flat: hashing a key
+        # never walks into the term, whose depth is 5,000.
+        t = reduce(Add, [Var("x"), Var("y")] * 2500 + [Var("x")])
+        A = eval_term(t, QPLUS, ("x", "y"))
+        assert [dict(g.items()) for g in A.generators] == [
+            {"x": F(2501), "y": F(2500)}]
+
+    def test_memo_keeps_refusing_unbound_variables(self):
+        memo: dict = {}
+        eval_term(parse("x + y", QPLUS), QPLUS, ("x", "y"), memo)
+        with pytest.raises(UnmappedSymbolError, match="'y'"):
+            eval_term(parse("x + y", QPLUS), QPLUS, ("x",), memo)

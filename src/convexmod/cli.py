@@ -35,7 +35,7 @@ import json
 import os
 import sys
 
-from .convex import ConvexSet, cs_compare, cs_equal, cs_from_json
+from .convex import ConvexSet, cs_compare, cs_from_json
 from .distlaw import SUITES, run_delta, run_laws, set_weighting
 from .errors import ConvexmodError, InternalError, ParseError
 from .semiring import HULL_EXACT_LP, get_semiring
@@ -75,81 +75,76 @@ def _fmt_gen(g, sr) -> str:
     return "{" + ", ".join([f"{k}: {fmt(v)}" for k, v in g.entries]) + "}"
 
 
+def _csv(header, rows) -> str:
+    return "\n".join([",".join(row) for row in [header, *rows]]) + "\n"
+
+
 def _generators_csv(gens, sr, columns) -> str:
     """One row per generator under a header of ``columns``: the
     generator's value on each column, zero where it has none."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(sr.format_scalar(g.value(c)) for c in columns)
-                 for g in gens)
-    return "\n".join(lines) + "\n"
+    return _csv(columns, [[sr.format_scalar(g.value(c)) for c in columns]
+                          for g in gens])
 
 
-def _describe_set(A: ConvexSet, variables: list[str]) -> dict:
-    """Rendering payload: kind picked from the variable count, with
-    the canonical set always included."""
+def _generators_line(A: ConvexSet) -> str:
+    gens = " ".join([_fmt_gen(g, A.semiring) for g in A.generators])
+    return f"generators: {gens or 'none (empty set)'}"
+
+
+def _plot(A: ConvexSet, variables: list[str]) -> dict:
+    """The plot record: an exact-LP set over one or two variables is
+    an interval (formatted endpoints) or a polygon (formatted
+    vertices); any other set is shown by its generators."""
     sr = A.semiring
-    d: dict = {"semiring": sr.id, "variables": list(variables)}
+    fmt = sr.format_scalar
+    d = {"semiring": sr.id, "variables": variables, "kind": "generators"}
     plotted = sr.hull_membership == HULL_EXACT_LP
     if len(variables) == 1 and plotted:
-        d["kind"] = "interval"
         iv = render_interval(A, variables)
-        if iv is None:
-            d["min"] = None
-            d["max"] = None
-        else:
-            d["min"] = sr.format_scalar(iv[0])
-            d["max"] = sr.format_scalar(iv[1])
+        lo, hi = (None, None) if iv is None else map(fmt, iv)
+        d.update(kind="interval", min=lo, max=hi)
     elif len(variables) == 2 and plotted:
-        d["kind"] = "polygon"
         vs = render_polygon(A, variables)
-        d["vertices"] = None if vs is None else [
-            [sr.format_scalar(x), sr.format_scalar(y)] for x, y in vs]
-    else:
-        d["kind"] = "generators"
-    d["set"] = A.to_json_dict()
+        d.update(kind="polygon", vertices=None if vs is None else
+                 [[fmt(x), fmt(y)] for x, y in vs])
     return d
 
 
-def _plot_csv(d: dict, A: ConvexSet, variables: list[str]) -> str:
-    if d["kind"] == "interval":
-        if d["min"] is None:
-            return "min,max\n"
-        return f"min,max\n{d['min']},{d['max']}\n"
-    if d["kind"] == "polygon":
-        header = ",".join(variables)
-        rows = d["vertices"] or []
-        return "\n".join([header] + [",".join(v) for v in rows]) + "\n"
-    return _generators_csv(A.generators, A.semiring, variables)
-
-
-def _plot_text(d: dict, A: ConvexSet) -> str:
-    sr = A.semiring
-    if d["kind"] == "interval":
-        body = "empty" if d["min"] is None else f"[{d['min']}, {d['max']}]"
-        return f"interval: {body}"
-    if d["kind"] == "polygon":
-        if d["vertices"] is None:
-            return "polygon: empty"
-        body = " ".join(f"({x}, {y})" for x, y in d["vertices"])
-        return f"polygon: {body}"
-    if A.is_empty():
-        return "generators: none (empty set)"
-    return "generators: " + " ".join(_fmt_gen(g, sr) for g in A.generators)
+def _write_plot(plot: dict, A: ConvexSet, fmt: str, out) -> None:
+    """A plot record's text line or CSV table."""
+    kind = plot["kind"]
+    if kind == "generators":
+        if fmt == "csv":
+            out.write(_generators_csv(A.generators, A.semiring,
+                                      plot["variables"]))
+        else:
+            print(_generators_line(A), file=out)
+        return
+    if kind == "interval":
+        header = ["min", "max"]
+        rows = [] if plot["min"] is None else [[plot["min"], plot["max"]]]
+    else:
+        header, rows = plot["variables"], plot["vertices"] or []
+    if fmt == "csv":
+        out.write(_csv(header, rows))
+    else:
+        pattern = "[{}, {}]" if kind == "interval" else "({}, {})"
+        body = " ".join([pattern.format(*row) for row in rows])
+        print(f"{kind}: {body or 'empty'}", file=out)
 
 
 def _cmd_eval(args, out) -> int:
     sr = get_semiring(args.semiring)
     variables = _parse_vars(args.vars)
     A = eval_term(parse(args.term, sr), sr, variables)
-    d = _describe_set(A, variables)
+    plot = _plot(A, variables)
     if args.format == "json":
-        print(json.dumps(d), file=out)
-    elif args.format == "csv":
-        out.write(_plot_csv(d, A, variables))
+        print(json.dumps(dict(plot, set=A.to_json_dict())), file=out)
     else:
-        print(_plot_text(dict(d, kind="generators"), A), file=out)
-        if d["kind"] != "generators":
-            print(_plot_text(d, A), file=out)
+        # text: the generators line, then the plot if it is another line
+        if args.format == "text" and plot["kind"] != "generators":
+            print(_generators_line(A), file=out)
+        _write_plot(plot, A, args.format, out)
     return EXIT_OK
 
 
@@ -160,7 +155,8 @@ def _cmd_eq(args, out) -> int:
     memo: dict = {}
     A = eval_term(parse(args.term1, sr), sr, variables, memo)
     B = eval_term(parse(args.term2, sr), sr, variables, memo)
-    if cs_equal(A, B):
+    differ = cs_compare(A, B)
+    if differ is None:
         if args.format == "json":
             print(json.dumps({"equal": True}), file=out)
         elif args.format == "csv":
@@ -168,7 +164,7 @@ def _cmd_eq(args, out) -> int:
         else:
             print("equal", file=out)
         return EXIT_OK
-    side, witness = cs_compare(A, B)
+    side, witness = differ
     text = _fmt_gen(witness, sr)
     if args.format == "json":
         print(json.dumps({"equal": False, "side": side,
@@ -292,7 +288,7 @@ def _cmd_delta(args, out) -> int:
 def _cmd_render(args, out) -> int:
     if args.term is not None and args.set_json is not None:
         raise ConvexmodError("render takes a term or --set-json, not both")
-    if args.set_json:
+    if args.set_json is not None:
         A = cs_from_json(_read_json(args.set_json))
         sr = A.semiring
         if args.semiring not in (None, sr.id):
@@ -301,7 +297,7 @@ def _cmd_render(args, out) -> int:
         variables = (list(A.support()) if args.vars is None
                      else _parse_vars(args.vars))
         check_declared(A, variables)
-    elif args.term:
+    elif args.term is not None:
         sr = get_semiring(args.semiring or "qplus")
         if args.vars is None:
             raise ConvexmodError("render needs --vars with a term")
@@ -309,16 +305,13 @@ def _cmd_render(args, out) -> int:
         A = eval_term(parse(args.term, sr), sr, variables)
     else:
         raise ConvexmodError("render needs a term or --set-json")
-    d = _describe_set(A, variables)
-    del d["set"]
-    if d["kind"] == "generators":
-        d["generators"] = [g.to_json_dict() for g in A.generators]
+    plot = _plot(A, variables)
     if args.format == "json":
-        print(json.dumps(d), file=out)
-    elif args.format == "csv":
-        out.write(_plot_csv(d, A, variables))
+        if plot["kind"] == "generators":
+            plot["generators"] = [g.to_json_dict() for g in A.generators]
+        print(json.dumps(plot), file=out)
     else:
-        print(_plot_text(d, A), file=out)
+        _write_plot(plot, A, args.format, out)
     return EXIT_OK
 
 

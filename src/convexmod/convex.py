@@ -197,7 +197,9 @@ def _union_support(gens: Iterable[FinSupp]) -> tuple:
 def cs_from_json(data: Mapping[str, Any]) -> ConvexSet:
     if not isinstance(data, Mapping):
         raise ConvexmodError("ConvexSet JSON must be an object")
-    sr = get_semiring(str(data.get("semiring")))
+    if not isinstance(data.get("semiring"), str):
+        raise ConvexmodError("ConvexSet JSON needs a 'semiring' string")
+    sr = get_semiring(data["semiring"])
     gens = data.get("generators")
     if not isinstance(gens, list):
         raise ConvexmodError("ConvexSet JSON needs a 'generators' array")
@@ -405,8 +407,11 @@ def cs_compare(A: ConvexSet, B: ConvexSet
     """None when the hulls are equal, else ``(side, witness)``: the
     first generator of A outside B's hull ("left"), else the first of
     B outside A's hull ("right").  Against an empty set, the other
-    side's first generator is always the witness."""
+    side's first generator is always the witness.  Canonical forms
+    are unique, so equal ones answer None with no membership test."""
     A.semiring.refuse_foreign("compared set", B)
+    if A.generators == B.generators:
+        return None
     for side, X, Y in (("left", A, B), ("right", B, A)):
         for g in X.generators:
             if not member(Y, g):

@@ -765,6 +765,16 @@ def _at_most_two(n: int) -> int:
     return 1 + n + math.comb(n, 2)
 
 
+def _random_family_weighting(rng: random.Random, sr: Semiring,
+                             pool: Sequence[ConvexSet]) -> FinSupp:
+    """A seeded weighting of one or two random families from ``pool``."""
+    keys = []
+    for _ in range(rng.randint(1, 2)):
+        fam = tuple(rng.sample(pool, rng.randint(1, len(pool))))
+        keys.append((set_key(fam), _random_fraction(rng)))
+    return finsupp(sr, keys)
+
+
 def _random_free_families(rng: random.Random, sr: Semiring,
                           universe: Sequence[str], trials: int
                           ) -> Iterator[FinSupp]:
@@ -775,11 +785,7 @@ def _random_free_families(rng: random.Random, sr: Semiring,
             gens = [_random_qplus_weighting(rng, sr, universe, len(universe))
                     for _ in range(rng.randint(1, 2))]
             sets.append(hull_canonicalize(gens, sr))
-        keys = []
-        for _ in range(rng.randint(1, 2)):
-            fam = tuple(rng.sample(sets, rng.randint(1, len(sets))))
-            keys.append((set_key(fam), _random_fraction(rng)))
-        yield finsupp(sr, keys)
+        yield _random_family_weighting(rng, sr, sets)
 
 
 def _random_interval_families(rng: random.Random, sr: Semiring,
@@ -792,11 +798,7 @@ def _random_interval_families(rng: random.Random, sr: Semiring,
                for _ in range(rng.randint(1, 3))]
         if rng.random() < 0.2:
             ivs.append(cs_empty(sr))
-        keys = []
-        for _ in range(rng.randint(1, 2)):
-            fam = tuple(rng.sample(ivs, rng.randint(1, len(ivs))))
-            keys.append((set_key(fam), _random_fraction(rng)))
-        yield finsupp(sr, keys)
+        yield _random_family_weighting(rng, sr, ivs)
 
 
 def _sum_rule_violation(Phi: FinSupp) -> dict | None:

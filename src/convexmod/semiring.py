@@ -281,10 +281,6 @@ class _QplusSemiring(Semiring):
 
     scalar_to_json = format_scalar
 
-    def carrier(self, bound: int | None) -> list[Fraction]:
-        raise NoDecisionProcedureError(
-            "no decision procedure: qplus carrier is infinite")
-
 
 class _NatSemiring(Semiring):
     id = "nat"

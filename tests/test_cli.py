@@ -908,6 +908,82 @@ class TestRender:
         else:
             assert err == f"error: {message}\n"
 
+    def test_empty_term_is_parse_error(self, capsys):
+        # given, not absent: the same parse error as eval's
+        got = run(capsys, "render", "--vars", "x", "")
+        assert got == run(capsys, "eval", "--vars", "x", "")
+        code, out, err = got
+        assert (code, out) == (2, "")
+        assert err.startswith("error: expected a term")
+
+    def test_empty_set_path_is_file_error(self, capsys):
+        code, out, err = run(capsys, "render", "--set-json", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no such file")
+
+    @pytest.mark.parametrize("data", [
+        {"generators": [{"x": "1"}]},
+        {"semiring": None, "generators": [{"x": "1"}]},
+        {"semiring": ["qplus"], "generators": [{"x": "1"}]}])
+    def test_set_json_without_semiring_string_refused(self, capsys,
+                                                      tmp_path, data):
+        p = tmp_path / "set.json"
+        p.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "render", "--set-json", str(p))
+        assert (code, out) == (2, "")
+        assert err == "error: ConvexSet JSON needs a 'semiring' string\n"
+
+
+class TestEvalRenderAgree:
+    """``render TERM`` prints the plot that ``eval TERM`` prints: eval's
+    text adds its generators line, its JSON adds ``set``, and render's
+    JSON of a generators plot adds the ``generators`` list."""
+
+    @pytest.fixture(params=["bool", "qplus", "nat"])
+    def semiring(self, request):
+        return request.param
+
+    @pytest.fixture(params=["x", "x,y", "x,y,z"])
+    def variables(self, request):
+        return request.param
+
+    @pytest.fixture(params=["x", "bot", "0", "x | 0", "0.bot + x", "LAST"])
+    def term(self, request, variables):
+        # LAST: the join of every declared variable
+        if request.param == "LAST":
+            return " | ".join(variables.split(","))
+        return request.param
+
+    def both(self, capsys, fmt, semiring, variables, term):
+        argv = ["--semiring", semiring, "--format", fmt, "--vars",
+                variables, term]
+        code, ev, err = run(capsys, "eval", *argv)
+        assert (code, err) == (0, "")
+        code, rd, err = run(capsys, "render", *argv)
+        assert (code, err) == (0, "")
+        return ev, rd
+
+    def test_text(self, capsys, semiring, variables, term):
+        ev, rd = self.both(capsys, "text", semiring, variables, term)
+        lines = ev.splitlines(keepends=True)
+        assert lines[0].startswith("generators: ")
+        assert rd == (ev if len(lines) == 1 else "".join(lines[1:]))
+        assert len(lines) == 1 + (semiring == "qplus" and variables != "x,y,z")
+
+    def test_csv(self, capsys, semiring, variables, term):
+        ev, rd = self.both(capsys, "csv", semiring, variables, term)
+        assert rd == ev
+
+    def test_json(self, capsys, semiring, variables, term):
+        ev, rd = self.both(capsys, "json", semiring, variables, term)
+        ev, rd = json.loads(ev), json.loads(rd)
+        assert list(ev)[-1] == "set"
+        the_set = ev.pop("set")
+        if rd["kind"] == "generators":
+            assert list(rd)[-1] == "generators"
+            assert rd.pop("generators") == the_set["generators"]
+        assert list(rd.items()) == list(ev.items())
+
 
 class TestFileInput:
     """``delta --phi`` and ``render --set-json`` read their file alike:

@@ -21,7 +21,7 @@ from convexmod.convex import (
     hull_canonicalize,
     member,
 )
-from convexmod.errors import SemiringMismatchError
+from convexmod.errors import ConvexmodError, SemiringMismatchError
 from convexmod.exactlp import basis_solves, feasible
 from convexmod.freemod import (
     finsupp,
@@ -921,6 +921,12 @@ class TestEquality:
         with pytest.raises(SemiringMismatchError):
             cs_equal(cs_empty(QPLUS), cs_empty(BOOL))
 
+    def test_compare_of_equal_forms_tests_no_membership(self, monkeypatch):
+        x, x2 = qsupp([("x", 1)]), qsupp([("x", 2)])
+        A = hull_canonicalize([x, x2], QPLUS)
+        monkeypatch.setattr(convex, "member", None)  # a call would raise
+        assert cs_compare(A, hull_canonicalize([x2, x], QPLUS)) is None
+
     @given(st.lists(finsupp_q, max_size=3), st.lists(finsupp_q, max_size=3))
     def test_compare_witness_lies_on_one_side_only(self, g1, g2):
         A, B = hull_canonicalize(g1, QPLUS), hull_canonicalize(g2, QPLUS)
@@ -1060,6 +1066,14 @@ class TestSerialization:
         lines = text.strip().split("\n")
         assert lines[0] == "x,y"
         assert set(lines[1:]) == {"1,2", "3,0"}
+
+    @pytest.mark.parametrize("data", [
+        {"generators": []}, {"semiring": None, "generators": []},
+        {"semiring": 1, "generators": []}])
+    def test_semiring_field_must_be_a_string(self, data):
+        with pytest.raises(ConvexmodError,
+                           match="ConvexSet JSON needs a 'semiring' string"):
+            cs_from_json(data)
 
     def test_canonicalize_helper(self):
         """Reading a set from JSON canonicalizes it."""

@@ -105,6 +105,7 @@ FILES = {
     "set_undeclared.json": json.dumps({"semiring": "qplus", "generators": [
         {"x": "1", "w": "2"}]}),
     "set_padded.json": json.dumps(_padded_qplus_set()),
+    "set_no_semiring.json": json.dumps({"generators": [{"x": "1"}]}),
 }
 
 # (name, vars, term); scalars other than 0 and 1 are parse errors over
@@ -314,6 +315,15 @@ def _build_corpus() -> list[tuple[str, list[str]]]:
             "--vars", "x", "--set-json", "set_segment.json", "5.x")
         add(f"error-render-unparsable-term-and-set-{fmt}", "render",
             "--format", fmt, "--set-json", "no_such_file.json", "((((")
+    # an empty term or set path is given, not absent: the term is a
+    # parse error and the path a file error, where both used to be
+    # refused as missing
+    add("error-render-empty-term", "render", "--vars", "x", "")
+    add("error-render-empty-set-path", "render", "--set-json", "")
+    # a set file without a semiring field is refused by name, where its
+    # semiring used to be read as 'None'
+    add("error-render-set-no-semiring", "render", "--set-json",
+        "set_no_semiring.json")
     # the interval algebra over more random families than the
     # six-trial entries draw
     for fmt in ("text", "json"):

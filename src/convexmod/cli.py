@@ -225,7 +225,7 @@ def _read_json(path: str | None):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
-        raise ConvexmodError(f"no such file: {exc.filename}") from None
+        raise ConvexmodError(f"no such file: {exc.filename!r}") from None
     except OSError as exc:
         raise ConvexmodError(f"cannot read {name}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:

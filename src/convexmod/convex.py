@@ -51,9 +51,13 @@ keeps which points are extreme, and the loop below takes the
 lexicographic order of the restricted columns.  The system then has
 full row rank r.
 
-A list E of extreme points found so far starts with the
-lexicographically greatest column, and every other generator is tested
-against hull(E) only.  Inside hull(E), which lies in the hull of the
+A list E of extreme points found so far starts with the seeds: the
+lexicographically greatest column and, on every row of the (restricted)
+columns, the lexicographically greatest of the columns that maximize
+that row and of those that minimize it.  Each is extreme by the face
+argument below, with the unit functional of its row, or its negation,
+as y; so none needs an LP.  Every other generator is tested against
+hull(E) only.  Inside hull(E), which lies in the hull of the
 input, it is not extreme and is dropped.  Outside, it comes with a
 functional y separating it from hull(E): a signed unit coordinate when
 it is strictly above, or strictly below, every column of E on one row
@@ -72,11 +76,11 @@ with up to n - 1.  After the elimination, of O(n d r) integer
 operations at most, the bound is 0 tests for affinely independent
 input and n + h otherwise.
 
-A "yes" needs more than the coordinates.  On full row rank an LP "yes"
-can end on a basis of m = r real columns, and ``feasible`` hands that
-basis back: the columns of E, by their positions in E, and D * B^-1
-(see ``exactlp``).  The loop keeps every basis handed back during the
-call.  E only grows, so their columns stay where they were and each
+A "yes" needs more than the coordinates.  On full row rank every LP
+"yes" ends on a basis of m = r real columns (``exactlp`` drives a
+leftover artificial out of it), and ``feasible`` hands that basis back:
+the columns of E, by their positions in E, and D * B^-1.  The loop
+keeps every basis handed back during the call.  E only grows, so their columns stay where they were and each
 basis stays valid.  Before the next LP a test tries each, newest
 first: lambda = (D * B^-1) t, one m x m integer product; when
 lambda >= 0 and sum_j lambda_j c_j = D t, the target is the convex
@@ -84,13 +88,15 @@ combination lambda / D of E and is dropped with no LP.  This is the
 witness re-substitution an LP "yes" passes, so a reused "yes" is
 checked as one from the LP is.  Any other test runs the LP as before,
 so every "no", and every Farkas certificate, is the one the LP alone
-gives, and E grows in the same order.  Only the tests the coordinates
-and the bases do not settle go to ``feasible``.
+gives.  Only the tests the seeds, the coordinates and the bases do
+not settle go to ``feasible``.
 
 Every ConvexSet is canonical: ``hull_canonicalize`` builds it, or an
 operation that keeps the canonical form (``cs_zero``, ``cs_empty``,
-``cs_scale``).  The canonical form is unique, so ``==``, ``hash`` and
-dict keys on ConvexSet values are set equality.
+``cs_scale``, ``cs_add`` over qplus of a single point or of summands
+on disjoint supports, and ``distlaw.delta_hull`` over qplus).  The
+canonical form is unique, so ``==``, ``hash`` and dict keys on
+ConvexSet values are set equality.
 
 A ConvexSet hashes on first use, from its semiring id and its
 generator tuple, whose FinSupp members contribute their cached
@@ -310,6 +316,22 @@ def _pivot_rows(columns: Sequence[tuple[int, ...]]) -> list[int]:
     return pivots
 
 
+def _seeds(columns: Sequence[tuple[int, ...]]) -> list[int]:
+    """Indices of extreme points found with no LP, without repeats: the
+    lexicographically greatest column, then on each row the
+    lexicographically greatest column of those that maximize it and of
+    those that minimize it (see the module docstring)."""
+    index = range(len(columns))
+    seeds = [max(index, key=columns.__getitem__)]
+    for row in zip(*columns):
+        for value in (max(row), min(row)):
+            best = max((j for j in index if row[j] == value),
+                       key=columns.__getitem__)
+            if best not in seeds:
+                seeds.append(best)
+    return seeds
+
+
 def _extreme_indices(columns: Sequence[tuple[int, ...]]) -> list[int]:
     """The indices, ascending, of the extreme points among at least two
     distinct homogenized columns (the rank certificate, then Clarkson's
@@ -325,7 +347,7 @@ def _extreme_indices(columns: Sequence[tuple[int, ...]]) -> list[int]:
         return list(range(n))
     if len(rows) < width:
         columns = [tuple([c[r] for r in rows]) for c in columns]
-    extreme = [max(range(n), key=columns.__getitem__)]
+    extreme = _seeds(columns)
     found = set(extreme)
     # Every LP "yes" basis: positions in ``extreme``, which only grows.
     bases: list = []
@@ -459,13 +481,27 @@ def cs_scale(lam: Scalar, A: ConvexSet) -> ConvexSet:
 
 
 def cs_add(A: ConvexSet, B: ConvexSet) -> ConvexSet:
-    """Minkowski sum on generators; empty absorbs (x + bottom = bottom)."""
+    """Minkowski sum on generators; empty absorbs (x + bottom = bottom).
+
+    Over qplus two cases need no canonicalization: one side a single
+    point, where the sum is a translate, or disjoint supports, where
+    the sum is affinely A x B, whose vertices are the pairs of
+    vertices.  Either way all |A| * |B| sums are distinct and extreme,
+    and they are only sorted.  Over bool the disjoint case fails:
+    hull{{x}, {x, y}} + hull{{z}, {z, w}} drops {x, y, z, w}, the join
+    of {x, y, z} and {x, z, w}."""
     sr = A.semiring
     if B.semiring is not sr:
         sr.refuse_foreign("summand", B)
     if A.is_empty() or B.is_empty():
         return cs_empty(sr)
     sums = [fs_add(a, b) for a in A.generators for b in B.generators]
+    if sr.hull_membership == HULL_EXACT_LP and (
+            len(A.generators) == 1 or len(B.generators) == 1
+            or {k for a in A.generators for k, _ in a.entries}.isdisjoint(
+                k for b in B.generators for k, _ in b.entries)):
+        sums.sort(key=_SKEY)
+        return ConvexSet(sr, tuple(sums), _trusted=True)
     return hull_canonicalize(sums, sr)
 
 

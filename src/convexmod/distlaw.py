@@ -17,6 +17,8 @@ Two independent routes compute it:
   semifields (bool, qplus): the law is the convex closure of the
   choice set c(Phi), the finitely many weightings obtained by picking
   one element per supported set and pushing the weights forward.
+  Over qplus its extreme points are the greedy vectors, listed with
+  no LP; over bool the choice set is canonicalized.
 
 Over nat the closed form genuinely fails: every subset of a nat
 semimodule is already convex, so the hull adds nothing, yet the brute
@@ -225,11 +227,79 @@ def choice_set(Phi: FinSupp) -> list[FinSupp]:
 def delta_hull(Phi: FinSupp) -> ConvexSet:
     """The law over a positive semifield: convex closure of the choice
     set.  nat is rejected because the closed form is provably wrong
-    there (its hulls are identity, yet the law is strictly larger)."""
+    there (its hulls are identity, yet the law is strictly larger).
+
+    Over bool the choice set is canonicalized.  Over qplus the hull is
+    the Minkowski sum of the scaled simplices Phi(A) * Delta(A), the
+    base polytope of the submodular weighted coverage function
+    f(S) = sum {Phi(A) : A meets S}, and its vertices are exactly the
+    greedy vectors: fix a linear order on the symbols and let each set
+    give its whole weight to its first symbol (J. Edmonds, "Submodular
+    functions, matroids, and certain polyhedra", 1970; L. S. Shapley,
+    "Cores of convex games", 1971; S. Fujishige, *Submodular Functions
+    and Optimization*, 2nd ed., 2005).  ``_greedy_vertices`` lists them
+    with no choice enumeration and no LP."""
     sr = Phi.semiring
     if not sr.is_semifield:
         raise NotSemifieldError("not a semifield; use brute force")
-    return hull_canonicalize(choice_set(Phi), sr)
+    if sr.hull_membership != HULL_EXACT_LP:
+        return hull_canonicalize(choice_set(Phi), sr)
+    return ConvexSet(sr, _greedy_vertices(Phi), _trusted=True)
+
+
+def _greedy_vertices(Phi: FinSupp) -> tuple[FinSupp, ...]:
+    """The distinct greedy vectors of a qplus weighting of sets, in
+    ``_skey`` order.
+
+    The symbols of an order are taken one at a time; each closes the
+    open sets that hold it, which give it their weights.  A depth-first
+    walk over these prefixes visits each state, the open sets and the
+    vector so far, once; the states number at most the product of
+    |A| + 1 over the sets.  A one-symbol set gives its weight to that
+    symbol in every order, so it starts closed.  Weights are integers
+    over their common denominator until the vertices are built."""
+    sr = Phi.semiring
+    sets = [A for A, _ in Phi.entries]
+    if not all(sets):
+        return ()  # an empty set admits no choice
+    symbols = set_key(x for A in sets for x in A)
+    at = {x: i for i, x in enumerate(symbols)}
+    scale = math.lcm(*(w.denominator for _, w in Phi.entries))
+    start = [0] * len(symbols)
+    weights, holders = [], [0] * len(symbols)
+    for A, w in Phi.entries:
+        w = w.numerator * (scale // w.denominator)
+        if len(A) == 1:
+            start[at[A[0]]] += w
+            continue
+        for x in A:
+            holders[at[x]] |= 1 << len(weights)
+        weights.append(w)
+    vectors: set[tuple[int, ...]] = set()
+    seen: set = set()
+
+    def walk(open_: int, vector: tuple[int, ...]) -> None:
+        if not open_:
+            vectors.add(vector)
+            return
+        if (open_, vector) in seen:
+            return
+        seen.add((open_, vector))
+        for s, held in enumerate(holders):
+            closing = open_ & held
+            if closing:
+                w = sum(weights[i] for i in range(len(weights))
+                        if closing >> i & 1)
+                walk(open_ & ~closing,
+                     vector[:s] + (vector[s] + w,) + vector[s + 1:])
+
+    walk((1 << len(weights)) - 1, tuple(start))
+    out = [FinSupp(sr, tuple([(x, Fraction(v, scale))
+                              for x, v in zip(symbols, vector) if v]),
+                   _trusted=True)
+           for vector in vectors]
+    out.sort(key=operator.attrgetter("_skey"))
+    return tuple(out)
 
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -42,6 +42,15 @@ artificial columns: y_k = s_k (D - r_{n+k}) for the row signs s, with
 y.a_j <= 0 for every column and y.b > 0.  A failed check is an
 ``InternalError``.
 
+When phase 1 ends feasible, an artificial still basic sits at level 0
+(the optimum is 0).  It is pivoted out on the first nonzero real entry
+of its row: a degenerate pivot, so the witness does not change.  Only a
+row whose real part is all zero, a redundant equation, keeps its
+artificial, so on a system of full row rank every "yes" ends on a basis
+of real columns.  A negative pivot would make D negative; the whole
+tableau, D included, is negated then, which keeps every entry D times
+the textbook one.
+
 A "yes" whose final basis holds only real columns B also hands back
 that basis: its column indices and the tableau's artificial block,
 which is D * B^-1 of the sign-flipped rows, its columns flipped back to
@@ -100,9 +109,10 @@ def feasible(sys_: FeasibilitySystem,
     that passes a list as ``certificate`` receives that checked
     certificate in it on a "no": integers y with y.a_j <= 0 for every
     column and y.b > 0.  A caller that passes a list as ``basis``
-    receives, on a "yes" whose final basis holds no artificial column,
-    ``[indices, inverse, D]``: the basic column indices, row by row,
-    and D * B^-1 for the basis matrix B, so that
+    receives, on a "yes" whose final basis holds no artificial column
+    (every "yes" on a system of full row rank), ``[indices, inverse,
+    D]``: the basic column indices, row by row, and D * B^-1 for the
+    basis matrix B, so that
     ``sum(inverse[i][k] * b[k]) / D`` is the weight of column
     ``indices[i]``.  ``basis_solves`` tries it on another target.
     Either list is left alone otherwise.
@@ -141,8 +151,9 @@ def _phase1(columns: Sequence[Sequence[int]], target: Sequence[int]):
     Returns ``((values, D, handback), None)`` with lambda_j =
     values[j] / D when the system is feasible, and the
     ``[indices, D * B^-1, D]`` that ``feasible`` hands back, or None
-    when an artificial column stays basic; or ``(None, y)`` with the
-    integer dual y in the system's own signs when it is not feasible.
+    when an artificial column stays basic on a redundant row; or
+    ``(None, y)`` with the integer dual y in the system's own signs
+    when it is not feasible.
     """
     m = len(target)
     n = len(columns)
@@ -193,28 +204,28 @@ def _phase1(columns: Sequence[Sequence[int]], target: Sequence[int]):
             raise InternalError(
                 "phase-1 objective unbounded; inconsistent tableau")
 
-        # The division by the previous pivot is exact (Bareiss): every
-        # entry, the cost row's too, stays a minor of the starting
-        # integer matrix.
-        prow = rows[leaving]
-        piv = prow[entering]
-        for i in range(m + 1):
-            if i == leaving:
-                continue
-            row = rows[i]
-            factor = row[entering]
-            if factor:
-                rows[i] = [(v * piv - factor * p) // denom
-                           for v, p in zip(row, prow)]
-            elif piv != denom:
-                rows[i] = [v * piv // denom for v in row]
-        denom = piv
+        denom = _pivot(rows, leaving, entering, denom)
         basis[leaving] = entering
 
     if cost[-1]:
         # The phase-1 dual: D minus the artificial reduced costs, signs
         # restored.
         return None, [s * (denom - cost[n + k]) for k, s in enumerate(signs)]
+    # An artificial still basic sits at level 0.  Pivot it out on the
+    # first nonzero real entry of its row: the right-hand side there is
+    # 0, so the pivot is degenerate and the witness stays.  A negative
+    # pivot would make D negative; negating the whole tableau keeps
+    # every entry D times the textbook one with D > 0.
+    for i in range(m):
+        if basis[i] >= n:
+            entering = next((j for j in range(n) if rows[i][j]), -1)
+            if entering < 0:
+                continue  # a redundant row: its artificial stays
+            denom = _pivot(rows, i, entering, denom)
+            basis[i] = entering
+            if denom < 0:
+                rows[:] = [[-v for v in row] for row in rows]
+                denom = -denom
     values = [0] * n
     for i in range(m):
         if basis[i] < n:
@@ -228,6 +239,26 @@ def _phase1(columns: Sequence[Sequence[int]], target: Sequence[int]):
             inverse = [list(map(mul, signs, row)) for row in inverse]
         handback = [basis, inverse, denom]
     return (values, denom, handback), None
+
+
+def _pivot(rows: list[list[int]], leaving: int, entering: int,
+           denom: int) -> int:
+    """Pivot the tableau ``rows`` in place on (leaving, entering) and
+    return the new common denominator, the pivot.  The division by the
+    previous one is exact (Bareiss): every entry, the cost row's too,
+    stays a minor of the starting integer matrix."""
+    prow = rows[leaving]
+    piv = prow[entering]
+    for i, row in enumerate(rows):
+        if i == leaving:
+            continue
+        factor = row[entering]
+        if factor:
+            rows[i] = [(v * piv - factor * p) // denom
+                       for v, p in zip(row, prow)]
+        elif piv != denom:
+            rows[i] = [v * piv // denom for v in row]
+    return piv
 
 
 def _check_certificate(columns: Sequence[Sequence[int]],

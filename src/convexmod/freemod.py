@@ -51,6 +51,7 @@ together with the pointwise semimodule operations ``fs_add``,
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from operator import itemgetter
 from typing import Any
 
 from .errors import ConvexmodError, UnmappedSymbolError
@@ -276,9 +277,21 @@ def fs_scale(lam: Scalar, phi: FinSupp) -> FinSupp:
                    _trusted=True)
 
 
+_KEY = itemgetter(0)
+
+
 def fs_from_json(sr: Semiring, data: Mapping[str, Any]) -> FinSupp:
-    """Inverse of FinSupp.to_json_dict for symbol-keyed functions."""
+    """Inverse of FinSupp.to_json_dict for symbol-keyed functions.
+
+    A JSON object's keys are distinct strings, so each value is read
+    once, already valid, and the nonzero entries sorted by key are the
+    canonical form.  Any other mapping goes through ``finsupp``."""
     if not isinstance(data, Mapping):
         raise ConvexmodError(f"FinSupp JSON must be an object, got {data!r}")
-    return finsupp(sr, ((str(k), sr.scalar_from_json(v))
-                        for k, v in data.items()))
+    if not all(type(k) is str for k in data):
+        return finsupp(sr, ((str(k), sr.scalar_from_json(v))
+                            for k, v in data.items()))
+    entries = [(k, sr.scalar_from_json(v)) for k, v in data.items()]
+    entries = [e for e in entries if e[1]]
+    entries.sort(key=_KEY)
+    return FinSupp(sr, tuple(entries), _trusted=True)

@@ -251,6 +251,15 @@ class _QplusSemiring(Semiring):
 
     def parse_scalar(self, text: str) -> Fraction:
         t = text.strip()
+        p, slash, q = t.partition("/")
+        if (t.isascii() and p.isdigit()
+                and (not slash or q.isdigit())):
+            # Plain ASCII digits: p or p/q, read by two int calls.
+            check_digit_runs(t)
+            denominator = int(q) if slash else 1
+            if not denominator:
+                raise ConvexmodError(f"invalid rational literal: {text!r}")
+            return Fraction(int(p), denominator)
         if _EXPONENT.search(t):
             raise ConvexmodError(
                 f"exponent notation is not accepted: {text!r}")

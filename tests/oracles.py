@@ -56,6 +56,9 @@ tautology:
 * ``eval_term_by_walk`` is the package's former evaluator: one walk
   over the term that computes every node, a repeated subterm once per
   occurrence.  The package computes each distinct subterm once.
+* ``delta_hull_by_choices`` is the package's former qplus route to
+  the weak law: the hull canonicalizer, LPs included, on every choice
+  function.  The package lists the greedy vertices instead.
 * ``fs_scale_by_finsupp`` and ``cs_scale_by_convex_set`` are the
   package's former scaling routes: every scaled pair goes back through
   the validating ``finsupp`` (validate, merge, drop zeros, sort), and
@@ -74,7 +77,7 @@ from convexmod.convex import (ConvexSet, cs_add, cs_empty, cs_join_all,
                               cs_scale, cs_zero, hull_canonicalize)
 from convexmod.errors import (ConvexmodError, SemiringMismatchError,
                               UnmappedSymbolError)
-from convexmod.distlaw import weak_compositions
+from convexmod.distlaw import choice_set, weak_compositions
 from convexmod.freemod import (FinSupp, finsupp, fs_add, fs_scale, fs_zero,
                                sorted_unique)
 from convexmod.semiring import Scalar, Semiring
@@ -123,6 +126,11 @@ def nat_law_by_slice_products(Phi: FinSupp) -> list[FinSupp]:
     for slices in product(*per_set):
         seen.add(finsupp(sr, [pair for slice_ in slices for pair in slice_]))
     return sorted_unique(seen)
+
+
+def delta_hull_by_choices(Phi: FinSupp) -> ConvexSet:
+    """The weak law as the canonical hull of the choice set."""
+    return hull_canonicalize(choice_set(Phi), Phi.semiring)
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexmod import convex
+from convexmod import convex, exactlp
 from convexmod.cli import _generators_csv
 from convexmod.convex import (
     cs_add,
@@ -296,6 +296,12 @@ class TestCoordinateSeparation:
         assert calls
 
 
+def _lexmax_seed(columns):
+    """E seeded with the lexicographic maximum alone, so the loop finds
+    every other extreme point itself."""
+    return [max(range(len(columns)), key=columns.__getitem__)]
+
+
 def _xyz(points):
     return [qsupp(list(zip("xyz", p))) for p in points]
 
@@ -316,6 +322,7 @@ class TestBasisReuse:
         gens = _xyz(self.TETRAHEDRON + self.PADDING)
         calls = []
         monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
+        monkeypatch.setattr(convex, "_seeds", _lexmax_seed)
         A = hull_canonicalize(gens, QPLUS)
         assert A.generators == tuple(sorted(_xyz(self.TETRAHEDRON)))
         # Two LP "no"s and the coordinate tests find the corners; the
@@ -326,6 +333,34 @@ class TestBasisReuse:
         monkeypatch.setattr(convex, "basis_solves", lambda *args: False)
         assert hull_canonicalize(gens, QPLUS) == A
         assert [len(system.columns) for system in calls] == [2, 3] + [4] * 6
+
+    def test_seeded_tetrahedron_needs_one_lp(self, monkeypatch):
+        # Each corner maximizes or minimizes a coordinate, so E starts
+        # with all four; one LP "yes" hands back their basis, which
+        # settles the other five inside points.
+        gens = _xyz(self.TETRAHEDRON + self.PADDING)
+        calls = []
+        monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
+        A = hull_canonicalize(gens, QPLUS)
+        assert A.generators == tuple(sorted(_xyz(self.TETRAHEDRON)))
+        assert [len(system.columns) for system in calls] == [4]
+        calls.clear()
+        monkeypatch.setattr(convex, "basis_solves", lambda *args: False)
+        assert hull_canonicalize(gens, QPLUS) == A
+        assert [len(system.columns) for system in calls] == [4] * 6
+
+    def test_a_tie_seeds_its_lexicographic_maximum(self, monkeypatch):
+        # All but the last point minimize z.  The midpoint (1, 1, 0)
+        # sorts first of them as a value, but only the lexicographically
+        # greatest, (2, 0, 0), is a seed: the midpoint is no vertex, and
+        # the one LP, a "yes", drops it.
+        gens = _xyz([(0, 2, 0), (1, 1, 0), (2, 0, 0), (0, 0, 1)])
+        assert gens[1] == min(gens[:3])
+        calls = []
+        monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
+        A = hull_canonicalize(gens, QPLUS)
+        assert A.generators == tuple(sorted(gens[:1] + gens[2:]))
+        assert len(calls) == 1
 
     def test_tampered_inverse_is_refused(self, monkeypatch):
         # Raising the ones-row entry of the first row of each handed-back
@@ -1011,6 +1046,65 @@ class TestSemimoduleAndJoin:
     def test_membership_monotone_under_join(self, A, B, phi):
         if member(A, phi):
             assert member(cs_join_all([A, B], QPLUS), phi)
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("the sum ran an LP")
+
+
+def _qset_on(symbols):
+    """Canonical qplus sets of 1-6 generators on ``symbols``."""
+    entries = st.lists(st.tuples(st.sampled_from(symbols), qscalars),
+                       max_size=3).map(qsupp)
+    return st.lists(entries, min_size=1, max_size=6).map(
+        lambda gens: hull_canonicalize(gens, QPLUS))
+
+
+class TestLpFreeSums:
+    """Over qplus a sum of summands on disjoint supports, or with one
+    side a single point, keeps every pairwise sum, sorted, with no
+    canonicalization and no LP."""
+
+    @settings(max_examples=100)
+    @given(_qset_on(["u", "v", "x"]), _qset_on(["y", "z"]), st.booleans())
+    def test_disjoint_supports(self, A, B, swap):
+        self._check(*((B, A) if swap else (A, B)))
+
+    @settings(max_examples=100)
+    @given(small_qset.filter(lambda A: not A.is_empty()), finsupp_q,
+           st.booleans())
+    def test_single_point(self, A, point, swap):
+        P = hull_canonicalize([point], QPLUS)
+        self._check(*((P, A) if swap else (A, P)))
+
+    @staticmethod
+    def _check(A, B):
+        sums = [fs_add(a, b) for a in A.generators for b in B.generators]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convex, "feasible", _refused)
+            mp.setattr(exactlp, "feasible", _refused)
+            mp.setattr(convex, "hull_canonicalize", _refused)
+            total = cs_add(A, B)
+        assert total.generators == hull_canonicalize(sums, QPLUS).generators
+        assert len(total.generators) == len(sums)
+
+    def test_disjoint_cube_corners(self):
+        # (a0|a1) + ... + (a10|a11): the 2^6 corners of a cube.
+        total = cs_zero(QPLUS)
+        for k in range(6):
+            segment = hull_canonicalize(
+                [qsupp([(f"a{2 * k}", 1)]), qsupp([(f"a{2 * k + 1}", 1)])])
+            total = cs_add(total, segment)
+        assert len(total.generators) == 2 ** 6
+        assert list(total.generators) == sorted(total.generators)
+
+    def test_bool_keeps_canonicalizing(self):
+        # Disjoint supports over bool: {x, y, z, w} is the join of
+        # {x, y, z} and {x, z, w}, so it is no generator of the sum.
+        A = hull_canonicalize([bsupp("x"), bsupp("xy")], BOOL)
+        B = hull_canonicalize([bsupp("z"), bsupp("zw")], BOOL)
+        assert cs_add(A, B).generators == tuple(sorted(
+            [bsupp("xz"), bsupp("xyz"), bsupp("xzw")]))
 
 
 def half(a, b):

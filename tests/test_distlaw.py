@@ -7,12 +7,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexmod.convex import (cs_empty, cs_equal, cs_join_all, cs_scale,
                               hull_canonicalize, member)
-from convexmod import distlaw
+from convexmod import convex, distlaw, exactlp
 from convexmod.distlaw import (
     Relation,
     _interval,
@@ -41,7 +41,8 @@ from convexmod.freemod import finsupp, fs_map, fs_unit, fs_zero
 from convexmod.report import FAIL, PASS, LawReport, law_report
 from convexmod.semiring import BOOL, NAT, QPLUS
 from convexmod.terms import render_interval
-from oracles import iv_join, iv_weighted_sum, nat_law_by_slice_products
+from oracles import (delta_hull_by_choices, iv_join, iv_weighted_sum,
+                     nat_law_by_slice_products)
 
 
 def w(sr, *pairs):
@@ -120,6 +121,63 @@ class TestDeltaHull:
     def test_empty_set_key_maps_to_empty_set(self):
         Phi = set_weighting(QPLUS, [((), 3)])
         assert delta_hull(Phi).is_empty()
+
+
+def _choice_count(Phi):
+    count = 1
+    for A in Phi.support():
+        count *= len(A)
+    return count
+
+
+# 0-5 sets of 0-4 of seven symbols, at most 300 choice functions.
+qplus_weightings = st.lists(
+    st.tuples(st.lists(st.sampled_from(("a", "b", "u", "v", "x", "y", "z")),
+                       max_size=4, unique=True),
+              st.fractions(min_value=Fraction(1, 6), max_value=6,
+                           max_denominator=6)),
+    max_size=5).map(lambda items: set_weighting(QPLUS, items)).filter(
+        lambda Phi: _choice_count(Phi) <= 300)
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("delta over qplus ran an LP or listed choices")
+
+
+class TestGreedyVertices:
+    """Over qplus ``delta_hull`` lists the greedy vertices of the sum of
+    scaled simplices: the canonical hull of the choice set, with no
+    choice enumeration and no LP."""
+
+    @settings(max_examples=150)
+    @given(qplus_weightings)
+    def test_same_generators_as_the_choice_hull(self, Phi):
+        assert (delta_hull(Phi).generators
+                == delta_hull_by_choices(Phi).generators)
+
+    @given(qplus_weightings)
+    @example(set_weighting(QPLUS, THREE_SETS))
+    def test_no_lp_and_no_choice_enumeration(self, Phi):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convex, "feasible", _refused)
+            mp.setattr(exactlp, "feasible", _refused)
+            mp.setattr(distlaw, "choice_set", _refused)
+            mp.setattr(distlaw, "hull_canonicalize", _refused)
+            got = delta_hull(Phi)
+        assert got.generators == delta_hull_by_choices(Phi).generators
+
+    def test_three_sets_give_the_eight_choices(self):
+        Phi = set_weighting(QPLUS, THREE_SETS)
+        assert delta_hull(Phi).generators == tuple(choice_set(Phi))
+
+    def test_one_symbol_sets_start_closed(self):
+        # 200 one-symbol sets and one pair: a walk over the orders of
+        # every symbol would not end, the pair alone has two vertices.
+        Phi = set_weighting(QPLUS, [((f"s{i}",), 1) for i in range(200)]
+                            + [(("a", "b"), Fraction(1, 3))])
+        H = delta_hull(Phi)
+        assert len(H.generators) == 2
+        assert all(g.value("s7") == 1 for g in H.generators)
 
 
 class TestDeltaBruteforce:

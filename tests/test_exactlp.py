@@ -3,7 +3,7 @@ from math import lcm
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convexmod.errors import DimensionMismatchError, InternalError
@@ -331,3 +331,66 @@ class TestReturnedCertificate:
         with pytest.raises(InternalError, match="column 1"):
             _check_certificate(sys_.columns, sys_.target,
                                [y[0] + 1, y[1]])
+
+
+def _rank(vectors):
+    """Rank of rational vectors, by elimination over Fractions."""
+    rows = [list(map(F, v)) for v in vectors]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][c] / rows[rank][c]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def full_rank_feasible_systems(draw):
+    """m rows and at least m columns of full row rank, with a target
+    that is a nonnegative combination of a few of them, zero weights
+    common: the phase-1 optimum is often degenerate, an artificial
+    basic at level 0."""
+    rows = draw(st.integers(1, 4))
+    width = draw(st.integers(rows, 7))
+    cols = [[draw(entries) for _ in range(rows)] for _ in range(width)]
+    assume(_rank(cols) == rows)
+    weights = [draw(nonneg) for _ in range(width)]
+    target = [sum(w * col[i] for w, col in zip(weights, cols))
+              for i in range(rows)]
+    return cols, target
+
+
+class TestBasisHandback:
+    """On a system of full row rank every "yes" hands back a basis of
+    real columns: an artificial still basic at the end is pivoted out,
+    degenerately, and the witness stays the textbook one."""
+
+    @settings(max_examples=200)
+    @given(full_rank_feasible_systems())
+    def test_every_yes_hands_back_a_solving_basis(self, system):
+        sys_ = integral(*system)
+        basis = []
+        verdict = feasible(sys_, basis=basis)
+        assert verdict == feasible_by_fraction_simplex(*system)
+        assert basis, "a full-row-rank yes handed back no basis"
+        assert basis[2] > 0
+        assert basis_solves(sys_.columns, sys_.target, basis)
+
+    def test_degenerate_artificial_is_pivoted_out(self):
+        # Phase 1 ends with column 2 basic and the first row's
+        # artificial basic at level 0; the first real entry of that row
+        # is -1, so the pivot that drives it out is negative and the
+        # tableau is negated to keep D > 0.
+        cols, target = [(-1, -1), (-1, 0), (0, 1)], (0, 1)
+        sys_ = integral(cols, target)
+        basis = []
+        assert feasible(sys_, basis=basis) == [F(0), F(0), F(1)]
+        indices, inverse, denominator = basis
+        assert sorted(indices) == [0, 2] and denominator > 0
+        # (-1, 0) = (-1, -1) + (0, 1): the basis settles it with no LP.
+        assert basis_solves(sys_.columns, (-1, 0), basis)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexmod.convex import hull_canonicalize
-from convexmod.errors import SemiringMismatchError, UnmappedSymbolError
+from convexmod.errors import (ConvexmodError, SemiringMismatchError,
+                              UnmappedSymbolError)
 from convexmod.freemod import (
     FinSupp,
     finsupp,
@@ -309,6 +311,27 @@ class TestJson:
     def test_nat_roundtrip(self):
         phi = finsupp(NAT, [("a", 2), ("b", 7)])
         assert fs_from_json(NAT, phi.to_json_dict()) == phi
+
+    @given(st.sampled_from([BOOL, QPLUS, NAT]), st.dictionaries(
+        st.text("xyzuv", min_size=1, max_size=2),
+        st.one_of(st.integers(0, 1), st.sampled_from(
+            ["0", "1", " 1 ", "2/4", "0/3", "3", "true", "false"]))))
+    def test_object_read_as_by_finsupp(self, sr, data):
+        # A JSON object builds its value trusted: the same value, with
+        # the same entry tuple, as the validating route.
+        try:
+            want = finsupp(sr, ((k, sr.scalar_from_json(v))
+                                for k, v in data.items()))
+        except ConvexmodError as exc:
+            with pytest.raises(ConvexmodError, match=re.escape(str(exc))):
+                fs_from_json(sr, data)
+            return
+        got = fs_from_json(sr, data)
+        assert got.entries == want.entries and got._skey == want._skey
+
+    def test_other_mappings_merge_as_before(self):
+        # Keys 1 and "1" both read as the symbol "1" and are added.
+        assert fs_from_json(NAT, {1: 2, "1": 3}) == finsupp(NAT, [("1", 5)])
 
 
 # Keys of every kind a value may hold: symbols, integers, symbol

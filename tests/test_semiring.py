@@ -255,6 +255,27 @@ class TestScalarIO:
         assert BOOL.parse_scalar("1") == 1
         assert NAT.format_scalar(7) == "7"
 
+    @pytest.mark.parametrize("text", [
+        "0", "7", " 3/4 ", "04/06", "0/5", "12345678901234567890/3",
+        "1_000", "+2", "0.25", "1 / 2", "\u0661", "\u00b2"])
+    def test_plain_literals_read_as_fraction_does(self, text):
+        # Plain ASCII p and p/q take two int calls; every other
+        # literal still goes through Fraction.
+        try:
+            want = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ConvexmodError,
+                               match="invalid rational literal"):
+                QPLUS.parse_scalar(text)
+            return
+        got = QPLUS.parse_scalar(text)
+        assert (got, type(got)) == (want, Fraction)
+
+    def test_zero_denominator_message(self):
+        with pytest.raises(ConvexmodError) as exc:
+            QPLUS.parse_scalar(" 3/0")
+        assert str(exc.value) == "invalid rational literal: ' 3/0'"
+
     def test_negative_rational_rejected(self):
         with pytest.raises(Exception):
             QPLUS.parse_scalar("-1/2")

@@ -17,11 +17,13 @@ Membership runs the algorithm named by the semiring's ``hull_membership``:
   to 1 force one of them to be 0), so membership is literal lookup.
 
 Canonicalization keeps exactly the extreme points, in sorted order.
-It sorts the generators on their cached ``_skey`` and drops each one
-equal to its predecessor, so no generator is hashed; a Minkowski sum
-that is then dropped costs no hash of its scalars.  At most two
-distinct generators are all extreme: the hull of one point is that
-point.  Over bool distinct generators have distinct supports, so the
+Over bool and nat, and over qplus up to ``_SORT_FIRST_MAX``
+generators, it sorts the generators on their cached ``_skey`` and
+drops each one equal to its predecessor, so no generator is hashed.
+At most two distinct generators are all extreme: the hull of one point
+is that point.  Larger qplus inputs are deduped in a dict on the
+integer columns the loop below needs, and only the extreme points are
+sorted.  Over bool distinct generators have distinct supports, so the
 generators below a generator are those whose supports lie strictly
 inside its own, and it is extreme iff they do not join back to it:
 the same join-cover test as membership, against all the others.
@@ -35,9 +37,7 @@ rationals.  This is the one place a rational system becomes integers;
 ``exactlp`` takes integer systems only.
 
 Fraction-free (Bareiss) elimination of the n columns first gives
-their rank r and the r rows where it pivots.  With more columns than
-rows it first eliminates the first d + 1: rank d + 1 there is rank
-d + 1 for all, and only lower rank needs all n.  The row of ones makes
+their rank r and the r rows where it pivots.  The row of ones makes
 r = n the affine independence of the points, and affinely independent
 points are the vertices of their simplex: all n are extreme and are
 kept with no test and no LP.  Otherwise, when r is below the row
@@ -52,44 +52,46 @@ lexicographic order of the restricted columns.  The system then has
 full row rank r.
 
 A list E of extreme points found so far starts with the seeds: the
-lexicographically greatest column and, on every row of the (restricted)
-columns, the lexicographically greatest of the columns that maximize
-that row and of those that minimize it.  Each is extreme by the face
-argument below, with the unit functional of its row, or its negation,
-as y; so none needs an LP.  Every other generator is tested against
-hull(E) only.  Inside hull(E), which lies in the hull of the
-input, it is not extreme and is dropped.  Outside, it comes with a
-functional y separating it from hull(E): a signed unit coordinate when
-it is strictly above, or strictly below, every column of E on one row
-(the weights of a hull member sum to 1, so its coordinates lie between
-the least and greatest value there), else the LP's checked Farkas
-certificate.  The input columns that maximize y span a face of the
-input's hull, and the lexicographically greatest of them is extreme in
-that face, hence in the hull: a convex combination of points that are
-lexicographically at most p, one of them strictly less, is strictly
-less than p.  Its value under y exceeds every value on E, so it is
-new; it joins E and the same generator is tested again.  Each test
-drops a generator or finds an extreme point, so n generators with h
-extreme points take at most n + h tests with at most h columns each,
-where testing every generator against all the others takes n tests
-with up to n - 1.  After the elimination, of O(n d r) integer
-operations at most, the bound is 0 tests for affinely independent
-input and n + h otherwise.
+lexicographically greatest column and, on every row of the
+(restricted) columns, the lexicographically greatest of the columns
+that maximize that row and of those that minimize it.  Each is extreme
+by the face argument below, with the unit functional of its row, or
+its negation, as y; so none needs an LP.  Every other generator is
+tested against hull(E) only.  Inside hull(E), which lies in the hull
+of the input, it is not extreme and is dropped.  Outside, it comes
+with a functional y separating it from hull(E), the LP's checked
+Farkas certificate.  No coordinate test can separate it: the seeds
+hold every row's maximizer and minimizer, so E's range on each row is
+the input's (``member`` alone tests the range,
+``_range_separation``).  The input columns that maximize y span a face
+of the input's hull, and the lexicographically greatest of them is
+extreme in that face, hence in the hull: a convex combination of
+points that are lexicographically at most p, one of them strictly
+less, is strictly less than p.  Its value under y exceeds every value
+on E, so it is new; it joins E and the same generator is tested
+again.  Each test drops a generator or finds an extreme point, so n
+generators with h extreme points take at most n + h tests with at most
+h columns each, where testing every generator against all the others
+takes n tests with up to n - 1.  The extreme points are unique, so the
+order the loop visits the generators in does not change its result.
+After the elimination, of O(n d r) integer operations at most, the
+bound is 0 tests for affinely independent input and n + h otherwise.
 
-A "yes" needs more than the coordinates.  On full row rank every LP
-"yes" ends on a basis of m = r real columns (``exactlp`` drives a
-leftover artificial out of it), and ``feasible`` hands that basis back:
-the columns of E, by their positions in E, and D * B^-1.  The loop
-keeps every basis handed back during the call.  E only grows, so their columns stay where they were and each
-basis stays valid.  Before the next LP a test tries each, newest
-first: lambda = (D * B^-1) t, one m x m integer product; when
-lambda >= 0 and sum_j lambda_j c_j = D t, the target is the convex
-combination lambda / D of E and is dropped with no LP.  This is the
-witness re-substitution an LP "yes" passes, so a reused "yes" is
+A "yes" can come without an LP.  On full row rank every LP "yes" ends
+on a basis of m = r real columns (``exactlp`` drives a leftover
+artificial out of it), and ``feasible`` hands that basis back: the
+columns of E, by their positions in E, and D * B^-1.  The loop keeps
+every basis handed back during the call: keeping only the newest would
+leave more tests to the LP.  E only grows, so their columns stay where
+they were and each basis stays valid.  Before the next LP a test tries
+each, newest first: lambda = (D * B^-1) t, one m x m integer product;
+when lambda >= 0 and sum_j lambda_j c_j = D t, the target is the
+convex combination lambda / D of E and is dropped with no LP.  This is
+the witness re-substitution an LP "yes" passes, so a reused "yes" is
 checked as one from the LP is.  Any other test runs the LP as before,
 so every "no", and every Farkas certificate, is the one the LP alone
-gives.  Only the tests the seeds, the coordinates and the bases do
-not settle go to ``feasible``.
+gives.  Only the tests the seeds and the bases do not settle go to
+``feasible``.
 
 Every ConvexSet is canonical: ``hull_canonicalize`` builds it, or an
 operation that keeps the canonical form (``cs_zero``, ``cs_empty``,
@@ -225,7 +227,8 @@ def member(A: ConvexSet, phi: FinSupp) -> bool:
         return False
     if sr.hull_membership == HULL_EXACT_LP:
         *others, target = _homogenized_columns(A.generators + (phi,))
-        return _separation(others, target) is None
+        return (_range_separation(others, target) is None
+                and _separation(others, target) is None)
     if sr.hull_membership == HULL_JOIN_COVER:
         support = frozenset(phi.support())
         supports = (frozenset(g.support()) for g in A.generators)
@@ -252,27 +255,32 @@ def _homogenized_columns(gens: Sequence[FinSupp]) -> list[tuple[int, ...]]:
     return columns
 
 
-def _separation(others: Sequence[tuple[int, ...]], target: tuple[int, ...],
-                bases: list | None = None) -> list[int] | None:
-    """None when ``target`` lies in the hull of the nonempty column
-    list ``others``, else a functional y with y.target > y.c for every
-    c in ``others``.
-
-    Hull members lie between the columns' least and greatest value on
-    every coordinate, so a target strictly above (below) that range on
-    one row is separated by the unit (negated unit) functional of that
-    row, with no LP.  Then each basis in a ``bases`` list, every one
-    handed back by an earlier LP "yes" over a prefix of ``others``, is
-    tried newest first and may show the target inside with no LP
-    (``exactlp.basis_solves``).  Otherwise the LP decides, a "yes"
-    that hands back a basis adds it to ``bases``, and a "no" carries
-    its checked Farkas certificate: y.c <= 0 < y.target."""
+def _range_separation(others: Sequence[tuple[int, ...]],
+                      target: tuple[int, ...]) -> list[int] | None:
+    """A signed unit functional separating ``target`` from the columns
+    ``others`` when it is strictly above, or below, all of them on one
+    row (a hull member lies within their range there); else None."""
     for r, (t, row) in enumerate(zip(target, zip(*others))):
         above = t > max(row)
         if above or t < min(row):
             y = [0] * len(target)
             y[r] = 1 if above else -1
             return y
+    return None
+
+
+def _separation(others: Sequence[tuple[int, ...]], target: tuple[int, ...],
+                bases: list | None = None) -> list[int] | None:
+    """None when ``target`` lies in the hull of the nonempty column
+    list ``others``, else a functional y with y.target > y.c for every
+    c in ``others``.
+
+    Each basis in a ``bases`` list, every one handed back by an earlier
+    LP "yes" over a prefix of ``others``, is tried newest first and may
+    show the target inside with no LP (``exactlp.basis_solves``).
+    Otherwise the LP decides, a "yes" that hands back a basis adds it
+    to ``bases``, and a "no" carries its checked Farkas certificate:
+    y.c <= 0 < y.target."""
     for basis in reversed(bases or ()):
         if basis_solves(others, target, basis):
             return None
@@ -333,30 +341,28 @@ def _seeds(columns: Sequence[tuple[int, ...]]) -> list[int]:
 
 
 def _extreme_indices(columns: Sequence[tuple[int, ...]]) -> list[int]:
-    """The indices, ascending, of the extreme points among at least two
-    distinct homogenized columns (the rank certificate, then Clarkson's
+    """The indices, ascending, of the extreme points among distinct
+    homogenized columns (the rank certificate, then Clarkson's
     output-sensitive redundancy removal on the pivot rows; see the
     module docstring)."""
-    n, width = len(columns), len(columns[0])
-    # Rank ``width`` on the first ``width`` columns is rank ``width`` on
-    # all of them, with no elimination of the rest.
-    rows = _pivot_rows(columns[:width])
-    if n > width and len(rows) < width:
-        rows = _pivot_rows(columns)
+    n = len(columns)
+    rows = _pivot_rows(columns)
     if len(rows) == n:
         return list(range(n))
-    if len(rows) < width:
+    if len(rows) < len(columns[0]):
         columns = [tuple([c[r] for r in rows]) for c in columns]
     extreme = _seeds(columns)
     found = set(extreme)
-    # Every LP "yes" basis: positions in ``extreme``, which only grows.
+    # E's columns, in E's order; like ``extreme``, the list only grows.
+    hull = [columns[j] for j in extreme]
+    # Every LP "yes" basis: positions in ``hull``.
     bases: list = []
     for i in range(n):
         if i in found:
             continue
         target = columns[i]
         while True:
-            y = _separation([columns[j] for j in extreme], target, bases)
+            y = _separation(hull, target, bases)
             if y is None:
                 break
             # Columns dropped so far lie in hull(extreme), below
@@ -367,6 +373,7 @@ def _extreme_indices(columns: Sequence[tuple[int, ...]]) -> list[int]:
                                       columns[j]))
             extreme.append(best)
             found.add(best)
+            hull.append(columns[best])
             if best == i:
                 break
     return sorted(extreme)
@@ -384,6 +391,11 @@ def _join_covered(support: frozenset, below: Sequence[frozenset]) -> bool:
 # ---------------------------------------------------------------------------
 
 _SKEY = attrgetter("_skey")
+# Qplus inputs up to this size are deduped by sorting, larger ones on
+# their columns.  Timed by input size on the benchmark's qplus inputs,
+# the sort wins at 3 generators (a fifth to a quarter collapse to two
+# points, which need no column), the columns from 5, and they tie at 4.
+_SORT_FIRST_MAX = 4
 
 
 def hull_canonicalize(generators: Iterable[FinSupp],
@@ -403,6 +415,18 @@ def hull_canonicalize(generators: Iterable[FinSupp],
         return ConvexSet(sr, (), _trusted=True)
     if sr is None:
         sr = gens[0].semiring
+    if len(gens) > _SORT_FIRST_MAX and sr.hull_membership == HULL_EXACT_LP:
+        if any(g.semiring is not sr for g in gens):
+            sr.refuse_foreign("generator", *sorted(gens, key=_SKEY))
+        # Equal generators have equal columns, and integer tuples hash
+        # alike under every PYTHONHASHSEED; the first of equal ones stays.
+        first: dict = {}
+        for i, column in enumerate(_homogenized_columns(gens)):
+            first.setdefault(column, i)
+        index = list(first.values())
+        kept = [gens[index[j]] for j in _extreme_indices(list(first))]
+        kept.sort(key=_SKEY)
+        return ConvexSet(sr, tuple(kept), _trusted=True)
     # Sorting and comparing the cached sort keys dedups without hashing
     # a generator; groupby keeps the first of equal ones, as a set does.
     gens.sort(key=_SKEY)

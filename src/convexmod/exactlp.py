@@ -295,8 +295,9 @@ def _witness_fault(columns: Sequence[Sequence[int]], target: Sequence[int],
         return f"witness denominator {denominator} is not positive"
     if any(v < 0 for v in values):
         return f"negative weight in witness: {values}"
-    for i, b in enumerate(target):
-        acc = sum(v * col[i] for v, col in zip(values, columns))
+    rows = list(zip(*columns)) or [()] * len(target)
+    for i, (b, row) in enumerate(zip(target, rows)):
+        acc = sum(map(mul, values, row))
         if acc != denominator * b:
             return (f"witness re-substitution failed at coordinate {i}: "
                     f"{acc} != {denominator} * {b}")

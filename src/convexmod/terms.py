@@ -11,16 +11,18 @@ Identifiers match [a-zA-Z][a-zA-Z0-9_]* and must not be the keyword
 ``bot``.  Scalars are nonnegative rationals written ``p`` or ``p/q``;
 over nat they must reduce to whole numbers, over bool to 0 or 1.
 Parentheses nest at most ``MAX_NESTING`` deep; sums, joins and scalar
-prefixes may be arbitrarily long.  Evaluation, printing and variable
+prefixes may be arbitrarily long.  Nothing recurses over a term: the
+parser reads the tokens of one regex pass in a precedence loop, with
+one frame per open parenthesis, and evaluation, printing and variable
 collection share one post-order walk (``_postorder``) over an explicit
-stack, with no recursion.  Evaluation computes each distinct subterm
-once (hash-consing; Filliâtre and Conchon, "Type-safe modular
-hash-consing", ML Workshop 2006): the walk keys each node flat, by
-its kind, its name or scalar and the small-int ids of its operands'
-values.  A key never holds a term, whose dataclass hash would recurse
-through a deep term.  Callers that pass one memo to several
-evaluations, as ``term_equal`` and the command line's ``eq`` do for
-their two sides, share the subterms of all of them.
+stack.  Evaluation computes each distinct subterm once (hash-consing;
+Filliâtre and Conchon, "Type-safe modular hash-consing", ML Workshop
+2006): the walk keys each node flat, by its kind, its name or scalar
+and the small-int ids of its operands' values.  A key never holds a
+term, whose dataclass hash would recurse through a deep term.  Callers
+that pass one memo to several evaluations, as ``term_equal`` and the
+command line's ``eq`` do for their two sides, share the subterms of
+all of them.
 
 A term denotes a convex set of weightings over its declared variables:
 a variable denotes the point set of its own unit weighting, ``0`` the
@@ -44,7 +46,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .composite import pc_unit
 from .convex import (
@@ -105,141 +107,113 @@ class Join(Term):
 BOT = Bot()
 ZERO = Zero()
 
+# One alternative per token kind, named by the kind; the last takes
+# any other character but white space, which is refused.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)"
+    r"|(?P<bot>bot(?![a-zA-Z0-9_]))"
     r"|(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)"
-    r"|(?P<punct>[.+|()]))")
+    r"|(?P<dot>\.)|(?P<plus>\+)|(?P<bar>\|)|(?P<open>\()|(?P<close>\))"
+    r"|(?P<stray>\S))")
 
-_KEYWORDS = {"bot"}
-
-# The parser recurses once per parenthesis level (four frames each).
+# Parentheses nest at most this deep.  The parser keeps one frame per
+# open parenthesis on a list, not on the call stack, so any depth would
+# do; the limit stays part of the language, pinned by
+# ``test_nesting_limit_is_inclusive`` and the ``parens_2000`` error.
 MAX_NESTING = 100
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.lastgroup == "number":
-            tokens.append(("number", m.group("number"), m.start("number")))
-        elif m.lastgroup == "ident":
-            word = m.group("ident")
-            kind = "bot" if word in _KEYWORDS else "ident"
-            tokens.append((kind, word, m.start("ident")))
-        else:
-            tokens.append((m.group("punct"), m.group("punct"),
-                           m.start("punct")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-def _parse_scalar(sr: Semiring, text: str, at: int) -> Scalar:
-    """The literal ``p`` or ``p/q`` as a scalar of the semiring; whole
-    values reach ``sr.validate`` as ints."""
+def _parse_scalar(sr: Semiring, token: re.Match) -> Scalar:
+    """The number token ``p`` or ``p/q`` as a scalar of the semiring,
+    read by ``int``; whole values reach ``sr.validate`` as ints."""
+    text = token["number"]
     try:
         check_digit_runs(text)
     except ConvexmodError as exc:
-        raise ParseError(str(exc), at) from None
+        raise ParseError(str(exc), token.start("number")) from None
+    p, _, q = text.partition("/")
     try:
-        value = Fraction(text)
+        value = Fraction(int(p), int(q)) if q else int(p)
         return sr.validate(
             value.numerator if value.denominator == 1 else value)
     except (ZeroDivisionError, ConvexmodError):
-        raise ParseError(f"bad scalar for {sr.id}: {text}", at) from None
-
-
-class _Parser:
-    def __init__(self, text: str, sr: Semiring):
-        self.sr = sr
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.nesting = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
-                             tok[2])
-        return tok
-
-    def parse(self) -> Term:
-        t = self.term()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
-        return t
-
-    def term(self) -> Term:
-        t = self.sum()
-        while self.peek()[0] == "|":
-            self.advance()
-            t = Join(t, self.sum())
-        return t
-
-    def sum(self) -> Term:
-        t = self.scaled()
-        while self.peek()[0] == "+":
-            self.advance()
-            t = Add(t, self.scaled())
-        return t
-
-    def scaled(self) -> Term:
-        scalars = []
-        while True:
-            kind, text, at = self.peek()
-            if kind != "number" or self.tokens[self.i + 1][0] != ".":
-                break
-            self.advance()
-            self.advance()
-            scalars.append(_parse_scalar(self.sr, text, at))
-        t = self.atom()
-        for scalar in reversed(scalars):
-            t = Scale(scalar, t)
-        return t
-
-    def atom(self) -> Term:
-        kind, text, at = self.advance()
-        if kind == "bot":
-            return BOT
-        if kind == "number":
-            if text == "0":
-                return ZERO
-            raise ParseError(
-                f"number {text!r} must be a scalar followed by '.'", at)
-        if kind == "ident":
-            return Var(text)
-        if kind == "(":
-            if self.nesting == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING}", at)
-            self.nesting += 1
-            t = self.term()
-            self.expect(")")
-            self.nesting -= 1
-            return t
-        raise ParseError(f"expected a term, found {text or 'end of input'!r}",
-                         at)
+        raise ParseError(f"bad scalar for {sr.id}: {text}",
+                         token.start("number")) from None
 
 
 def parse(text: str, sr: Semiring) -> Term:
-    """Parse one term; scalars are validated for the semiring."""
-    return _Parser(text, sr).parse()
+    """Parse one term; scalars are validated for the semiring.
+
+    One regex pass makes the tokens, and a stray character anywhere is
+    refused before any other error.  A precedence loop then reads them
+    left to right: an operand is its scalar prefixes and an atom, and
+    each open parenthesis saves the enclosing term, sum and prefixes as
+    one frame, restored at its close."""
+    tokens = list(_TOKEN_RE.finditer(text))
+    kinds = [m.lastgroup for m in tokens]
+    kinds.append("end")
+
+    def fail(message: str, i: int) -> NoReturn:
+        # The token's text and start offset, read only here.
+        if i == len(tokens):
+            word, at = "", len(text)
+        else:
+            word, at = tokens[i][kinds[i]], tokens[i].start(kinds[i])
+        raise ParseError(message.format(word=word or "end of input"), at)
+
+    if "stray" in kinds:
+        fail("unexpected character {word!r}", kinds.index("stray"))
+    frames: list[tuple] = []
+    join = add = None
+    scalars: list = []
+    i = 0
+    while True:
+        while kinds[i] == "number" and kinds[i + 1] == "dot":
+            scalars.append(_parse_scalar(sr, tokens[i]))
+            i += 2
+        kind = kinds[i]
+        if kind == "open":
+            if len(frames) == MAX_NESTING:
+                fail(f"parentheses nested deeper than {MAX_NESTING}", i)
+            frames.append((join, add, scalars))
+            join = add = None
+            scalars = []
+            i += 1
+            continue
+        if kind == "ident":
+            t = Var(tokens[i]["ident"])
+        elif kind == "bot":
+            t = BOT
+        elif kind == "number" and tokens[i]["number"] == "0":
+            t = ZERO
+        elif kind == "number":
+            fail("number {word!r} must be a scalar followed by '.'", i)
+        else:
+            fail("expected a term, found {word!r}", i)
+        i += 1
+        # The operand t is complete: fold it in, then close every
+        # parenthesis that ends here.
+        while True:
+            for scalar in reversed(scalars):
+                t = Scale(scalar, t)
+            add = t if add is None else Add(add, t)
+            kind = kinds[i]
+            if kind != "plus":
+                join = add if join is None else Join(join, add)
+                add = None
+            if kind in ("plus", "bar"):
+                break
+            if not frames:
+                if kind != "end":
+                    fail("unexpected trailing {word!r}", i)
+                return join
+            if kind != "close":
+                fail("expected ')', found {word!r}", i)
+            t = join
+            join, add, scalars = frames.pop()
+            i += 1
+        scalars = []
+        i += 1
 
 
 def _postorder(t: Term) -> Iterator[Term]:

@@ -64,10 +64,16 @@ tautology:
   the validating ``finsupp`` (validate, merge, drop zeros, sort), and
   the scaled generators back through a dedup and sort.  The package
   maps entries and generators in order instead.
+* ``parse_by_descent`` is the package's former term reader: a regex
+  match per token, then recursive descent with one method per grammar
+  rule, and scalars read by ``Fraction(str)``.  The package makes the
+  tokens in one regex pass and reads them with one precedence loop,
+  scalars by ``int``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
@@ -75,13 +81,14 @@ from typing import Sequence
 from convexmod.composite import pc_unit
 from convexmod.convex import (ConvexSet, cs_add, cs_empty, cs_join_all,
                               cs_scale, cs_zero, hull_canonicalize)
-from convexmod.errors import (ConvexmodError, SemiringMismatchError,
-                              UnmappedSymbolError)
+from convexmod.errors import (ConvexmodError, ParseError,
+                              SemiringMismatchError, UnmappedSymbolError)
 from convexmod.distlaw import choice_set, weak_compositions
 from convexmod.freemod import (FinSupp, finsupp, fs_add, fs_scale, fs_zero,
                                sorted_unique)
-from convexmod.semiring import Scalar, Semiring
-from convexmod.terms import Add, Bot, Scale, Term, Var, Zero, _postorder
+from convexmod.semiring import Scalar, Semiring, check_digit_runs
+from convexmod.terms import (BOT, MAX_NESTING, ZERO, Add, Bot, Join, Scale,
+                             Term, Var, Zero, _postorder)
 
 
 def bool_law_by_slice_products(key_sets: Sequence[Sequence[str]]
@@ -493,3 +500,139 @@ def eval_term_by_walk(t: Term, sr: Semiring,
             values.append(cs_add(*pair) if isinstance(node, Add)
                           else cs_join_all(pair, sr))
     return values.pop()
+
+
+_DESCENT_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<number>\d+(?:/\d+)?)"
+    r"|(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)"
+    r"|(?P<punct>[.+|()]))")
+
+_KEYWORDS = {"bot"}
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _DESCENT_TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {stripped[0]!r}", at)
+        if m.lastgroup == "number":
+            tokens.append(("number", m.group("number"), m.start("number")))
+        elif m.lastgroup == "ident":
+            word = m.group("ident")
+            kind = "bot" if word in _KEYWORDS else "ident"
+            tokens.append((kind, word, m.start("ident")))
+        else:
+            tokens.append((m.group("punct"), m.group("punct"),
+                           m.start("punct")))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _descent_scalar(sr: Semiring, text: str, at: int) -> Scalar:
+    """The literal ``p`` or ``p/q`` as a scalar of the semiring, read
+    by ``Fraction``; whole values reach ``sr.validate`` as ints."""
+    try:
+        check_digit_runs(text)
+    except ConvexmodError as exc:
+        raise ParseError(str(exc), at) from None
+    try:
+        value = Fraction(text)
+        return sr.validate(
+            value.numerator if value.denominator == 1 else value)
+    except (ZeroDivisionError, ConvexmodError):
+        raise ParseError(f"bad scalar for {sr.id}: {text}", at) from None
+
+
+class _Parser:
+    def __init__(self, text: str, sr: Semiring):
+        self.sr = sr
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.nesting = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
+                             tok[2])
+        return tok
+
+    def parse(self) -> Term:
+        t = self.term()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
+        return t
+
+    def term(self) -> Term:
+        t = self.sum()
+        while self.peek()[0] == "|":
+            self.advance()
+            t = Join(t, self.sum())
+        return t
+
+    def sum(self) -> Term:
+        t = self.scaled()
+        while self.peek()[0] == "+":
+            self.advance()
+            t = Add(t, self.scaled())
+        return t
+
+    def scaled(self) -> Term:
+        scalars = []
+        while True:
+            kind, text, at = self.peek()
+            if kind != "number" or self.tokens[self.i + 1][0] != ".":
+                break
+            self.advance()
+            self.advance()
+            scalars.append(_descent_scalar(self.sr, text, at))
+        t = self.atom()
+        for scalar in reversed(scalars):
+            t = Scale(scalar, t)
+        return t
+
+    def atom(self) -> Term:
+        kind, text, at = self.advance()
+        if kind == "bot":
+            return BOT
+        if kind == "number":
+            if text == "0":
+                return ZERO
+            raise ParseError(
+                f"number {text!r} must be a scalar followed by '.'", at)
+        if kind == "ident":
+            return Var(text)
+        if kind == "(":
+            if self.nesting == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.nesting += 1
+            t = self.term()
+            self.expect(")")
+            self.nesting -= 1
+            return t
+        raise ParseError(f"expected a term, found {text or 'end of input'!r}",
+                         at)
+
+
+def parse_by_descent(text: str, sr: Semiring) -> Term:
+    """The term ``text`` by recursive descent: a regex match per token,
+    then one method per grammar rule, four frames per parenthesis
+    level.  Scalars are read by ``Fraction(str)``."""
+    return _Parser(text, sr).parse()

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +196,22 @@ class TestCanonicalization:
         random.Random(seed).shuffle(shuffled)
         assert hull_canonicalize(gens) == hull_canonicalize(shuffled)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_qplus_form_ignores_order_and_repeats(self, data):
+        # Up to 8 generators, and up to 16 with the repeats: inputs on
+        # both sides of the size that picks the dedup route.
+        gens = data.draw(padded_generators(QPLUS, tied_q))
+        shuffled = data.draw(st.permutations(gens))
+        extra = data.draw(st.lists(st.sampled_from(gens), min_size=1,
+                                   max_size=8))
+        repeated = data.draw(st.permutations(gens + extra))
+        form = hull_canonicalize(gens, QPLUS).generators
+        assert hull_canonicalize(shuffled, QPLUS).generators == form
+        assert hull_canonicalize(repeated, QPLUS).generators == form
+        assert form == canonical_by_fixpoint(gens,
+                                             qplus_member_by_elimination)
+
     @given(small_qset)
     def test_idempotence_random(self, A):
         assert hull_canonicalize(list(A.generators), QPLUS) == A
@@ -244,9 +261,9 @@ def _fraction_system(gens, rest, i):
 
 
 class TestCoordinateSeparation:
-    """Over qplus a redundancy test answers "no" without an LP when one
-    coordinate of the tested generator is strictly above, or strictly
-    below, that of every other generator."""
+    """Over qplus ``member`` answers "no" without an LP when one
+    coordinate of the tested value is strictly above, or strictly
+    below, that of every generator."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -262,11 +279,13 @@ class TestCoordinateSeparation:
                     continue
                 rest = data.draw(st.lists(st.sampled_from(others),
                                           min_size=1, unique=True))
-                before = len(calls)
-                answer = convex._separation(
-                    [columns[j] for j in rest], columns[i]) is None
-                if len(calls) == before:
-                    assert not answer
+                y = convex._range_separation([columns[j] for j in rest],
+                                             columns[i])
+                assert calls == []
+                if y is not None:
+                    value = sum(map(mul, y, columns[i]))
+                    assert all(sum(map(mul, y, columns[j])) < value
+                               for j in rest)
                     assert feasible_by_fraction_simplex(
                         *_fraction_system(gens, rest, i)) is None
             reference = canonical_by_fixpoint(gens,
@@ -278,8 +297,8 @@ class TestCoordinateSeparation:
         monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
         # The simplex is affinely independent.  With the rank
         # certificate off (every row reads as a pivot row, more rows than
-        # the 5 points), the coordinate tests of the Clarkson loop must
-        # settle it.
+        # the 5 points), the seeds settle it: each point is the greatest
+        # on its own coordinate.
         simplex = [qsupp([(s, 1)]) for s in SYMS]
         two = [qsupp([("x", 1), ("y", 2)]), qsupp([("x", 3)])]
         with monkeypatch.context() as mp:
@@ -288,6 +307,8 @@ class TestCoordinateSeparation:
             assert (hull_canonicalize(simplex).generators
                     == tuple(sorted(simplex)))
             assert hull_canonicalize(two).generators == tuple(sorted(two))
+        # Above every generator on x: outside, by the coordinate test.
+        assert not member(hull_canonicalize(simplex), qsupp([("x", 2)]))
         assert calls == []
         # A midpoint ties nowhere strictly, so only the LP removes it.
         mid = qsupp([("x", F(1, 2)), ("y", F(1, 2))])
@@ -318,21 +339,23 @@ class TestBasisReuse:
                (F(3, 2), F(3, 2), F(3, 2)), (F(3, 4), F(1, 2), F(3, 4)),
                (F(3, 2), 1, F(1, 2))]
 
-    def test_padded_tetrahedron_needs_three_lps(self, monkeypatch):
+    def test_padded_tetrahedron_needs_four_lps(self, monkeypatch):
         gens = _xyz(self.TETRAHEDRON + self.PADDING)
         calls = []
         monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
         monkeypatch.setattr(convex, "_seeds", _lexmax_seed)
         A = hull_canonicalize(gens, QPLUS)
         assert A.generators == tuple(sorted(_xyz(self.TETRAHEDRON)))
-        # Two LP "no"s and the coordinate tests find the corners; the
-        # one LP "yes" hands back a basis of all four, which then settles
-        # the other five inside points.
-        assert [len(system.columns) for system in calls] == [2, 3, 4]
+        # The loop takes the corners first, in the order given: three LP
+        # "no"s find the three corners besides the seed, and the one LP
+        # "yes" hands back a basis of all four, which then settles the
+        # other five inside points.
+        assert [len(system.columns) for system in calls] == [1, 2, 3, 4]
         calls.clear()
         monkeypatch.setattr(convex, "basis_solves", lambda *args: False)
         assert hull_canonicalize(gens, QPLUS) == A
-        assert [len(system.columns) for system in calls] == [2, 3] + [4] * 6
+        assert ([len(system.columns) for system in calls]
+                == [1, 2, 3] + [4] * 6)
 
     def test_seeded_tetrahedron_needs_one_lp(self, monkeypatch):
         # Each corner maximizes or minimizes a coordinate, so E starts
@@ -480,9 +503,13 @@ class TestPivotRows:
             return solved
         monkeypatch.setattr(convex, "feasible", recording)
         monkeypatch.setattr(convex, "basis_solves", counting_basis_solves)
-        gens = [qsupp(list(zip("xy", p))) for p in square + inside]
+        corners = [qsupp(list(zip("xy", p))) for p in square]
+        # The loop tests the points in the order given: here the sorted
+        # one, where the two LPs come before the point only the older
+        # basis holds.
+        gens = sorted(corners + [qsupp(list(zip("xy", p))) for p in inside])
         A = hull_canonicalize(gens, QPLUS)
-        assert A.generators == tuple(sorted(gens[:4]))
+        assert A.generators == tuple(sorted(corners))
         assert len(handed) == 2
         assert 0 in settled_by
 
@@ -751,15 +778,23 @@ class TestHashContract:
         assert again is not first and again == first
         A = hull_canonicalize([first, qsupp([("z", 1)]), again], QPLUS)
         assert A.generators[0] is first and len(A.generators) == 2
+        # Five generators and more are deduped on their columns.
+        others = [qsupp([("z", 1)]), qsupp([("y", 3)]), qsupp([("z", 3)])]
+        A = hull_canonicalize([first, *others, again], QPLUS)
+        assert A.generators[0] is first and len(A.generators) == 4
 
     @pytest.mark.parametrize("gens, sr, message", [
         ([qsupp([("x", 1)]), bsupp(["x"])], None,
+         "generator over bool in a qplus set"),
+        ([qsupp([("x", k)]) for k in range(5)]
+         + [finsupp(NAT, [("x", 2)]), bsupp(["x"])], None,
          "generator over bool in a qplus set"),
         ([bsupp(["x"]), qsupp([("x", 1)]), bsupp(["y"])], None,
          "generator over qplus in a bool set"),
         ([finsupp(NAT, [("x", 2)]), qsupp([])], BOOL,
          "generator over nat in a bool set"),
-    ], ids=["qplus_first", "bool_first", "explicit_semiring"])
+    ], ids=["qplus_first", "qplus_columns", "bool_first",
+            "explicit_semiring"])
     def test_mixed_semirings_refused(self, gens, sr, message):
         with pytest.raises(SemiringMismatchError) as exc:
             hull_canonicalize(gens, sr)

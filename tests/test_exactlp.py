@@ -139,6 +139,11 @@ class TestContracts:
         # The witnesses [1/3, 2/3] and [2, -1/3], as values over D = 3.
         with pytest.raises(InternalError, match="re-substitution"):
             _assert_witness(sys_, [1, 2], 3)
+        # [1, 1/3] meets the first row, not the row of ones.
+        with pytest.raises(InternalError, match="coordinate 1"):
+            _assert_witness(sys_, [3, 1], 3)
+        with pytest.raises(InternalError, match="length"):
+            _assert_witness(sys_, [3], 3)
         with pytest.raises(InternalError, match="negative"):
             _assert_witness(sys_, [6, -1], 3)
         with pytest.raises(InternalError, match="denominator"):

@@ -20,7 +20,7 @@ from convexmod.errors import (
 )
 from convexmod.freemod import finsupp
 from convexmod.semiring import get_semiring
-from oracles import eval_term_by_walk
+from oracles import eval_term_by_walk, parse_by_descent
 from convexmod.terms import (
     MAX_NESTING,
     Add,
@@ -193,6 +193,59 @@ class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
     def test_parse_inverts_format(self, t):
         assert parse(format_term(t), QPLUS) == t
+
+
+# Pieces of term text: digits (one a non-ASCII decimal digit), the
+# operators and parentheses, identifiers and the keyword, white space,
+# and one character outside the language.  Scalar prefixes and
+# operators come whole as well as in parts, so that most draws get past
+# the first few tokens.
+READER_PIECES = (list("0123456789/") + ["٣", "٣.", "1/2.", "2/0.", "3.",
+                  "0", "0.", "x", "y1", "bot", "bot_x", "A_9z", "(", ")",
+                  "(", ")", ".", "+", "|", " + ", " | ", " ", "\t", "\n",
+                  "\u00a0", "$"])
+
+
+def _spliced(t, at, piece):
+    """The printed term ``t`` with ``piece`` put in at ``at`` (taken
+    modulo its length + 1): a term, or nearly one."""
+    text = format_term(t)
+    at %= len(text) + 1
+    return text[:at] + piece + text[at:]
+
+
+def _read(reader, text, sr):
+    """The tree ``reader`` makes of ``text``, or its ParseError's
+    message and position."""
+    try:
+        return reader(text, sr)
+    except ParseError as exc:
+        return exc.message, exc.position
+
+
+class TestReaderOracle:
+    """The one-scan reader makes the tree, or the error, that recursive
+    descent makes."""
+
+    @pytest.mark.parametrize("sr", [QPLUS, BOOL, NAT],
+                             ids=["qplus", "bool", "nat"])
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(text=st.one_of(
+        st.lists(st.sampled_from(READER_PIECES), max_size=24).map("".join),
+        st.builds(_spliced, _term_strategy(), st.integers(0, 400),
+                  st.sampled_from(READER_PIECES + [""]))))
+    def test_matches_descent(self, sr, text):
+        assert _read(parse, text, sr) == _read(parse_by_descent, text, sr)
+
+    @pytest.mark.parametrize("text", [
+        "(" * MAX_NESTING + "x" + ")" * MAX_NESTING,
+        "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+        "(" * 2000 + "x" + ")" * 2000,
+        "2.(" * MAX_NESTING + "x | y" + ")" * MAX_NESTING,
+    ], ids=["depth_100", "depth_101", "parens_2000", "scaled_depth_100"])
+    def test_deep_nesting_matches_descent(self, text):
+        assert _read(parse, text, QPLUS) == _read(parse_by_descent, text,
+                                                  QPLUS)
 
 
 class TestEvaluation:

@@ -28,7 +28,8 @@ generators below a generator are those whose supports lie strictly
 inside its own, and it is extreme iff they do not join back to it:
 the same join-cover test as membership, against all the others.
 
-Over qplus canonicalization is output-sensitive (Clarkson, "More
+Over qplus canonicalization needs no LP for points on a segment or in
+a polygon, and is output-sensitive otherwise (Clarkson, "More
 output-sensitive geometric algorithms", FOCS 1994).  The generators
 become integer LP columns, built once per call from their entries:
 values on the sorted union support plus the row of ones, all scaled by
@@ -47,35 +48,59 @@ row is one linear combination of the kept ones, the same in every
 column, and every target below is one of the columns, so a system
 holds on the kept rows iff it holds on all of them: every answer
 stands.  Restricting is a linear bijection of the points' span, so it
-keeps which points are extreme, and the loop below takes the
+keeps which points are extreme, and the routes below take the
 lexicographic order of the restricted columns.  The system then has
 full row rank r.
 
-A list E of extreme points found so far starts with the seeds: the
-lexicographically greatest column and, on every row of the
-(restricted) columns, the lexicographically greatest of the columns
-that maximize that row and of those that minimize it.  Each is extreme
-by the face argument below, with the unit functional of its row, or
-its negation, as y; so none needs an LP.  Every other generator is
-tested against hull(E) only.  Inside hull(E), which lies in the hull
-of the input, it is not extreme and is dropped.  Outside, it comes
-with a functional y separating it from hull(E), the LP's checked
-Farkas certificate.  No coordinate test can separate it: the seeds
-hold every row's maximizer and minimizer, so E's range on each row is
-the input's (``member`` alone tests the range,
-``_range_separation``).  The input columns that maximize y span a face
+Two or three pivot rows need no LP.  Every column has the same entry
+s > 0 on the row of ones, so the restricted points lie on an affine
+line (r = 2) or plane (r = 3) of Q^r that misses 0; W is its
+direction space.  On a line p + t u every difference is a multiple of
+u, so the lexicographic order is the order of t or its reverse: the
+least and the greatest column are the segment's ends, its two extreme
+points.  In a plane the lexicographic order compares points by the
+first coordinate that varies over the plane, and points equal on that
+one, which lie on a line, by the first coordinate that varies along
+it: the order "by x, then by y" for two independent affine coordinates
+x and y of the plane, the sweep order of Andrew's monotone chain (Inf.
+Proc. Letters 9(5), 1979).  Its turns are signs of 3 x 3
+determinants.  For columns a, b, c, write a = w + s m with w in W and
+m a fixed vector off W that the row of ones maps to 1; then det(a, b,
+c) = det(a, b - a, c - a) = s det(m, b - a, c - a), and det(m, ., .)
+is one orientation of the plane, the same for every triple.  The
+other orientation only swaps the chain built in lexicographic order
+with the one built in reverse.  Each chain drops its last point while
+the next point turns the other way or goes straight on (determinant
+<= 0), so a point inside an edge is dropped, and the two chains, less
+their last points, are the polygon's vertices.  Both routes take
+O(n log n) comparisons of integer tuples and O(n) determinants.
+
+From four pivot rows on, a list E of extreme points found so far
+starts with the seeds: the lexicographically greatest column and, on
+every row of the (restricted) columns, the lexicographically greatest
+of the columns that maximize that row and of those that minimize it.
+Each is extreme by the face argument below, with the unit functional
+of its row, or its negation, as y; so none needs an LP. Every other
+generator is tested against hull(E) only. Inside hull(E), which lies
+in the hull of the input, it is not extreme and is dropped. Outside,
+it comes with a functional y separating it from hull(E), the LP's
+checked Farkas certificate. No coordinate test can separate it: the
+seeds hold every row's maximizer and minimizer, so E's range on each
+row is the input's (``member`` alone tests the range,
+``_range_separation``). The input columns that maximize y span a face
 of the input's hull, and the lexicographically greatest of them is
 extreme in that face, hence in the hull: a convex combination of
 points that are lexicographically at most p, one of them strictly
-less, is strictly less than p.  Its value under y exceeds every value
-on E, so it is new; it joins E and the same generator is tested
-again.  Each test drops a generator or finds an extreme point, so n
-generators with h extreme points take at most n + h tests with at most
-h columns each, where testing every generator against all the others
-takes n tests with up to n - 1.  The extreme points are unique, so the
-order the loop visits the generators in does not change its result.
-After the elimination, of O(n d r) integer operations at most, the
-bound is 0 tests for affinely independent input and n + h otherwise.
+less, is strictly less than p. Its value under y exceeds every value
+on E, so it is new; it joins E and the same generator is tested again.
+Each test drops a generator or finds an extreme point, so n generators
+with h extreme points take at most n + h tests with at most h columns
+each, where testing every generator against all the others takes n
+tests with up to n - 1. The extreme points are unique, so the order
+the loop visits the generators in does not change its result. After
+the elimination, of O(n d r) integer operations at most, the bound is
+0 tests for affinely independent input, for points on a segment and
+for points in a polygon, and n + h otherwise.
 
 A "yes" can come without an LP.  On full row rank every LP "yes" ends
 on a basis of m = r real columns (``exactlp`` drives a leftover
@@ -342,15 +367,58 @@ def _seeds(columns: Sequence[tuple[int, ...]]) -> list[int]:
 
 def _extreme_indices(columns: Sequence[tuple[int, ...]]) -> list[int]:
     """The indices, ascending, of the extreme points among distinct
-    homogenized columns (the rank certificate, then Clarkson's
-    output-sensitive redundancy removal on the pivot rows; see the
-    module docstring)."""
+    homogenized columns: the rank certificate, then on the pivot rows
+    the ends of a segment (rank 2), the monotone chain of a polygon
+    (rank 3) or Clarkson's output-sensitive loop (see the module
+    docstring)."""
     n = len(columns)
     rows = _pivot_rows(columns)
     if len(rows) == n:
         return list(range(n))
     if len(rows) < len(columns[0]):
         columns = [tuple([c[r] for r in rows]) for c in columns]
+    if len(rows) == 2:
+        index = range(n)
+        return sorted([min(index, key=columns.__getitem__),
+                       max(index, key=columns.__getitem__)])
+    if len(rows) == 3:
+        return _monotone_chain(columns)
+    return _clarkson(columns)
+
+
+def _det3(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
+    """The determinant of the 3 x 3 integer matrix with columns a, b, c."""
+    return (a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+def _monotone_chain(columns: Sequence[tuple[int, ...]]) -> list[int]:
+    """The indices, ascending, of the vertices of the polygon spanned by
+    distinct coplanar columns of rank 3 (Andrew's monotone chain, Inf.
+    Proc. Letters 9(5), 1979): one chain in lexicographic order, one in
+    reverse, each dropping its last point when the next one turns the
+    other way or continues straight (see the module docstring)."""
+    order = sorted(range(len(columns)), key=columns.__getitem__)
+    vertices: list[int] = []
+    for sweep in (order, order[::-1]):
+        chain: list[int] = []
+        for j in sweep:
+            while len(chain) >= 2 and _det3(columns[chain[-2]],
+                                            columns[chain[-1]],
+                                            columns[j]) <= 0:
+                chain.pop()
+            chain.append(j)
+        vertices += chain[:-1]
+    return sorted(vertices)
+
+
+def _clarkson(columns: Sequence[tuple[int, ...]]) -> list[int]:
+    """The indices, ascending, of the extreme points among distinct
+    homogenized columns of full row rank, by Clarkson's output-sensitive
+    loop from the seeds, with every LP basis kept (see the module
+    docstring)."""
+    n = len(columns)
     extreme = _seeds(columns)
     found = set(extreme)
     # E's columns, in E's order; like ``extreme``, the list only grows.
@@ -392,10 +460,13 @@ def _join_covered(support: frozenset, below: Sequence[frozenset]) -> bool:
 
 _SKEY = attrgetter("_skey")
 # Qplus inputs up to this size are deduped by sorting, larger ones on
-# their columns.  Timed by input size on the benchmark's qplus inputs,
-# the sort wins at 3 generators (a fifth to a quarter collapse to two
-# points, which need no column), the columns from 5, and they tie at 4.
-_SORT_FIRST_MAX = 4
+# their columns.  Timed by input size on the inputs the benchmark's
+# qplus prefixes canonicalize, in two runs of 41 interleaved
+# repetitions: the sort wins at 3 generators (a quarter collapse to two
+# points, which need no column; 36 and 35 of 41, about 9-11%), the
+# columns at 4 (35 and 38 of 41, about 4-5%; 25 of 41 before the planar
+# route) and from 5.
+_SORT_FIRST_MAX = 3
 
 
 def hull_canonicalize(generators: Iterable[FinSupp],

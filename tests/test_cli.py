@@ -234,10 +234,11 @@ class TestEval:
             raise InternalError("lp broke")
 
         monkeypatch.setattr("convexmod.convex.feasible", broken)
-        # 3/2.x lies between the other two points, so only the LP can
-        # decide it.
-        code, out, err = run(capsys, "eval", "--vars", "x",
-                             "x | 2.x | 3/2.x", "--format", fmt)
+        # The five points span all three coordinates, where only the LP
+        # can decide that 0 is a corner and the last point is inside.
+        code, out, err = run(capsys, "eval", "--vars", "x,y,z",
+                             "x | y | z | 0 | 1/4.x + 1/4.y + 1/4.z",
+                             "--format", fmt)
         assert code == 3
         assert out == ""
         assert err == expected

@@ -4,7 +4,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convexmod import convex, exactlp
@@ -310,10 +310,16 @@ class TestCoordinateSeparation:
         # Above every generator on x: outside, by the coordinate test.
         assert not member(hull_canonicalize(simplex), qsupp([("x", 2)]))
         assert calls == []
-        # A midpoint ties nowhere strictly, so only the LP removes it.
+        # A midpoint of a segment: the ends of the segment, no LP.
         mid = qsupp([("x", F(1, 2)), ("y", F(1, 2))])
         segment = hull_canonicalize([simplex[2], simplex[3], mid])
         assert segment.generators == (simplex[2], simplex[3])
+        assert calls == []
+        # The centroid of four corners spanning three coordinates ties
+        # nowhere strictly, so only the LP removes it.
+        centroid = qsupp([(s, F(1, 4)) for s in SYMS[:4]])
+        tetrahedron = hull_canonicalize(simplex[:4] + [centroid])
+        assert tetrahedron.generators == tuple(sorted(simplex[:4]))
         assert calls
 
 
@@ -373,11 +379,11 @@ class TestBasisReuse:
         assert [len(system.columns) for system in calls] == [4] * 6
 
     def test_a_tie_seeds_its_lexicographic_maximum(self, monkeypatch):
-        # All but the last point minimize z.  The midpoint (1, 1, 0)
+        # The first three points minimize z.  The midpoint (1, 1, 0)
         # sorts first of them as a value, but only the lexicographically
-        # greatest, (2, 0, 0), is a seed: the midpoint is no vertex, and
-        # the one LP, a "yes", drops it.
-        gens = _xyz([(0, 2, 0), (1, 1, 0), (2, 0, 0), (0, 0, 1)])
+        # greatest, (2, 0, 0), is a seed: the midpoint is no vertex.  The
+        # other corners are seeds too, and the one LP, a "yes", drops it.
+        gens = _xyz([(0, 2, 0), (1, 1, 0), (2, 0, 0), (0, 0, 3), (2, 2, 1)])
         assert gens[1] == min(gens[:3])
         calls = []
         monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
@@ -452,13 +458,15 @@ def _padded_combinations(corners, count):
 
 
 class TestPivotRows:
-    """Over qplus the Clarkson loop runs on the pivot rows of its
+    """Over qplus the extreme points are found on the pivot rows of the
     homogenized columns: the other rows are the same linear combination
-    of those in every column, so every answer stands, and the system
-    has full row rank, so an LP "yes" can hand back a basis of real
-    columns.  Each basis handed back during a call is kept."""
+    of those in every column, so every answer stands.  Two or three
+    pivot rows make a segment or a polygon, settled with no LP; on more
+    the Clarkson loop's system has full row rank, so an LP "yes" can
+    hand back a basis of real columns.  Each basis handed back during a
+    call is kept."""
 
-    def test_padded_segment_needs_one_lp(self, monkeypatch):
+    def test_padded_segment_needs_no_lp(self, monkeypatch):
         # Two ends and 20 points on the segment between them, in 3
         # coordinates: rank 2 of 4 rows.
         ends = [(0, 1, 2), (3, 1, F(1, 2))]
@@ -468,9 +476,9 @@ class TestPivotRows:
         monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
         A = hull_canonicalize(_xyz(inside[:10] + ends + inside[10:]), QPLUS)
         assert A.generators == tuple(sorted(_xyz(ends)))
-        assert len(calls) == 1
+        assert calls == []
 
-    def test_padded_triangle_needs_one_lp(self, monkeypatch):
+    def test_padded_triangle_needs_no_lp(self, monkeypatch):
         # Three corners and 15 points inside, in the plane x + y + z = 2:
         # rank 3 of 4 rows.
         corners = [(0, 0, 2), (2, 0, 0), (0, 2, 0)]
@@ -479,14 +487,14 @@ class TestPivotRows:
         monkeypatch.setattr(convex, "feasible", _counting_feasible(calls))
         A = hull_canonicalize(_xyz(inside + corners), QPLUS)
         assert A.generators == tuple(sorted(_xyz(corners)))
-        assert len(calls) == 1
+        assert calls == []
 
     def test_an_older_basis_settles_a_later_target(self, monkeypatch):
-        # The square's corners and three points inside: two LP "yes"
-        # answers hand back two triangles of corners, and the older one
+        # The cube's corners and three points inside: two LP "yes"
+        # answers hand back two tetrahedra of corners, and the older one
         # holds a later point the newer one does not.
-        square = [(0, 0), (4, 0), (4, 4), (0, 4)]
-        inside = [(2, F(5, 3)), (F(11, 3), F(8, 3)), (F(5, 3), F(10, 3))]
+        cube = list(itertools.product([0, 4], repeat=3))
+        inside = [(1, 3, 3), (F(1, 3), F(7, 3), 3), (F(11, 3), 3, F(10, 3))]
         handed = []
 
         def recording(system, certificate=None, basis=None):
@@ -503,11 +511,11 @@ class TestPivotRows:
             return solved
         monkeypatch.setattr(convex, "feasible", recording)
         monkeypatch.setattr(convex, "basis_solves", counting_basis_solves)
-        corners = [qsupp(list(zip("xy", p))) for p in square]
+        corners = _xyz(cube)
         # The loop tests the points in the order given: here the sorted
         # one, where the two LPs come before the point only the older
         # basis holds.
-        gens = sorted(corners + [qsupp(list(zip("xy", p))) for p in inside])
+        gens = sorted(corners + _xyz(inside))
         A = hull_canonicalize(gens, QPLUS)
         assert A.generators == tuple(sorted(corners))
         assert len(handed) == 2
@@ -522,9 +530,54 @@ class TestPivotRows:
             A = hull_canonicalize(gens, QPLUS)
         assert A.generators == canonical_by_fixpoint(
             gens, qplus_member_by_elimination)
-        _assert_output_sensitive(gens, calls, A.generators)
-        # Every LP runs on the pivot rows only: 3 at most here.
-        assert all(len(system.target) <= 3 for system in calls)
+        # Points on a line or in a plane are settled with no LP.
+        assert calls == []
+
+
+@st.composite
+def planar_points(draw):
+    """At least three distinct integer points on a line or in a plane in
+    2-6 coordinates, shuffled: p + s u + t v for steps s, t in 0..3, so
+    several lie on one line, and with directions drawn from -1, 0 and 1,
+    so points often tie on their first coordinates.  The base point
+    keeps every coordinate nonnegative."""
+    dim = draw(st.integers(2, 6))
+    flat = draw(st.integers(1, 2))
+    base = draw(st.lists(st.integers(6, 8), min_size=dim, max_size=dim))
+    directions = draw(st.lists(
+        st.lists(st.integers(-1, 1), min_size=dim, max_size=dim),
+        min_size=flat, max_size=flat))
+    steps = draw(st.lists(st.lists(st.integers(0, 3), min_size=flat,
+                                   max_size=flat), min_size=3, max_size=12))
+    points = {tuple(b + sum(t * d[i] for t, d in zip(ts, directions))
+                    for i, b in enumerate(base)): None for ts in steps}
+    assume(len(points) >= 3)
+    return draw(st.permutations(list(points)))
+
+
+class TestPlanarRoute:
+    """Columns of rank 2 or 3 lie on a segment or in a polygon: the
+    segment's lexicographic ends, or the monotone chain's vertices,
+    are the extreme points the Clarkson loop finds, with no LP."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(planar_points(), st.sampled_from([1, 2, 6]))
+    def test_matches_the_loop_and_fixpoint(self, points, scale):
+        columns = [tuple(scale * v for v in p) + (scale,) for p in points]
+        rows = convex._pivot_rows(columns)
+        assume(len(rows) < len(columns))
+        assert len(rows) in (2, 3)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convex, "feasible", _counting_feasible(calls))
+            extreme = convex._extreme_indices(columns)
+        assert calls == []
+        assert extreme == convex._clarkson(
+            [tuple([c[r] for r in rows]) for c in columns])
+        gens = [qsupp([(k, F(v, scale)) for k, v in zip("abcdef", p)])
+                for p in points]
+        assert hull_canonicalize(gens, QPLUS).generators == (
+            canonical_by_fixpoint(gens, qplus_member_by_elimination))
 
 
 @st.composite
@@ -585,6 +638,12 @@ class TestOutputSensitive:
         edge = qsupp([("u", F(1, 2)), ("v", F(1, 2))])
         assert (hull_canonicalize(trapezoid + [edge]).generators
                 == tuple(sorted(trapezoid)))
+        # The points lie in a plane, where the monotone chain answers;
+        # the loop, on the same columns of full row rank, agrees.
+        gens = sorted(trapezoid + [edge])
+        columns = convex._homogenized_columns(gens)
+        assert ([gens[j] for j in convex._clarkson(columns)]
+                == sorted(trapezoid))
 
     def test_cube_with_interior_points(self, monkeypatch):
         corners = [qsupp(list(zip("xyz", c)))
@@ -702,9 +761,15 @@ class TestIndependenceCertificate:
             assert (hull_canonicalize(simplex, QPLUS).generators
                     == tuple(sorted(simplex)))
         assert calls == []
+        # Dependent points on a segment are settled with no LP too; in
+        # all three coordinates only the LP drops the inside point.
         collinear = triangle[:2] + [qsupp([("x", 1), ("y", 1)])]
         assert (hull_canonicalize(collinear, QPLUS).generators
                 == tuple(sorted(triangle[:2])))
+        assert calls == []
+        inside = qsupp([("x", 1), ("y", 1), ("z", 1)])
+        assert (hull_canonicalize(tetrahedron + [inside], QPLUS).generators
+                == tuple(sorted(tetrahedron)))
         assert calls
 
     @pytest.mark.parametrize("vectors, independent", [
